@@ -1,12 +1,30 @@
 """Time steppers for linear systems  M u' = -K u.
 
-Two routes: dense matrix exponential (scaling and squaring, fine up to a
-couple thousand unknowns) and Crank-Nicolson with step doubling until the
-solution stops moving at the requested relative tolerance.  The first CN
-step is split into two backward-Euler half steps, which kills the
-undamped ringing CN otherwise leaves on rough initial data; both stages
-share one factorization since BE at dt/2 and CN at dt use the same
-left-hand matrix M + (dt/2) K.
+Three routes:
+
+* ``krylov_apply`` (the default behind ``evolution.propagate``):
+  shift-and-invert Arnoldi.  One sparse LU of ``M + K/gamma`` with
+  ``gamma = SHIFT_T / t``; Arnoldi on ``S = (M + K/gamma)^-1 M`` in a
+  weighted inner product gives ``S V_m = V_m H_m + ...``, and since
+  ``-M^-1 K = gamma (I - S^-1)`` the solution is
+  ``beta V_m expm(t gamma (I - H_m^-1)) e1``, where ``expm`` acts on an
+  m x m matrix only.  The rational basis resolves the stiff diffusion
+  modes at any kappa, and unlike a contour quadrature it needs no
+  enclosure of the spectrum, so non-normal membrane couplings with
+  complex eigenvalues are handled the same way (van den Eshof &
+  Hochbruck, SIAM J. Sci. Comput. 27, 2006; Moret & Novati, BIT 44,
+  2004).  The basis grows until iterates m - 4 and m agree to ``rtol``.
+* ``expm_apply``: dense matrix exponential (scaling and squaring), kept
+  as a reference; fine up to a couple thousand unknowns.
+* ``crank_nicolson``: step doubling until the solution stops moving at
+  the requested relative tolerance, kept as an independent reference.
+  The first CN step is split into two backward-Euler half steps, which
+  kills the undamped ringing CN otherwise leaves on rough initial data;
+  both stages share one factorization since BE at dt/2 and CN at dt use
+  the same left-hand matrix M + (dt/2) K.
+
+The two step-controlled routes raise ``StepControlError`` with the
+numbers of their last attempt when they cannot reach ``rtol``.
 """
 
 from __future__ import annotations
@@ -18,9 +36,14 @@ from scipy.sparse.linalg import splu
 
 DENSE_LIMIT = 4000
 
+# gamma * t for the shift-and-invert pole; iterates at basis sizes
+# m - KRYLOV_LAG and m are compared for the stopping rule
+SHIFT_T = 10.0
+KRYLOV_LAG = 4
+
 
 class StepControlError(RuntimeError):
-    """Crank-Nicolson step doubling failed to converge."""
+    """A step-controlled propagator did not reach its tolerance."""
 
 
 def expm_apply(matrix, u0: np.ndarray, t: float) -> np.ndarray:
@@ -33,7 +56,7 @@ def expm_apply(matrix, u0: np.ndarray, t: float) -> np.ndarray:
     if n > DENSE_LIMIT:
         raise ValueError(
             f"dense exponential limited to {DENSE_LIMIT} unknowns (got {n}); "
-            "use the Crank-Nicolson route"
+            "use evolution.propagate's default Krylov method or method='cn'"
         )
     return scipy.linalg.expm(t * np.asarray(matrix, dtype=float)) @ u0
 
@@ -75,13 +98,80 @@ def crank_nicolson(
 
     n = start_steps
     prev = _cn_run(mass, stiff, u0, t, n)
+    gap = np.inf
     while n <= max_steps:
         n *= 2
         cur = _cn_run(mass, stiff, u0, t, n)
         scale = max(wnorm(cur), wnorm(u0), 1e-300)
-        if wnorm(cur - prev) <= rtol * scale:
+        gap = wnorm(cur - prev)
+        if gap <= rtol * scale:
             return cur
         prev = cur
     raise StepControlError(
-        f"no convergence to rtol={rtol} within {max_steps} steps"
+        f"Crank-Nicolson: no convergence to rtol={rtol:g} after {n} steps "
+        f"at t={t:g} (last weighted gap {gap:.3g})"
+    )
+
+
+def krylov_apply(
+    mass,
+    stiff,
+    u0: np.ndarray,
+    t: float,
+    rtol: float = 1e-8,
+    gram=None,
+    max_dim: int = 64,
+) -> np.ndarray:
+    """Solve M u' = -K u to time t by shift-and-invert Arnoldi.
+
+    ``gram`` is the inner product matrix (default ``mass``).  The basis
+    grows until the iterates at sizes m - 4 and m agree to ``rtol``
+    relative to max(|u(t)|, |u0|) in the ``gram`` norm; a basis of
+    ``max_dim`` vectors without that agreement raises StepControlError.
+    """
+    u0 = np.asarray(u0, dtype=float)
+    if t == 0.0:
+        return u0.copy()
+    mass = sp.csr_matrix(mass)
+    stiff = sp.csr_matrix(stiff)
+    gram = mass if gram is None else sp.csr_matrix(gram)
+    beta = float(np.sqrt(u0 @ (gram @ u0)))
+    if beta == 0.0:
+        return np.zeros_like(u0)
+    gamma = SHIFT_T / t
+    solve = splu((mass + stiff / gamma).tocsc()).solve
+
+    basis = np.empty((max_dim + 1, u0.size))
+    hess = np.zeros((max_dim + 1, max_dim))
+    basis[0] = u0 / beta
+    coeffs = []
+    estimate = np.inf
+    for j in range(max_dim):
+        w = solve(mass @ basis[j])
+        # Gram-Schmidt twice keeps the basis orthonormal to round-off
+        for _ in range(2):
+            h = basis[: j + 1] @ (gram @ w)
+            w -= h @ basis[: j + 1]
+            hess[: j + 1, j] += h
+        m = j + 1
+        hess[m, j] = np.sqrt(max(float(w @ (gram @ w)), 0.0))
+        small = hess[:m, :m]
+        y = beta * scipy.linalg.expm(
+            (t * gamma) * (np.eye(m) - scipy.linalg.inv(small))
+        )[:, 0]
+        coeffs.append(y)
+        # an invariant subspace makes the current iterate exact
+        if hess[m, j] <= 1e-14 * np.abs(hess[:m, j]).max():
+            return y @ basis[:m]
+        if m > KRYLOV_LAG:
+            prev = coeffs[m - 1 - KRYLOV_LAG]
+            diff = y.copy()
+            diff[: prev.size] -= prev
+            estimate = float(np.linalg.norm(diff))
+            if estimate <= rtol * max(float(np.linalg.norm(y)), beta):
+                return y @ basis[:m]
+        basis[m] = w / hess[m, j]
+    raise StepControlError(
+        f"Krylov propagator: no convergence to rtol={rtol:g} with m={max_dim} "
+        f"basis vectors at t={t:g} (last estimate {estimate:.3g})"
     )

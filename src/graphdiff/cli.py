@@ -9,7 +9,9 @@ Subcommands:
 * ``duality-check``   -- forward/adjoint pairing defect under refinement
 
 Exit codes: 0 success, 1 graph validation failure, 2 I/O or parse
-failure, 3 an acceptance criterion (monotone decrease) failed.  CSV
+failure, 3 an acceptance criterion (monotone decrease) failed, 4 the
+propagator did not converge to its tolerance (the message carries the
+basis size or step count, the last error estimate and ``rtol``).  CSV
 output is deterministic: fixed column order, 17 significant digits,
 newline-terminated rows.
 """
@@ -23,11 +25,11 @@ import sys
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from . import chain, evolution, finite_volume, resolvent
+from . import _stepping, chain, evolution, finite_volume, resolvent
 from .graphs import GraphConfigError, InvalidGraphError, load_graph, validate
 from .grids import edge_indicator, make_grid
 
-OK, INVALID, IOERR, FAILED = 0, 1, 2, 3
+OK, INVALID, IOERR, FAILED, UNCONVERGED = 0, 1, 2, 3, 4
 
 
 def _float_list(text: str):
@@ -168,7 +170,6 @@ def cmd_sweep(args) -> int:
         return INVALID
     phi0 = _phi0_from_flag(graph, args.phi0)
     grid = make_grid(graph, args.h)
-    workers = evolution.default_thread_count()
     result = evolution.kappa_sweep(
         graph,
         grid,
@@ -177,7 +178,6 @@ def cmd_sweep(args) -> int:
         phi0,
         discretization=args.disc,
         trace_order=args.trace_order,
-        max_workers=workers,
     )
     fh, close = _open_out(args.out)
     try:
@@ -275,6 +275,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _stepping.StepControlError as exc:
+        print(f"error: solver did not converge: {exc}", file=sys.stderr)
+        return UNCONVERGED
     except GraphConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return IOERR

@@ -11,9 +11,7 @@ demonstrate.
 from __future__ import annotations
 
 import csv
-import os
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +49,17 @@ def norms(values, weights) -> Norms:
 
 
 def propagate(
-    gen: DiscreteGenerator, phi0, t: float, method: str = "expm", rtol: float = 1e-8
+    gen: DiscreteGenerator, phi0, t: float, method: str = "krylov", rtol: float = 1e-8
 ) -> np.ndarray:
-    """Advance phi0 by the semigroup of ``gen`` to time t."""
+    """Advance phi0 by the semigroup of ``gen`` to time t.
+
+    Methods: ``"krylov"`` (default) -- sparse shift-and-invert Arnoldi,
+    converged to ``rtol``; ``"expm"`` -- dense exponential of
+    ``gen.matrix``; ``"cn"`` -- Crank-Nicolson step doubling to ``rtol``.
+    Both sparse routes work on the pair ``M u' = -K u``: ``(I, -A)`` in
+    the cell-width inner product for finite volumes, ``(M, B + C)`` in
+    the ``M`` inner product for P1 Galerkin.
+    """
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.shape != (gen.n,):
         raise ValueError(f"phi0 must have shape ({gen.n},), got {phi0.shape}")
@@ -61,16 +67,19 @@ def propagate(
         raise ValueError(f"t must be >= 0, got {t}")
     if method == "expm":
         return _stepping.expm_apply(gen.matrix, phi0, t)
+    if method not in ("krylov", "cn"):
+        raise ValueError(f"method must be 'krylov', 'expm' or 'cn', got {method!r}")
+    if gen.mass is not None:
+        mass, stiff, gram = gen.mass, gen.flux, gen.mass
+    else:
+        mass = sp.eye(gen.n, format="csr")
+        stiff = -sp.csr_matrix(gen.matrix)
+        gram = sp.diags(gen.weights)
     if method == "cn":
-        if gen.mass is not None:
-            mass, stiff = gen.mass, gen.flux
-        else:
-            mass = sp.eye(gen.n, format="csr")
-            stiff = -sp.csr_matrix(gen.matrix)
         return _stepping.crank_nicolson(
             mass, stiff, phi0, t, rtol=rtol, weights=gen.weights
         )
-    raise ValueError(f"method must be 'expm' or 'cn', got {method!r}")
+    return _stepping.krylov_apply(mass, stiff, phi0, t, rtol=rtol, gram=gram)
 
 
 @dataclass(frozen=True)
@@ -130,21 +139,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def default_thread_count() -> int:
-    """Sweep parallelism cap from GRAPHDIFF_THREADS (default: serial).
-
-    Unset or empty means 1; anything else must be a positive integer --
-    silently ignoring a typo here would mask a deliberate setting.
-    """
-    raw = os.environ.get("GRAPHDIFF_THREADS", "").strip()
-    if not raw:
-        return 1
-    count = int(raw)   # let a malformed value raise
-    if count < 1:
-        raise ValueError(f"GRAPHDIFF_THREADS must be >= 1, got {raw!r}")
-    return count
-
-
 def kappa_sweep(
     graph: MetricGraph,
     grid: EdgeGrid,
@@ -153,9 +147,8 @@ def kappa_sweep(
     phi0,
     discretization: str = FV,
     trace_order: int = 1,
-    method: str = "expm",
+    method: str = "krylov",
     rtol: float = 1e-8,
-    max_workers: int = 1,
 ) -> SweepResult:
     """Propagate phi0 for every (kappa, t) and measure the distance to the
     lifted limit-chain solution.
@@ -199,9 +192,9 @@ def kappa_sweep(
     )
     mass0 = float(np.sum(weights * start))
 
-    def run_one(kappa: float):
+    records = []
+    for kappa in kappas:
         gen = assemble(kappa)
-        out = []
         for t in ts:
             sol = propagate(gen, start, t, method=method, rtol=rtol)
             limit_vec = chain.propagator(gen_q, t) @ projected0.values
@@ -220,7 +213,7 @@ def kappa_sweep(
             err_projected = (
                 pdiff.norm_l1() if discretization == FV else pdiff.norm_l2()
             )
-            out.append(
+            records.append(
                 SweepRecord(
                     kappa=kappa,
                     t=t,
@@ -231,15 +224,5 @@ def kappa_sweep(
                     min_value=float(np.min(sol)),
                 )
             )
-        return out
-
-    records = []
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for chunk in pool.map(run_one, kappas):
-                records.extend(chunk)
-    else:
-        for kappa in kappas:
-            records.extend(run_one(kappa))
     records.sort(key=lambda r: (r.kappa, r.t))
     return SweepResult(records=tuple(records), discretization=discretization)

@@ -246,7 +246,13 @@ def test_criterion_9_semigroup_law_and_method_agreement(star):
     u_cn = evolution.propagate(stiff_gen, phi0, 1.0, method="cn", rtol=1e-9)
     gap = float(np.abs(u_expm - u_cn).max())
     assert gap <= 1e-6
-    print(f"criterion 9: PASS (splitting + expm/CN gap {gap:.1e})")
+    u_default = evolution.propagate(stiff_gen, phi0, 1.0)
+    gap_default = float(np.abs(u_default - u_cn).max())
+    assert gap_default <= 1e-6
+    print(
+        f"criterion 9: PASS (splitting + expm/CN gap {gap:.1e}, "
+        f"default/CN gap {gap_default:.1e})"
+    )
 
 
 def test_criterion_10_growth_bound(star):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from graphdiff import _stepping
 from graphdiff.cli import main
 
 STAR = {
@@ -117,24 +118,37 @@ def test_sweep_unknown_phi0_edge(star_path, tmp_path):
     assert code == 2
 
 
-def test_sweep_bad_thread_env(star_path, tmp_path, monkeypatch):
-    monkeypatch.setenv("GRAPHDIFF_THREADS", "many")
+def test_sweep_fine_grid(star_path, tmp_path):
+    # 6000 cells: beyond the dense exponential's reach, routine for the
+    # sparse propagator
+    out = tmp_path / "sweep.csv"
     code = main([
-        "sweep", "--graph", star_path,
-        "--kappa", "1,10", "--t", "0.5", "--h", "0.1",
-        "--out", str(tmp_path / "x.csv"),
-    ])
-    assert code == 2
-
-
-def test_sweep_threaded_env(star_path, tmp_path, monkeypatch):
-    monkeypatch.setenv("GRAPHDIFF_THREADS", "2")
-    code = main([
-        "sweep", "--graph", star_path,
-        "--kappa", "1,10", "--t", "0.5", "--h", "0.1",
-        "--out", str(tmp_path / "x.csv"),
+        "sweep", "--graph", star_path, "--disc", "fv", "--h", "0.0005",
+        "--kappa", "1,1e4", "--t", "1", "--out", str(out),
     ])
     assert code == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 3
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "10000"]
+
+
+def test_sweep_unconverged_solver_exit(star_path, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise _stepping.StepControlError(
+            "Krylov propagator: no convergence to rtol=1e-08 with m=64 "
+            "basis vectors at t=0.5 (last estimate 3.2e-05)"
+        )
+
+    monkeypatch.setattr(_stepping, "krylov_apply", refuse)
+    code = main([
+        "sweep", "--graph", star_path,
+        "--kappa", "1,10", "--t", "0.5", "--h", "0.1",
+        "--out", str(tmp_path / "x.csv"),
+    ])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "did not converge" in err
+    assert "m=64" in err and "3.2e-05" in err and "rtol=1e-08" in err
 
 
 def test_bad_kappa_list_is_parse_error(star_path, capsys):

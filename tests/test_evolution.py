@@ -12,13 +12,14 @@ from graphdiff.evolution import (
     FV,
     SweepRecord,
     SweepResult,
-    default_thread_count,
     kappa_sweep,
     norms,
     propagate,
 )
 from graphdiff.finite_volume import dual_generator
-from graphdiff.grids import CELLS, EdgeGrid, edge_indicator, make_grid
+from graphdiff.galerkin import assemble_forms, l2_generator
+from graphdiff.graphs import EdgeSpec, MetricGraph
+from graphdiff.grids import CELLS, NODES, EdgeGrid, edge_indicator, make_grid
 
 
 def test_norms_basics():
@@ -122,6 +123,39 @@ def test_cn_matches_expm_mildly_stiff(star_graph):
     assert np.abs(a - b).max() <= 1e-7
 
 
+def _directed_cycle(n, p):
+    # edge i runs v_i -> v_{i+1} and passes everything that leaves its
+    # right end into edge i + 1: conservative, but the limit chain is a
+    # pure rotation with complex eigenvalues
+    return MetricGraph(tuple(
+        EdgeSpec(id=f"C{i}", length=1.0, sigma=1.0, left_vertex=f"v{i}",
+                 right_vertex=f"v{(i + 1) % n}", r=p, r_to={f"C{(i + 1) % n}": p})
+        for i in range(n)
+    ))
+
+
+@pytest.mark.parametrize("n,p", [(3, 10.0), (10, 10.0), (20, 5.0)])
+def test_krylov_matches_expm_on_directed_cycles(n, p):
+    graph = _directed_cycle(n, p)
+    grid = make_grid(graph, 1.0 / 50)
+    phi0 = grid.sample(edge_indicator(0), CELLS)
+    for kappa in (1.0, 1e3):
+        gen = dual_generator(graph, grid, kappa=kappa)
+        for t in (0.25, 2.0):
+            got = propagate(gen, phi0, t)
+            want = propagate(gen, phi0, t, method="expm")
+            assert np.abs(got - want).max() <= 1e-8
+
+
+def test_krylov_matches_expm_fem(star_graph):
+    grid = make_grid(star_graph, 0.05)
+    gen = l2_generator(assemble_forms(star_graph, grid, 20.0))
+    phi0 = grid.sample(edge_indicator(0), NODES)
+    a = propagate(gen, phi0, 0.8, method="expm")
+    b = propagate(gen, phi0, 0.8)
+    assert np.abs(a - b).max() <= 1e-9
+
+
 class TestStepping:
     def test_expm_apply_rejects_huge_dense(self):
         big = sp.eye(_stepping.DENSE_LIMIT + 1, format="csr")
@@ -133,6 +167,20 @@ class TestStepping:
         stiff = sp.csr_matrix(np.array([[3.0]]))
         out = _stepping.crank_nicolson(mass, stiff, np.array([2.0]), 1.0, rtol=1e-10)
         assert out[0] == pytest.approx(2.0 * np.exp(-3.0), rel=1e-8)
+
+    def test_krylov_exact_on_invariant_subspace(self):
+        mass = sp.eye(1, format="csr")
+        stiff = sp.csr_matrix(np.array([[3.0]]))
+        out = _stepping.krylov_apply(mass, stiff, np.array([2.0]), 1.0)
+        assert out[0] == pytest.approx(2.0 * np.exp(-3.0), rel=1e-13)
+
+    def test_krylov_gives_up_when_capped(self):
+        n = 40
+        stiff = sp.diags(np.arange(1.0, n + 1))
+        with pytest.raises(_stepping.StepControlError, match="m=6"):
+            _stepping.krylov_apply(
+                sp.eye(n, format="csr"), stiff, np.ones(n), 1.0, max_dim=6
+            )
 
     def test_cn_gives_up_when_capped(self):
         mass = sp.eye(1, format="csr")
@@ -198,13 +246,6 @@ def test_sweep_conserves_mass_when_conservative(star_graph):
     assert max(abs(r.mass_drift) for r in res.records) <= 1e-10
 
 
-def test_sweep_threading_matches_serial(star_graph):
-    serial = _run_small_sweep(star_graph, max_workers=1)
-    threaded = _run_small_sweep(star_graph, max_workers=3)
-    for a, b in zip(serial.records, threaded.records):
-        assert a == b
-
-
 def test_sweep_validates_arguments(star_graph):
     grid = make_grid(star_graph, 0.1)
     ind = edge_indicator(0)
@@ -244,16 +285,6 @@ def test_errors_nonincreasing_detects_regression():
     ]
     res = SweepResult(records=tuple(rec), discretization=FV)
     assert not res.errors_nonincreasing()
-
-
-def test_default_thread_count(monkeypatch):
-    monkeypatch.delenv("GRAPHDIFF_THREADS", raising=False)
-    assert default_thread_count() == 1
-    monkeypatch.setenv("GRAPHDIFF_THREADS", "4")
-    assert default_thread_count() == 4
-    monkeypatch.setenv("GRAPHDIFF_THREADS", "jam")
-    with pytest.raises(ValueError):
-        default_thread_count()
 
 
 def test_sweep_limit_solution_is_the_projection(star_graph):
