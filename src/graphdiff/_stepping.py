@@ -50,15 +50,19 @@ def expm_apply(matrix, u0: np.ndarray, t: float) -> np.ndarray:
     """u(t) = expm(t A) u0 with A = ``matrix`` (dense route)."""
     if t == 0.0:
         return np.array(u0, dtype=float, copy=True)
+    check_dense(matrix.shape[0])
     if sp.issparse(matrix):
         matrix = matrix.toarray()
-    n = matrix.shape[0]
+    return scipy.linalg.expm(t * np.asarray(matrix, dtype=float)) @ u0
+
+
+def check_dense(n: int) -> None:
+    """Refuse the dense route above DENSE_LIMIT unknowns."""
     if n > DENSE_LIMIT:
         raise ValueError(
             f"dense exponential limited to {DENSE_LIMIT} unknowns (got {n}); "
             "use evolution.propagate's default Krylov method or method='cn'"
         )
-    return scipy.linalg.expm(t * np.asarray(matrix, dtype=float)) @ u0
 
 
 def _cn_run(mass, stiff, u0, t, n_steps):

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from . import _stepping, chain, evolution, finite_volume, resolvent
-from .graphs import GraphConfigError, InvalidGraphError, load_graph, validate
+from .graphs import GraphConfigError, InvalidGraphError, load_graph, require_valid, validate
 from .grids import edge_indicator, make_grid
 
 OK, INVALID, IOERR, FAILED, UNCONVERGED = 0, 1, 2, 3, 4
@@ -43,10 +43,6 @@ def _open_out(path):
     if path is None or path == "-":
         return sys.stdout, False
     return open(path, "w", encoding="utf-8", newline=""), True
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,13 +114,16 @@ def cmd_validate(args) -> int:
     return OK if report.ok else INVALID
 
 
+def _load_valid(path):
+    """Load a graph config; an invalid one raises InvalidGraphError, which
+    ``main`` reports as one 'problem: ...' line per problem."""
+    graph = load_graph(path)
+    require_valid(graph)
+    return graph
+
+
 def cmd_limit_q(args) -> int:
-    graph = load_graph(args.graph)
-    report = validate(graph)
-    if not report.ok:
-        for problem in report.problems:
-            print(f"problem: {problem}", file=sys.stderr)
-        return INVALID
+    graph = _load_valid(args.graph)
     dual = chain.chain_generator(graph, chain.DUAL)
     primal = chain.chain_generator(graph, chain.PRIMAL)
     fh, close = _open_out(args.out)
@@ -139,7 +138,7 @@ def cmd_limit_q(args) -> int:
             if dual.q[i, j] != primal.q[i, j]:
                 print(
                     f"variants differ at ({ids[i]}, {ids[j]}): "
-                    f"dual {_fmt(dual.q[i, j])} vs primal {_fmt(primal.q[i, j])}"
+                    f"dual {chain._fmt(dual.q[i, j])} vs primal {chain._fmt(primal.q[i, j])}"
                 )
     print(f"entries differing between variants: {n_diff}")
     return OK
@@ -162,12 +161,7 @@ def _phi0_from_flag(graph, flag):
 
 
 def cmd_sweep(args) -> int:
-    graph = load_graph(args.graph)
-    report = validate(graph)
-    if not report.ok:
-        for problem in report.problems:
-            print(f"problem: {problem}", file=sys.stderr)
-        return INVALID
+    graph = _load_valid(args.graph)
     phi0 = _phi0_from_flag(graph, args.phi0)
     grid = make_grid(graph, args.h)
     result = evolution.kappa_sweep(
@@ -189,7 +183,7 @@ def cmd_sweep(args) -> int:
     for t in result.times():
         errs = result.errors(t)
         print(
-            f"t={_fmt(t)}: err {' -> '.join(_fmt(e) for e in errs)}"
+            f"t={chain._fmt(t)}: err {' -> '.join(chain._fmt(e) for e in errs)}"
             f" ({'nonincreasing' if np.all(errs[1:] <= errs[:-1] + 1e-12 * (1 + errs[:-1])) else 'NOT nonincreasing'})"
         )
     return OK if ok else FAILED
@@ -217,26 +211,21 @@ def cmd_resolvent_check(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["lambda", "l1_distance"])
         for lam, dist in table.rows:
-            writer.writerow([_fmt(lam), _fmt(dist)])
+            writer.writerow([chain._fmt(lam), chain._fmt(dist)])
     finally:
         if close:
             fh.close()
     dists = table.distances()
     decreasing = table.nonincreasing(slack=0.05)
     vanishing = dists[-1] <= 0.05
-    print(f"average: {_fmt(table.average)}")
+    print(f"average: {chain._fmt(table.average)}")
     print(f"distances nonincreasing (5% slack): {str(decreasing).lower()}")
-    print(f"final distance {_fmt(dists[-1])} <= 0.05: {str(vanishing).lower()}")
+    print(f"final distance {chain._fmt(dists[-1])} <= 0.05: {str(vanishing).lower()}")
     return OK if (decreasing and vanishing) else FAILED
 
 
 def cmd_duality_check(args) -> int:
-    graph = load_graph(args.graph)
-    report = validate(graph)
-    if not report.ok:
-        for problem in report.problems:
-            print(f"problem: {problem}", file=sys.stderr)
-        return INVALID
+    graph = _load_valid(args.graph)
     rng = np.random.default_rng(args.seed)
     raw = [Polynomial(rng.uniform(-1.0, 1.0, size=4)) for _ in range(graph.n_edges)]
     f_polys = finite_volume.with_primal_conditions(graph, args.kappa, raw)
@@ -255,8 +244,8 @@ def cmd_duality_check(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["h", "defect", "ratio"])
         for k, (h, defect) in enumerate(rows):
-            ratio = "" if k == 0 else _fmt(rows[k][1] / rows[k - 1][1])
-            writer.writerow([_fmt(h), _fmt(defect), ratio])
+            ratio = "" if k == 0 else chain._fmt(rows[k][1] / rows[k - 1][1])
+            writer.writerow([chain._fmt(h), chain._fmt(defect), ratio])
     finally:
         if close:
             fh.close()
@@ -266,7 +255,7 @@ def cmd_duality_check(args) -> int:
         prev, cur = rows[k - 1][1], rows[k][1]
         if cur > floor and cur > 0.75 * prev:
             ok = False
-        print(f"h={_fmt(rows[k][0])}: defect {_fmt(cur)} (ratio {_fmt(cur / prev) if prev else 'n/a'})")
+        print(f"h={chain._fmt(rows[k][0])}: defect {chain._fmt(cur)} (ratio {chain._fmt(cur / prev) if prev else 'n/a'})")
     return OK if ok else FAILED
 
 
@@ -282,7 +271,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return IOERR
     except InvalidGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        for problem in str(exc).splitlines():
+            print(f"problem: {problem}", file=sys.stderr)
         return INVALID
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -56,9 +56,10 @@ def propagate(
     Methods: ``"krylov"`` (default) -- sparse shift-and-invert Arnoldi,
     converged to ``rtol``; ``"expm"`` -- dense exponential of
     ``gen.matrix``; ``"cn"`` -- Crank-Nicolson step doubling to ``rtol``.
-    Both sparse routes work on the pair ``M u' = -K u``: ``(I, -A)`` in
-    the cell-width inner product for finite volumes, ``(M, B + C)`` in
-    the ``M`` inner product for P1 Galerkin.
+    Both sparse routes work on a pair ``M u' = -K u`` in the ``gen.mass``
+    inner product: ``(I, -A)`` with ``A = -W^{-1} K`` for finite volumes
+    and differences, ``(M, B + C)`` for P1 Galerkin.  The ``expm`` route
+    checks the size limit before the dense P1 matrix is formed.
     """
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.shape != (gen.n,):
@@ -66,20 +67,20 @@ def propagate(
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     if method == "expm":
+        _stepping.check_dense(gen.n)
         return _stepping.expm_apply(gen.matrix, phi0, t)
     if method not in ("krylov", "cn"):
         raise ValueError(f"method must be 'krylov', 'expm' or 'cn', got {method!r}")
-    if gen.mass is not None:
-        mass, stiff, gram = gen.mass, gen.flux, gen.mass
+    if gen.kind == "galerkin_l2":
+        mass, stiff = gen.mass, gen.flux
     else:
-        mass = sp.eye(gen.n, format="csr")
-        stiff = -sp.csr_matrix(gen.matrix)
-        gram = sp.diags(gen.weights)
+        # (diag w, K) would drift up to 40x more mass at kappa = 1e4 than (I, -A)
+        mass, stiff = sp.eye(gen.n, format="csr"), -gen.matrix
     if method == "cn":
         return _stepping.crank_nicolson(
             mass, stiff, phi0, t, rtol=rtol, weights=gen.weights
         )
-    return _stepping.krylov_apply(mass, stiff, phi0, t, rtol=rtol, gram=gram)
+    return _stepping.krylov_apply(mass, stiff, phi0, t, rtol=rtol, gram=gen.mass)
 
 
 @dataclass(frozen=True)
@@ -124,19 +125,15 @@ class SweepResult:
         for r in sorted(self.records, key=lambda r: (r.kappa, r.t)):
             writer.writerow(
                 [
-                    _fmt(r.kappa),
-                    _fmt(r.t),
-                    _fmt(r.err_l1),
-                    _fmt(r.err_l2),
-                    _fmt(r.err_projected),
-                    _fmt(r.mass_drift),
-                    _fmt(r.min_value),
+                    chain._fmt(r.kappa),
+                    chain._fmt(r.t),
+                    chain._fmt(r.err_l1),
+                    chain._fmt(r.err_l2),
+                    chain._fmt(r.err_projected),
+                    chain._fmt(r.mass_drift),
+                    chain._fmt(r.min_value),
                 ]
             )
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def kappa_sweep(

@@ -26,19 +26,29 @@ values), second order.
 ``duality_defect`` pairs the two: for f satisfying the forward conditions
 and phi the adjoint ones, <phi, A f> and <A* phi, f> must approach each
 other under refinement (the continuum pairing is an exact identity).
+
+All three discretizations (these two and P1 Galerkin in ``galerkin``)
+are assembled in the mass form  M u' = -K u  from two sparse builders:
+the interior diffusion form S = G^T diag(sigma/h) G (G: neighbour
+differences inside each edge), which kappa scales, and the endpoint
+coupling E^T diag(-+sigma) F T (E: each edge's first and last unknown,
+F: a trace-functional table, T: the trace map), which kappa does not
+touch.  Here K = kappa S - coupling(F, T) on cells and
+K = kappa S - coupling(G, E) on nodes, with M = diag(w).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from numpy.polynomial import Polynomial
 
 from .graphs import (
     MetricGraph,
-    Side,
     TraceFunctionalTable,
     primal_condition_table,
     require_valid,
@@ -49,30 +59,40 @@ from .grids import CELLS, NODES, EdgeGrid
 
 @dataclass
 class DiscreteGenerator:
-    """A matrix realization of one of the generators, with the quadrature
-    weights that make <w, u> the discrete integral over the graph."""
+    """A generator in mass form  M u' = -flux u,  with the quadrature
+    weights that make <w, u> the discrete integral over the graph.
 
-    matrix: object            # scipy sparse or dense ndarray; u' = matrix @ u
+    Finite volumes and finite differences have the diagonal mass
+    diag(weights); P1 Galerkin has the consistent mass matrix.
+    """
+
+    mass: sp.csr_matrix
+    flux: sp.csr_matrix
     weights: np.ndarray
     kappa: float
     kind: str                 # "dual_fv" | "primal_fd" | "galerkin_l2"
     grid: EdgeGrid
     layout: str
     trace_order: int = 0      # dual_fv only
-    mass: object = None       # galerkin only: M u' = -flux u
-    flux: object = None
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.flux.shape[0]
+
+    @cached_property
+    def matrix(self):
+        """A with u' = A u: sparse -W^{-1} K for finite volumes and
+        differences, dense -M^{-1} K for P1, formed on first read."""
+        if self.kind == "galerkin_l2":
+            return -scipy.linalg.solve(
+                self.mass.toarray(), self.flux.toarray(), assume_a="pos"
+            )
+        return -(sp.diags(1.0 / self.weights) @ self.flux).tocsr()
 
     def dense(self) -> np.ndarray:
         if sp.issparse(self.matrix):
             return self.matrix.toarray()
         return np.asarray(self.matrix, dtype=float)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
 
 
 def _check_assembly_args(graph, grid, kappa):
@@ -85,68 +105,82 @@ def _check_assembly_args(graph, grid, kappa):
         raise ValueError(f"kappa must be positive, got {kappa}")
 
 
+def _offsets(grid: EdgeGrid, layout: str) -> np.ndarray:
+    return grid.cell_offsets if layout == CELLS else grid.node_offsets
+
+
+def _differences(grid: EdgeGrid, layout: str):
+    """G with (G u)_k = u[k + 1] - u[k] for neighbours k, k + 1 inside one
+    edge, and the edge of each row."""
+    off = _offsets(grid, layout)
+    first = np.delete(np.arange(off[-1]), off[1:] - 1)
+    diff = sp.csr_matrix(
+        (np.tile([-1.0, 1.0], first.size),
+         np.column_stack([first, first + 1]).ravel(),
+         np.arange(0, 2 * first.size + 1, 2)),
+        shape=(first.size, int(off[-1])),
+    )
+    return diff, np.repeat(np.arange(grid.n_edges), np.diff(off) - 1)
+
+
+def _diffusion_form(graph, grid: EdgeGrid, layout: str) -> sp.csr_matrix:
+    """S = G^T diag(sigma / h) G: the interior flux form at kappa = 1."""
+    diff, edge = _differences(grid, layout)
+    faces = sp.diags(graph.sigmas[edge] / grid.widths[edge])
+    return (diff.T @ faces @ diff).tocsr()
+
+
+def _endpoints(grid: EdgeGrid, layout: str) -> sp.csr_matrix:
+    """E, the (2 n_edges, unknowns) selection of each edge's first and
+    last unknown; row 2*edge + side."""
+    off = _offsets(grid, layout)
+    cols = np.column_stack([off[:-1], off[1:] - 1]).ravel()
+    return sp.csr_matrix(
+        (np.ones(cols.size), cols, np.arange(cols.size + 1)),
+        shape=(cols.size, int(off[-1])),
+    )
+
+
+def _coupling(graph, grid: EdgeGrid, layout: str, table, trace) -> sp.csr_matrix:
+    """E^T diag(-+sigma) F T: the membrane flux sigma_i F[i, side] of the
+    traces T u, leaving through each edge's first unknown and entering
+    through its last.  Independent of kappa."""
+    signed = np.repeat(graph.sigmas, 2) * np.tile([-1.0, 1.0], graph.n_edges)
+    functionals = sp.csr_matrix(signed[:, None] * table.as_matrix())
+    return (_endpoints(grid, layout).T @ functionals @ trace).tocsr()
+
+
 def _trace_matrix(grid: EdgeGrid, trace_order: int) -> sp.csr_matrix:
     """(2n_edges, total_cells) map from cell values to endpoint traces;
     trace index is 2*edge + side."""
-    rows, cols, vals = [], [], []
-    for i in range(grid.n_edges):
-        first = grid.cell_offsets[i]
-        last = grid.cell_offsets[i + 1] - 1
-        if trace_order == 1:
-            rows += [2 * i, 2 * i + 1]
-            cols += [first, last]
-            vals += [1.0, 1.0]
-        elif trace_order == 2:
-            rows += [2 * i, 2 * i, 2 * i + 1, 2 * i + 1]
-            cols += [first, first + 1, last, last - 1]
-            vals += [1.5, -0.5, 1.5, -0.5]
-        else:
-            raise ValueError(f"trace_order must be 1 or 2, got {trace_order}")
-    return sp.csr_matrix(
-        (vals, (rows, cols)), shape=(2 * grid.n_edges, grid.total_cells)
+    if trace_order not in (1, 2):
+        raise ValueError(f"trace_order must be 1 or 2, got {trace_order}")
+    ends = _endpoints(grid, CELLS)
+    if trace_order == 1:
+        return ends
+    # the second cell in from each end, for 1.5 v0 - 0.5 v1
+    inner = sp.csr_matrix(
+        (ends.data, ends.indices + np.tile([1, -1], grid.n_edges), ends.indptr),
+        shape=ends.shape,
     )
+    return (1.5 * ends - 0.5 * inner).tocsr()
 
 
 def dual_generator(
     graph: MetricGraph, grid: EdgeGrid, kappa: float, trace_order: int = 1
 ) -> DiscreteGenerator:
     """Finite-volume matrix of the adjoint generator kappa sigma d2/dx2
-    with membrane-flux conditions."""
+    with membrane-flux conditions: K = kappa S - coupling(F, T)."""
     _check_assembly_args(graph, grid, kappa)
-    table = trace_functionals(graph)
     trace = _trace_matrix(grid, trace_order)
-    n = grid.total_cells
-    rows, cols, vals = [], [], []
-    for i in range(graph.n_edges):
-        m = int(grid.cells[i])
-        h = grid.widths[i]
-        sig = graph.sigmas[i]
-        off = int(grid.cell_offsets[i])
-        c = kappa * sig / h**2
-        for k in range(m):
-            idx = off + k
-            if k > 0:
-                rows += [idx, idx]
-                cols += [idx - 1, idx]
-                vals += [c, -c]
-            if k < m - 1:
-                rows += [idx, idx]
-                cols += [idx + 1, idx]
-                vals += [c, -c]
-        # membrane fluxes replace the wall fluxes of the two end cells
-        for side, cell, sign in ((Side.LEFT, off, -1.0), (Side.RIGHT, off + m - 1, 1.0)):
-            func = table.functional(i, side).reshape(-1)  # over trace indices
-            for tr_idx in np.nonzero(func)[0]:
-                row = trace.getrow(int(tr_idx))
-                for col, tval in zip(row.indices, row.data):
-                    rows.append(cell)
-                    cols.append(int(col))
-                    vals.append(sign * sig / h * func[tr_idx] * tval)
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    matrix.sum_duplicates()
+    flux = kappa * _diffusion_form(graph, grid, CELLS) - _coupling(
+        graph, grid, CELLS, trace_functionals(graph), trace
+    )
+    weights = grid.weights(CELLS)
     return DiscreteGenerator(
-        matrix=matrix,
-        weights=grid.weights(CELLS),
+        mass=sp.diags(weights, format="csr"),
+        flux=flux,
+        weights=weights,
         kappa=kappa,
         kind="dual_fv",
         grid=grid,
@@ -156,51 +190,19 @@ def dual_generator(
 
 
 def primal_generator(graph: MetricGraph, grid: EdgeGrid, kappa: float) -> DiscreteGenerator:
-    """Node-centered finite differences for the forward generator."""
+    """Node-centered finite differences for the forward generator:
+    K = kappa S - coupling(G, E).  The half-width end weights turn the
+    end rows of S into the ghost-node elimination of the transmission
+    condition kappa f'(end) = G[i, side](f)."""
     _check_assembly_args(graph, grid, kappa)
-    table = primal_condition_table(graph)
-    n = grid.total_nodes
-    rows, cols, vals = [], [], []
-    # endpoint node index per (edge, side)
-    end_node = {}
-    for i in range(graph.n_edges):
-        off = int(grid.node_offsets[i])
-        end_node[(i, Side.LEFT)] = off
-        end_node[(i, Side.RIGHT)] = off + int(grid.cells[i])
-    for i in range(graph.n_edges):
-        m = int(grid.cells[i])
-        h = grid.widths[i]
-        sig = graph.sigmas[i]
-        off = int(grid.node_offsets[i])
-        c = kappa * sig / h**2
-        for k in range(1, m):
-            idx = off + k
-            rows += [idx, idx, idx]
-            cols += [idx - 1, idx, idx + 1]
-            vals += [c, -2.0 * c, c]
-        # ghost-node elimination at the two ends:
-        #   left:  2c (f1 - f0)       - (2 sigma / h) G[i, LEFT](f)
-        #   right: 2c (f_{m-1} - f_m) + (2 sigma / h) G[i, RIGHT](f)
-        for side, idx, inner, sign in (
-            (Side.LEFT, off, off + 1, -1.0),
-            (Side.RIGHT, off + m, off + m - 1, 1.0),
-        ):
-            rows += [idx, idx]
-            cols += [inner, idx]
-            vals += [2.0 * c, -2.0 * c]
-            func = table.functional(i, side)
-            for j in range(graph.n_edges):
-                for s in (Side.LEFT, Side.RIGHT):
-                    g = func[j, s.value]
-                    if g:
-                        rows.append(idx)
-                        cols.append(end_node[(j, s)])
-                        vals.append(sign * 2.0 * sig / h * g)
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    matrix.sum_duplicates()
+    flux = kappa * _diffusion_form(graph, grid, NODES) - _coupling(
+        graph, grid, NODES, primal_condition_table(graph), _endpoints(grid, NODES)
+    )
+    weights = grid.weights(NODES)
     return DiscreteGenerator(
-        matrix=matrix,
-        weights=grid.weights(NODES),
+        mass=sp.diags(weights, format="csr"),
+        flux=flux,
+        weights=weights,
         kappa=kappa,
         kind="primal_fd",
         grid=grid,

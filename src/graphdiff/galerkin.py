@@ -9,7 +9,10 @@ functions over the disjoint edges:
 with F the trace functionals of the graph; c is independent of kappa and
 couples only endpoint values.  With M the (unweighted) mass matrix the
 semidiscrete dynamics are  M u' = -(B + C) u,  i.e. the generator is
-A = -M^{-1} (B + C).
+A = -M^{-1} (B + C).  B and C come from the same builders as the
+finite-volume matrices (B = kappa S, C = -coupling(F, E) on nodes); the
+propagator works on the sparse pair (M, B + C), and the dense A is formed
+only when ``DiscreteGenerator.matrix`` is read.
 
 The numerical range of A in the M-inner product gives a growth rate: with
 S the symmetric part of B + C, d/dt ||u||_M^2 = -2 u^T S u, so
@@ -29,9 +32,15 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from . import _stepping
-from .finite_volume import DiscreteGenerator
-from .graphs import MetricGraph, Side, require_valid, trace_functionals
+from .finite_volume import (
+    DiscreteGenerator,
+    _check_assembly_args,
+    _coupling,
+    _differences,
+    _diffusion_form,
+    _endpoints,
+)
+from .graphs import MetricGraph, trace_functionals
 from .grids import CELLS, NODES, EdgeGrid
 
 
@@ -46,116 +55,50 @@ class FemSystem:
     stiffness: sp.csr_matrix
     coupling: sp.csr_matrix
     kappa: float
-    lumped: bool = False
 
     @property
     def n(self) -> int:
         return self.mass.shape[0]
 
 
-def assemble_forms(
-    graph: MetricGraph, grid: EdgeGrid, kappa: float, lumped: bool = False
-) -> FemSystem:
-    """Assemble M, B, C on the per-edge node grid (no cross-edge DOFs)."""
-    require_valid(graph)
-    if grid.n_edges != graph.n_edges or not np.allclose(
-        grid.lengths, graph.lengths, rtol=1e-12, atol=0
-    ):
-        raise ValueError("grid does not match the graph's edges")
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+def assemble_forms(graph: MetricGraph, grid: EdgeGrid, kappa: float) -> FemSystem:
+    """Assemble M, B, C on the per-edge node grid (no cross-edge DOFs).
 
-    n = grid.total_nodes
-    mrows, mcols, mvals = [], [], []
-    brows, bcols, bvals = [], [], []
-    for i in range(graph.n_edges):
-        m = int(grid.cells[i])
-        h = grid.widths[i]
-        sig = graph.sigmas[i]
-        off = int(grid.node_offsets[i])
-        for k in range(m):
-            a, b = off + k, off + k + 1
-            # element stiffness (1/h) [[1,-1],[-1,1]], mass (h/6) [[2,1],[1,2]]
-            brows += [a, a, b, b]
-            bcols += [a, b, a, b]
-            s = kappa * sig / h
-            bvals += [s, -s, -s, s]
-            mrows += [a, a, b, b]
-            mcols += [a, b, a, b]
-            mvals += [h / 3.0, h / 6.0, h / 6.0, h / 3.0]
-    mass = sp.csr_matrix((mvals, (mrows, mcols)), shape=(n, n))
-    stiffness = sp.csr_matrix((bvals, (brows, bcols)), shape=(n, n))
-    if lumped:
-        mass = sp.diags(np.asarray(mass.sum(axis=1)).ravel()).tocsr()
-
-    # endpoint coupling: C[k, l] = sum_i sigma_i (F[i,L] b_l) b_k(L_i)
-    #                              - sigma_i (F[i,R] b_l) b_k(R_i)
-    table = trace_functionals(graph)
-    end_node = {}
-    for j in range(graph.n_edges):
-        off = int(grid.node_offsets[j])
-        end_node[(j, Side.LEFT)] = off
-        end_node[(j, Side.RIGHT)] = off + int(grid.cells[j])
-    crows, ccols, cvals = [], [], []
-    for i in range(graph.n_edges):
-        sig = graph.sigmas[i]
-        for side, sign in ((Side.LEFT, 1.0), (Side.RIGHT, -1.0)):
-            row = end_node[(i, side)]
-            func = table.functional(i, side)
-            for j in range(graph.n_edges):
-                for s in (Side.LEFT, Side.RIGHT):
-                    g = func[j, s.value]
-                    if g:
-                        crows.append(row)
-                        ccols.append(end_node[(j, s)])
-                        cvals.append(sign * sig * g)
-    coupling = sp.csr_matrix((cvals, (crows, ccols)), shape=(n, n))
+    B = kappa S and C = -coupling(F, E) are the finite-volume builders on
+    nodes; with P = |G| the element sums, the element mass (h/6)[[2,1],[1,2]]
+    assembles to M = P^T diag(h/6) P + diag(w)/3.
+    """
+    _check_assembly_args(graph, grid, kappa)
+    diff, edge = _differences(grid, NODES)
+    sums = abs(diff)
+    mass = sums.T @ sp.diags(grid.widths[edge] / 6.0) @ sums + sp.diags(
+        grid.weights(NODES) / 3.0
+    )
+    coupling = -_coupling(
+        graph, grid, NODES, trace_functionals(graph), _endpoints(grid, NODES)
+    )
     return FemSystem(
         graph=graph,
         grid=grid,
-        mass=mass,
-        stiffness=stiffness,
+        mass=mass.tocsr(),
+        stiffness=kappa * _diffusion_form(graph, grid, NODES),
         coupling=coupling,
         kappa=kappa,
-        lumped=lumped,
     )
 
 
 def l2_generator(system: FemSystem) -> DiscreteGenerator:
-    """Dense A = -M^{-1} (B + C), keeping (M, B + C) for mass-form
-    stepping."""
-    flux = (system.stiffness + system.coupling).tocsr()
-    dense = -scipy.linalg.solve(
-        system.mass.toarray(), flux.toarray(), assume_a="pos"
-    )
+    """The pair (M, B + C); its dense A = -M^{-1} (B + C) is formed only
+    when ``matrix`` is read."""
     return DiscreteGenerator(
-        matrix=dense,
+        mass=system.mass,
+        flux=system.stiffness + system.coupling,
         weights=system.grid.weights(NODES),
         kappa=system.kappa,
         kind="galerkin_l2",
         grid=system.grid,
         layout=NODES,
-        mass=system.mass,
-        flux=flux,
     )
-
-
-def evolve(system: FemSystem, u0, t: float, method: str = "expm", rtol: float = 1e-8) -> np.ndarray:
-    """Solve M u' = -(B + C) u to time t."""
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (system.n,):
-        raise ValueError(f"u0 must have shape ({system.n},), got {u0.shape}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if method == "expm":
-        gen = l2_generator(system)
-        return _stepping.expm_apply(gen.matrix, u0, t)
-    if method == "cn":
-        flux = (system.stiffness + system.coupling).tocsr()
-        return _stepping.crank_nicolson(
-            system.mass, flux, u0, t, rtol=rtol, weights=system.grid.weights(NODES)
-        )
-    raise ValueError(f"method must be 'expm' or 'cn', got {method!r}")
 
 
 def l2_norm(system: FemSystem, u) -> float:

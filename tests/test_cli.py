@@ -71,8 +71,13 @@ def test_limit_q_writes_csv(star_path, tmp_path, capsys):
     assert "entries differing" in text
 
 
-def test_limit_q_rejects_invalid(broken_path):
-    assert main(["limit-q", "--graph", broken_path]) == 1
+def test_limit_q_rejects_invalid(broken_path, capsys):
+    # every graph-reading command reports one problem line per problem
+    for command in ("limit-q", "sweep", "duality-check"):
+        assert main([command, "--graph", broken_path]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("problem: edge 'E1': sum of r_to")
 
 
 def test_sweep_happy_path(star_path, tmp_path, capsys):
@@ -119,17 +124,18 @@ def test_sweep_unknown_phi0_edge(star_path, tmp_path):
 
 
 def test_sweep_fine_grid(star_path, tmp_path):
-    # 6000 cells: beyond the dense exponential's reach, routine for the
-    # sparse propagator
-    out = tmp_path / "sweep.csv"
-    code = main([
-        "sweep", "--graph", star_path, "--disc", "fv", "--h", "0.0005",
-        "--kappa", "1,1e4", "--t", "1", "--out", str(out),
-    ])
-    assert code == 0
-    lines = out.read_text().splitlines()
-    assert len(lines) == 3
-    assert [line.split(",")[0] for line in lines[1:]] == ["1", "10000"]
+    # 6000 cells / 6003 nodes: beyond the dense exponential's reach,
+    # routine for the sparse propagator on both discretizations
+    for disc in ("fv", "fem"):
+        out = tmp_path / f"sweep_{disc}.csv"
+        code = main([
+            "sweep", "--graph", star_path, "--disc", disc, "--h", "0.0005",
+            "--kappa", "1,1e4", "--t", "1", "--out", str(out),
+        ])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 3
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "10000"]
 
 
 def test_sweep_unconverged_solver_exit(star_path, tmp_path, monkeypatch, capsys):

@@ -156,6 +156,17 @@ def test_krylov_matches_expm_fem(star_graph):
     assert np.abs(a - b).max() <= 1e-9
 
 
+def test_expm_size_check_precedes_dense_fem_matrix(star_graph):
+    # 6003 nodes: the size check must fire before -M^{-1} K (288 MB dense)
+    # is formed
+    grid = make_grid(star_graph, 0.0005)
+    gen = l2_generator(assemble_forms(star_graph, grid, 1.0))
+    phi0 = grid.sample(edge_indicator(0), NODES)
+    with pytest.raises(ValueError, match="limited to 4000 unknowns"):
+        propagate(gen, phi0, 1.0, method="expm")
+    assert "matrix" not in vars(gen)
+
+
 class TestStepping:
     def test_expm_apply_rejects_huge_dense(self):
         big = sp.eye(_stepping.DENSE_LIMIT + 1, format="csr")

@@ -14,6 +14,7 @@ from graphdiff.finite_volume import (
     with_primal_conditions,
     write_triplets,
 )
+from graphdiff.galerkin import assemble_forms, l2_generator
 from graphdiff.graphs import InvalidGraphError, Side, primal_condition_table, trace_functionals
 from graphdiff.grids import CELLS, NODES, EdgeGrid, make_grid
 
@@ -164,6 +165,72 @@ def test_forward_rejects_unfitted_function(star_graph):
         NODES,
     )
     assert np.abs(gen.matrix @ f - kappa * exact).max() > 1.0
+
+
+# ---------------------------------------------------------------------------
+# entry-by-entry reference for the sparse builders
+
+def _loop_flux(graph, grid, kappa, layout, table, traces):
+    """K = kappa S - coupling(table, T) one entry at a time; ``traces``
+    maps (edge, side) to the (unknown, weight) pairs of that trace."""
+    off = grid.cell_offsets if layout == CELLS else grid.node_offsets
+    k = np.zeros((off[-1], off[-1]))
+    for i, e in enumerate(graph.edges):
+        d = e.sigma / grid.widths[i]
+        for a in range(off[i], off[i + 1] - 1):
+            k[a, a] += kappa * d
+            k[a + 1, a + 1] += kappa * d
+            k[a, a + 1] -= kappa * d
+            k[a + 1, a] -= kappa * d
+        for side, row, sign in ((Side.LEFT, off[i], -1.0),
+                                (Side.RIGHT, off[i + 1] - 1, 1.0)):
+            func = table.functional(i, side)
+            for j, s in zip(*np.nonzero(func)):
+                for col, weight in traces(j, s):
+                    k[row, col] -= sign * e.sigma * func[j, s] * weight
+    return k
+
+
+def _ends(grid, layout):
+    off = grid.cell_offsets if layout == CELLS else grid.node_offsets
+    return lambda j, s: [(off[j + 1] - 1 if s else off[j], 1.0)]
+
+
+def _second_order(grid):
+    off = grid.cell_offsets
+    return lambda j, s: (
+        [(off[j + 1] - 1, 1.5), (off[j + 1] - 2, -0.5)] if s
+        else [(off[j], 1.5), (off[j] + 1, -0.5)]
+    )
+
+
+def test_builders_match_loop_reference(star_graph, leaky_star_graph, chain_graph):
+    # summation order differs from the loop, so allow a few ulps of the
+    # largest entry
+    tol = 8 * np.finfo(float).eps
+    kappa = 7.0
+    for g in (star_graph, leaky_star_graph, chain_graph):
+        grid = make_grid(g, 0.25)
+        f, fg = trace_functionals(g), primal_condition_table(g)
+        cases = [
+            (dual_generator(g, grid, kappa, 1).flux, CELLS, f, _ends(grid, CELLS)),
+            (dual_generator(g, grid, kappa, 2).flux, CELLS, f, _second_order(grid)),
+            (primal_generator(g, grid, kappa).flux, NODES, fg, _ends(grid, NODES)),
+            (l2_generator(assemble_forms(g, grid, kappa)).flux, NODES, f,
+             _ends(grid, NODES)),
+        ]
+        for flux, layout, table, traces in cases:
+            want = _loop_flux(g, grid, kappa, layout, table, traces)
+            assert_allclose(flux.toarray(), want, rtol=0,
+                            atol=tol * np.abs(want).max())
+        # P1 mass from the element matrices (h/6) [[2, 1], [1, 2]]
+        mass = np.zeros((grid.total_nodes,) * 2)
+        for i in range(g.n_edges):
+            h = grid.widths[i]
+            for a in range(grid.node_offsets[i], grid.node_offsets[i + 1] - 1):
+                mass[np.ix_([a, a + 1], [a, a + 1])] += h / 6.0 * np.array([[2, 1], [1, 2]])
+        assert_allclose(assemble_forms(g, grid, kappa).mass.toarray(), mass,
+                        rtol=0, atol=tol * mass.max())
 
 
 # ---------------------------------------------------------------------------
