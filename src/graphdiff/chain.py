@@ -1,16 +1,19 @@
 """The Markov-chain limit on the edge set.
 
 In the fast-diffusion limit a solution flattens on each edge, so the
-state space collapses to one number per edge.  This module builds the
-projection onto edge-wise averages and the limit generator matrix, in its
-two variants:
+state space collapses to one number per edge: the vertices of the line
+graph.  This module builds the projection onto edge-wise averages and the
+limit generator matrix, in its two variants.  Both are the graph's
+endpoint exchange matrix X (``graphs.exchange_matrix``) restricted to
+edge sums,
 
-* ``"dual"``   -- governs the flux (adjoint) dynamics; off-diagonal rate
-  into edge i from edge j is sigma_j * (l_ji + r_ji) / d_i,
-* ``"primal"`` -- governs the forward dynamics; the rate is
-  sigma_i * (l_ij + r_ij) / d_i.
+* ``"dual"``   -- Q = D^-1 R X^T R^T, the flux (adjoint) dynamics; the
+  off-diagonal rate into edge i from edge j is sigma_j * (l_ji + r_ji) / d_i,
+* ``"primal"`` -- Q = D^-1 R X R^T, the forward dynamics; the rate is
+  sigma_i * (l_ij + r_ij) / d_i,
 
-Both share the diagonal -sigma_i * (l_i + r_i) / d_i.  The dual variant
+with R summing each edge's two endpoints and D = diag(lengths).  Both
+share the diagonal -sigma_i * (l_i + r_i) / d_i.  The dual variant
 satisfies the weighted column identity
 
     sum_i d_i q_ij = sigma_j * (sum_{i != j} (l_ji + r_ji) - l_j - r_j),
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .graphs import MetricGraph, require_valid
+from .graphs import MetricGraph, exchange_matrix
 from .grids import EdgeFunction, EdgeGrid, lift_constants
 
 DUAL = "dual"
@@ -95,24 +98,13 @@ def chain_generator(graph: MetricGraph, variant: str = DUAL) -> GeneratorMatrix:
     """Build the limit generator matrix for a valid graph."""
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    require_valid(graph)
-    n = graph.n_edges
+    exchange = exchange_matrix(graph)
+    flow = (exchange.T if variant == DUAL else exchange).tocoo()
     d = graph.lengths
-    sig = graph.sigmas
-    q = np.zeros((n, n))
-    for i, e in enumerate(graph.edges):
-        q[i, i] = -sig[i] * (e.l + e.r) / d[i]
-    for j, e in enumerate(graph.edges):
-        for target_id, c in list(e.l_to.items()) + list(e.r_to.items()):
-            if c == 0.0:
-                continue
-            i = graph.index_of(target_id)
-            if variant == DUAL:
-                # rate into i from j, carried by j's diffusion coefficient
-                q[i, j] += sig[j] * c / d[i]
-            else:
-                # forward variant: row j uses edge j's own coefficients
-                q[j, i] += sig[j] * c / d[j]
+    q = np.zeros((graph.n_edges, graph.n_edges))
+    # R flow R^T: endpoint 2*edge + side belongs to row/column edge
+    np.add.at(q, (flow.row // 2, flow.col // 2), flow.data)
+    q /= d[:, None]
     return GeneratorMatrix(
         q=q, variant=variant, edge_ids=graph.edge_ids, lengths=d.copy()
     )

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 from . import _stepping, chain, finite_volume, galerkin
 from .finite_volume import DiscreteGenerator
-from .graphs import MetricGraph, require_valid
+from .graphs import MetricGraph
 from .grids import CELLS, NODES, EdgeFunction, EdgeGrid
 
 Norms = namedtuple("Norms", ["l1", "l2", "min", "mass"])
@@ -111,13 +111,14 @@ class SweepResult:
     def times(self):
         return sorted({r.t for r in self.records})
 
+    def nonincreasing_at(self, t: float, metric: str = None, slack: float = 1e-12) -> bool:
+        """Does the error at time t shrink (weakly) along kappa?"""
+        e = self.errors(t, metric)
+        return bool(np.all(e[1:] <= e[:-1] + slack * (1.0 + e[:-1])))
+
     def errors_nonincreasing(self, metric: str = None, slack: float = 1e-12) -> bool:
         """Does the error shrink (weakly) along kappa for every t?"""
-        for t in self.times():
-            e = self.errors(t, metric)
-            if np.any(e[1:] > e[:-1] + slack * (1.0 + e[:-1])):
-                return False
-        return True
+        return all(self.nonincreasing_at(t, metric, slack) for t in self.times())
 
     def write_csv(self, fh) -> None:
         writer = csv.writer(fh, lineterminator="\n")
@@ -153,9 +154,9 @@ def kappa_sweep(
     ``phi0`` is a per-edge callable ``(edge, x) -> values`` (see
     ``grids.edge_indicator``); it is sampled on the discretization's own
     grid.  Kappa values must be positive and strictly increasing, times
-    nonnegative.
+    nonnegative.  An invalid graph raises InvalidGraphError first.
     """
-    require_valid(graph)
+    gen_q = chain.chain_generator(graph, chain.DUAL)
     if discretization not in _DISCRETIZATIONS:
         raise ValueError(
             f"discretization must be one of {_DISCRETIZATIONS}, got {discretization!r}"
@@ -168,8 +169,6 @@ def kappa_sweep(
         raise ValueError("kappa list must be strictly increasing")
     if not ts or any(t < 0 for t in ts):
         raise ValueError("t list must be nonempty and nonnegative")
-
-    gen_q = chain.chain_generator(graph, chain.DUAL)
 
     if discretization == FV:
         layout = CELLS

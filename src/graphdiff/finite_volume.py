@@ -31,10 +31,11 @@ All three discretizations (these two and P1 Galerkin in ``galerkin``)
 are assembled in the mass form  M u' = -K u  from two sparse builders:
 the interior diffusion form S = G^T diag(sigma/h) G (G: neighbour
 differences inside each edge), which kappa scales, and the endpoint
-coupling E^T diag(-+sigma) F T (E: each edge's first and last unknown,
-F: a trace-functional table, T: the trace map), which kappa does not
-touch.  Here K = kappa S - coupling(F, T) on cells and
-K = kappa S - coupling(G, E) on nodes, with M = diag(w).
+coupling E^T Y T (E: each edge's first and last unknown, Y: the graph's
+exchange matrix X or its transpose, T: the trace map), which kappa does
+not touch.  Here K = kappa S - E^T X^T T on cells and
+K = kappa S - E^T X E on nodes, with M = diag(w): the forward coupling is
+the transpose of the adjoint one.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from numpy.polynomial import Polynomial
 from .graphs import (
     MetricGraph,
     TraceFunctionalTable,
+    exchange_matrix,
     primal_condition_table,
-    require_valid,
     trace_functionals,
 )
 from .grids import CELLS, NODES, EdgeGrid
@@ -96,7 +97,8 @@ class DiscreteGenerator:
 
 
 def _check_assembly_args(graph, grid, kappa):
-    require_valid(graph)
+    """Grid and kappa checks; callers build the exchange matrix first, so
+    an invalid graph raises InvalidGraphError before these."""
     if grid.n_edges != graph.n_edges or not np.allclose(
         grid.lengths, graph.lengths, rtol=1e-12, atol=0
     ):
@@ -141,13 +143,11 @@ def _endpoints(grid: EdgeGrid, layout: str) -> sp.csr_matrix:
     )
 
 
-def _coupling(graph, grid: EdgeGrid, layout: str, table, trace) -> sp.csr_matrix:
-    """E^T diag(-+sigma) F T: the membrane flux sigma_i F[i, side] of the
-    traces T u, leaving through each edge's first unknown and entering
-    through its last.  Independent of kappa."""
-    signed = np.repeat(graph.sigmas, 2) * np.tile([-1.0, 1.0], graph.n_edges)
-    functionals = sp.csr_matrix(signed[:, None] * table.as_matrix())
-    return (_endpoints(grid, layout).T @ functionals @ trace).tocsr()
+def _coupling(grid: EdgeGrid, layout: str, exchange, trace) -> sp.csr_matrix:
+    """E^T Y T: the membrane exchange Y (X or X^T) of the endpoint traces
+    T u, scattered onto each edge's first and last unknown.  Independent
+    of kappa."""
+    return (_endpoints(grid, layout).T @ exchange @ trace).tocsr()
 
 
 def _trace_matrix(grid: EdgeGrid, trace_order: int) -> sp.csr_matrix:
@@ -170,11 +170,11 @@ def dual_generator(
     graph: MetricGraph, grid: EdgeGrid, kappa: float, trace_order: int = 1
 ) -> DiscreteGenerator:
     """Finite-volume matrix of the adjoint generator kappa sigma d2/dx2
-    with membrane-flux conditions: K = kappa S - coupling(F, T)."""
+    with membrane-flux conditions: K = kappa S - E^T X^T T."""
+    exchange = exchange_matrix(graph)
     _check_assembly_args(graph, grid, kappa)
-    trace = _trace_matrix(grid, trace_order)
     flux = kappa * _diffusion_form(graph, grid, CELLS) - _coupling(
-        graph, grid, CELLS, trace_functionals(graph), trace
+        grid, CELLS, exchange.T, _trace_matrix(grid, trace_order)
     )
     weights = grid.weights(CELLS)
     return DiscreteGenerator(
@@ -191,12 +191,13 @@ def dual_generator(
 
 def primal_generator(graph: MetricGraph, grid: EdgeGrid, kappa: float) -> DiscreteGenerator:
     """Node-centered finite differences for the forward generator:
-    K = kappa S - coupling(G, E).  The half-width end weights turn the
-    end rows of S into the ghost-node elimination of the transmission
-    condition kappa f'(end) = G[i, side](f)."""
+    K = kappa S - E^T X E.  The half-width end weights turn the end rows
+    of S into the ghost-node elimination of the transmission condition
+    kappa f'(end) = G[i, side](f)."""
+    exchange = exchange_matrix(graph)
     _check_assembly_args(graph, grid, kappa)
     flux = kappa * _diffusion_form(graph, grid, NODES) - _coupling(
-        graph, grid, NODES, primal_condition_table(graph), _endpoints(grid, NODES)
+        grid, NODES, exchange, _endpoints(grid, NODES)
     )
     weights = grid.weights(NODES)
     return DiscreteGenerator(
@@ -266,7 +267,6 @@ def _fit_conditions(graph, kappa, polys, table: TraceFunctionalTable):
     """Add cubic bump corrections so the endpoint slopes meet the
     conditions encoded in ``table``; endpoint values are untouched, so the
     slope targets can be read off the uncorrected polynomials."""
-    require_valid(graph)
     if len(polys) != graph.n_edges:
         raise ValueError("need one polynomial per edge")
     if not kappa > 0:
@@ -295,14 +295,3 @@ def with_dual_conditions(graph: MetricGraph, kappa: float, polys):
     """Per-edge polynomials obeying the adjoint flux conditions."""
     return _fit_conditions(graph, kappa, polys, trace_functionals(graph))
 
-
-def write_triplets(gen: DiscreteGenerator, fh) -> None:
-    """Dump the matrix as 'row col value' lines after a 'rows cols nnz'
-    header, for external inspection."""
-    matrix = sp.coo_matrix(gen.matrix)
-    fh.write(f"{matrix.shape[0]} {matrix.shape[1]} {matrix.nnz}\n")
-    order = np.lexsort((matrix.col, matrix.row))
-    for k in order:
-        fh.write(
-            f"{matrix.row[k]} {matrix.col[k]} {format(matrix.data[k], '.17g')}\n"
-        )

@@ -5,12 +5,14 @@ functions over the disjoint edges:
 
     b(u, v) = kappa * sum_i sigma_i * integral u' v'      (>= 0, stiffness)
     c(u, v) = sum_i sigma_i * (F[i,L](u) v(L_i) - F[i,R](u) v(R_i))
+            = -(E v)^T X^T (E u)
 
-with F the trace functionals of the graph; c is independent of kappa and
-couples only endpoint values.  With M the (unweighted) mass matrix the
-semidiscrete dynamics are  M u' = -(B + C) u,  i.e. the generator is
+with F the trace functionals, X the exchange matrix of the graph and E
+the selection of endpoint values; c is independent of kappa and couples
+only endpoint values.  With M the (unweighted) mass matrix the semidiscrete
+dynamics are  M u' = -(B + C) u,  i.e. the generator is
 A = -M^{-1} (B + C).  B and C come from the same builders as the
-finite-volume matrices (B = kappa S, C = -coupling(F, E) on nodes); the
+finite-volume matrices (B = kappa S, C = -E^T X^T E on nodes); the
 propagator works on the sparse pair (M, B + C), and the dense A is formed
 only when ``DiscreteGenerator.matrix`` is read.
 
@@ -40,7 +42,7 @@ from .finite_volume import (
     _diffusion_form,
     _endpoints,
 )
-from .graphs import MetricGraph, trace_functionals
+from .graphs import MetricGraph, exchange_matrix
 from .grids import CELLS, NODES, EdgeGrid
 
 
@@ -64,19 +66,18 @@ class FemSystem:
 def assemble_forms(graph: MetricGraph, grid: EdgeGrid, kappa: float) -> FemSystem:
     """Assemble M, B, C on the per-edge node grid (no cross-edge DOFs).
 
-    B = kappa S and C = -coupling(F, E) are the finite-volume builders on
+    B = kappa S and C = -E^T X^T E are the finite-volume builders on
     nodes; with P = |G| the element sums, the element mass (h/6)[[2,1],[1,2]]
     assembles to M = P^T diag(h/6) P + diag(w)/3.
     """
+    exchange = exchange_matrix(graph)
     _check_assembly_args(graph, grid, kappa)
     diff, edge = _differences(grid, NODES)
     sums = abs(diff)
     mass = sums.T @ sp.diags(grid.widths[edge] / 6.0) @ sums + sp.diags(
         grid.weights(NODES) / 3.0
     )
-    coupling = -_coupling(
-        graph, grid, NODES, trace_functionals(graph), _endpoints(grid, NODES)
-    )
+    coupling = -_coupling(grid, NODES, exchange.T, _endpoints(grid, NODES))
     return FemSystem(
         graph=graph,
         grid=grid,
@@ -117,31 +118,6 @@ def growth_rate(system: FemSystem) -> float:
         subset_by_index=[system.n - 1, system.n - 1],
     )
     return float(vals[0])
-
-
-def numerical_range_bound(system: FemSystem, samples: int = 256, seed: int = 0):
-    """Empirical sectoriality check over random complex states.
-
-    Returns (gamma, worst_ratio) where gamma is the smallest shift making
-    |Im a(u)| <= Re a(u) + gamma ||u||_M^2 over the sample and worst_ratio
-    the resulting maximal ratio (<= 1 by construction).
-    """
-    rng = np.random.default_rng(seed)
-    flux = (system.stiffness + system.coupling).toarray()
-    mass = system.mass.toarray()
-    need = 0.0
-    data = []
-    for _ in range(samples):
-        u = rng.standard_normal(system.n) + 1j * rng.standard_normal(system.n)
-        au = np.vdot(u, flux @ u)        # a(u, u) = u^H (B + C) u
-        nrm = float(np.real(np.vdot(u, mass @ u)))
-        data.append((abs(au.imag), au.real, nrm))
-        need = max(need, (abs(au.imag) - au.real) / nrm)
-    gamma = max(0.0, need)
-    worst = max(
-        (im / (re + gamma * nrm)) if im > 0 else 0.0 for (im, re, nrm) in data
-    )
-    return gamma, worst
 
 
 def interpolate_to_cells(grid: EdgeGrid, u_nodes: np.ndarray) -> np.ndarray:

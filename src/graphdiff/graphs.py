@@ -10,12 +10,22 @@ neighbouring edge.  The membrane is *conservative* at an endpoint when the
 pass-through coefficients add up exactly to the total.
 
 Everything downstream (flux conditions, limit chain, discretizations) is
-driven by two coefficient tables built here:
+derived from one sparse matrix built here, ``exchange_matrix``:
 
-* ``trace_functionals``   -- the flux functionals of the adjoint problem,
-  expressed over endpoint values of a function on the edges,
-* ``primal_condition_table`` -- the analogous table for the forward
-  problem's transmission conditions.
+    X = Sigma (P - T),   (2n, 2n), endpoint index 2*edge + side,
+
+with P[(i,a), (j,b)] edge i's pass-through coefficient from its side-a
+membrane into edge j, whose endpoint (j,b) sits at the same vertex, T the
+diagonal of membrane totals l_i, r_i, and Sigma the sigmas repeated per
+endpoint.  Row (i,a) of X holds what leaves through endpoint (i,a) (the
+negative diagonal) and where it arrives (the other endpoints at that
+vertex); the forward problem couples endpoints through X, the adjoint
+(density) problem through X^T.  With D_s = diag(+1 left, -1 right):
+
+* ``trace_functionals``      = -D_s Sigma^-1 X^T, the adjoint flux
+  functionals over endpoint values,
+* ``primal_condition_table`` = -D_s Sigma^-1 X, the forward transmission
+  conditions.
 """
 
 from __future__ import annotations
@@ -24,9 +34,9 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 # slack for comparing permeability sums against their totals
 SUM_TOL = 1e-12
@@ -43,13 +53,6 @@ class InvalidGraphError(ValueError):
 class Side(Enum):
     LEFT = 0
     RIGHT = 1
-
-
-class EndpointRef(NamedTuple):
-    """One endpoint of one edge; compares equal to a bare (edge, side) pair."""
-
-    edge: int
-    side: Side
 
 
 @dataclass(frozen=True)
@@ -129,14 +132,6 @@ class MetricGraph:
             out.setdefault(e.right_vertex, []).append((i, Side.RIGHT))
         return {v: tuple(refs) for v, refs in out.items()}
 
-    def vertex_at(self, ref: EndpointRef) -> str:
-        return self.edges[ref.edge].vertex(ref.side)
-
-    def endpoints(self):
-        for i in range(self.n_edges):
-            yield EndpointRef(i, Side.LEFT)
-            yield EndpointRef(i, Side.RIGHT)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -151,17 +146,6 @@ class ValidationReport:
         if self.ok:
             return "valid graph (conservative: %s)" % str(self.conservative).lower()
         return "\n".join(self.problems)
-
-
-def incident_edges(graph: MetricGraph, at) -> tuple:
-    """Edges j != at.edge sharing the vertex of ``at``, with the side of j
-    that touches it.  Since loops are forbidden each neighbour shows up
-    through exactly one of its endpoints."""
-    at = EndpointRef(*at)
-    if not 0 <= at.edge < graph.n_edges:
-        raise IndexError(f"edge index {at.edge} out of range")
-    vertex = graph.vertex_at(at)
-    return tuple((j, s) for (j, s) in graph.incidence.get(vertex, ()) if j != at.edge)
 
 
 def validate(graph: MetricGraph) -> ValidationReport:
@@ -280,10 +264,42 @@ class TraceFunctionalTable:
         return self.coeffs.reshape(2 * n, 2 * n)
 
 
-def trace_functionals(graph: MetricGraph) -> TraceFunctionalTable:
-    """Adjoint-side flux functionals F over endpoint values.
+def exchange_matrix(graph: MetricGraph) -> sp.csr_matrix:
+    """X = Sigma (P - T) over endpoints, index 2*edge + side, for a valid
+    graph (InvalidGraphError otherwise).
 
-    With kappa the speed parameter,
+    X[(i,a), (i,a)] = -sigma_i * (l_i or r_i), and X[(i,a), (j,b)] =
+    sigma_i * (i's side-a coefficient into j) for the endpoint (j,b) of
+    each other edge j at the same vertex.  Loops are forbidden, so each
+    neighbour touches a vertex through exactly one endpoint.
+    """
+    require_valid(graph)
+    rows, cols, vals = [], [], []
+    for refs in graph.incidence.values():
+        for i, a in refs:
+            e = graph.edges[i]
+            coupling = e.coupling(a)
+            for j, b in refs:
+                c = -e.total(a) if j == i else coupling.get(graph.edges[j].id, 0.0)
+                if c:
+                    rows.append(2 * i + a.value)
+                    cols.append(2 * j + b.value)
+                    vals.append(e.sigma * c)
+    n = 2 * graph.n_edges
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def _endpoint_table(graph: MetricGraph, flow: sp.csr_matrix) -> TraceFunctionalTable:
+    """-D_s Sigma^-1 flow as a dense (n, 2, n, 2) table."""
+    n = graph.n_edges
+    signs = np.tile([-1.0, 1.0], n)[:, None]
+    coeffs = flow.toarray() * signs / np.repeat(graph.sigmas, 2)[:, None]
+    return TraceFunctionalTable(coeffs=coeffs.reshape(n, 2, n, 2))
+
+
+def trace_functionals(graph: MetricGraph) -> TraceFunctionalTable:
+    """Adjoint-side flux functionals F = -D_s Sigma^-1 X^T over endpoint
+    values.  With kappa the speed parameter,
 
         kappa * phi'(left of i)  = F[i, LEFT](phi)
         kappa * phi'(right of i) = F[i, RIGHT](phi)
@@ -295,26 +311,12 @@ def trace_functionals(graph: MetricGraph) -> TraceFunctionalTable:
     c_{ji} is j's pass-through coefficient into i through j's touching
     membrane; phi(.) is evaluated at j's touching endpoint.
     """
-    require_valid(graph)
-    n = graph.n_edges
-    coeffs = np.zeros((n, 2, n, 2))
-    for i, e in enumerate(graph.edges):
-        coeffs[i, 0, i, 0] += e.l
-        coeffs[i, 1, i, 1] -= e.r
-        for side in (Side.LEFT, Side.RIGHT):
-            sign = -1.0 if side is Side.LEFT else 1.0
-            for (j, s) in incident_edges(graph, EndpointRef(i, side)):
-                other = graph.edges[j]
-                c = other.coupling(s).get(e.id, 0.0)
-                if c:
-                    coeffs[i, side.value, j, s.value] += (
-                        sign * other.sigma * c / e.sigma
-                    )
-    return TraceFunctionalTable(coeffs=coeffs)
+    return _endpoint_table(graph, exchange_matrix(graph).T)
 
 
 def primal_condition_table(graph: MetricGraph) -> TraceFunctionalTable:
-    """Forward-side transmission conditions as endpoint functionals G.
+    """Forward-side transmission conditions G = -D_s Sigma^-1 X as endpoint
+    functionals:
 
         kappa * f'(left of i)  = G[i, LEFT](f)  = l_i f(L_i) - sum_j l_ij f(.)
         kappa * f'(right of i) = G[i, RIGHT](f) = sum_j r_ij f(.) - r_i f(R_i)
@@ -322,20 +324,7 @@ def primal_condition_table(graph: MetricGraph) -> TraceFunctionalTable:
     Here l_ij / r_ij are edge i's own pass-through coefficients and f(.) is
     evaluated at neighbour j's endpoint sitting at the shared vertex.
     """
-    require_valid(graph)
-    n = graph.n_edges
-    coeffs = np.zeros((n, 2, n, 2))
-    for i, e in enumerate(graph.edges):
-        coeffs[i, 0, i, 0] += e.l
-        coeffs[i, 1, i, 1] -= e.r
-        for side in (Side.LEFT, Side.RIGHT):
-            sign = -1.0 if side is Side.LEFT else 1.0
-            coupling = e.coupling(side)
-            for (j, s) in incident_edges(graph, EndpointRef(i, side)):
-                c = coupling.get(graph.edges[j].id, 0.0)
-                if c:
-                    coeffs[i, side.value, j, s.value] += sign * c
-    return TraceFunctionalTable(coeffs=coeffs)
+    return _endpoint_table(graph, exchange_matrix(graph))
 
 
 # ---------------------------------------------------------------------------

@@ -245,20 +245,6 @@ def resolvent_apply(a, b, lam, phi, x, quad_nodes: int = DEFAULT_QUAD_NODES) -> 
     return ClosedFormResolvent.build(a, b, lam, phi, quad_nodes)(x)
 
 
-def neumann_defect(a, b, lam, phi, quad_nodes: int = DEFAULT_QUAD_NODES):
-    """|psi'| at both ends via one-sided second-order differences.
-
-    The differences stay inside [a, b]: outside, the formula continues
-    as a solution of the homogeneous equation, so straddling an end
-    would pick up an O(h) bias proportional to phi at that end.
-    """
-    res = ClosedFormResolvent.build(a, b, lam, phi, quad_nodes)
-    h = 1e-5 * (b - a)
-    da = (-3.0 * res(a) + 4.0 * res(a + h) - res(a + 2 * h))[0] / (2.0 * h)
-    db = (3.0 * res(b) - 4.0 * res(b - h) + res(b - 2 * h))[0] / (2.0 * h)
-    return abs(da), abs(db)
-
-
 # ---------------------------------------------------------------------------
 # image series
 

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,7 +10,6 @@ from graphdiff.finite_volume import (
     primal_generator,
     with_dual_conditions,
     with_primal_conditions,
-    write_triplets,
 )
 from graphdiff.galerkin import assemble_forms, l2_generator
 from graphdiff.graphs import InvalidGraphError, Side, primal_condition_table, trace_functionals
@@ -88,6 +85,22 @@ def test_grid_graph_mismatch(star_graph, chain_graph):
     grid = make_grid(chain_graph, 0.1)
     with pytest.raises(ValueError):
         dual_generator(star_graph, grid, kappa=1.0)
+
+
+def test_invalid_graph_reported_before_grid_mismatch(star_graph):
+    # validation runs once, inside the exchange matrix, ahead of the grid
+    # and kappa checks of every assembler
+    from graphdiff.graphs import EdgeSpec, MetricGraph
+    bad = MetricGraph((EdgeSpec(id="L", length=1.0, sigma=1.0,
+                                left_vertex="v", right_vertex="v"),))
+    grid = make_grid(star_graph, 0.1)
+    for assemble in (
+        lambda: dual_generator(bad, grid, kappa=0.0),
+        lambda: primal_generator(bad, grid, kappa=0.0),
+        lambda: assemble_forms(bad, grid, kappa=0.0),
+    ):
+        with pytest.raises(InvalidGraphError):
+            assemble()
 
 
 def test_kappa_enters_affinely(star_graph):
@@ -284,18 +297,3 @@ def test_duality_defect_shrinks(star_graph, order):
     assert defects[1] <= 0.75 * defects[0]
     assert defects[2] <= 0.75 * defects[1]
 
-
-def test_write_triplets_round_trip(star_graph):
-    grid = make_grid(star_graph, 0.25)
-    gen = dual_generator(star_graph, grid, kappa=2.0)
-    buf = io.StringIO()
-    write_triplets(gen, buf)
-    lines = buf.getvalue().splitlines()
-    rows, cols, nnz = (int(tok) for tok in lines[0].split())
-    assert (rows, cols) == (gen.n, gen.n)
-    assert nnz == len(lines) - 1
-    rebuilt = np.zeros((rows, cols))
-    for line in lines[1:]:
-        r, c, v = line.split()
-        rebuilt[int(r), int(c)] += float(v)
-    assert_allclose(rebuilt, gen.dense(), rtol=1e-15)

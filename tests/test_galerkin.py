@@ -10,7 +10,6 @@ from graphdiff.galerkin import (
     interpolate_to_cells,
     l2_generator,
     l2_norm,
-    numerical_range_bound,
 )
 from graphdiff.grids import NODES, EdgeFunction, EdgeGrid, lift_constants, make_grid
 
@@ -155,16 +154,6 @@ def test_growth_rate_nonpositive_without_membranes(sealed_edge):
     system = assemble_forms(sealed_edge, grid, kappa=1.0)
     # pure Neumann diffusion never grows; the constant mode makes it 0
     assert growth_rate(system) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_numerical_range_probe(star_graph):
-    grid = make_grid(star_graph, 0.2)
-    system = assemble_forms(star_graph, grid, kappa=5.0)
-    gamma, worst = numerical_range_bound(system, samples=64, seed=4)
-    assert np.isfinite(gamma) and gamma >= 0.0
-    assert np.isfinite(worst) and worst >= 0.0
-    # the random probe never beats the exact generalized eigenvalue
-    assert gamma <= growth_rate(system) + 1e-12
 
 
 def test_interpolate_to_cells():

@@ -10,7 +10,6 @@ from graphdiff.graphs import (
     InvalidGraphError,
     MetricGraph,
     Side,
-    incident_edges,
     parse_graph,
     primal_condition_table,
     require_valid,
@@ -36,17 +35,21 @@ def test_graph_index_and_incidence(star_graph):
     assert g.index_of("E2") == 1
     hub = g.incidence["hub"]
     assert (0, Side.RIGHT) in hub and (1, Side.LEFT) in hub and (2, Side.LEFT) in hub
-    others = incident_edges(g, (0, Side.RIGHT))
-    assert sorted(j for j, _ in others) == [1, 2]
+    assert sorted(j for j, _ in hub if j != 0) == [1, 2]
     # leaf ends touch nothing else
-    assert incident_edges(g, (0, Side.LEFT)) == ()
+    assert g.incidence["a"] == ((0, Side.LEFT),)
 
 
 def test_incidence_is_symmetric(star_graph, chain_graph, leaky_star_graph):
     for g in (star_graph, chain_graph, leaky_star_graph):
-        for ref in g.endpoints():
-            for other in incident_edges(g, ref):
-                assert ref in incident_edges(g, other)
+        listed = [ref for refs in g.incidence.values() for ref in refs]
+        assert sorted(listed, key=lambda r: (r[0], r[1].value)) == [
+            (i, side) for i in range(g.n_edges) for side in (Side.LEFT, Side.RIGHT)
+        ]
+        for refs in g.incidence.values():
+            for ref in refs:
+                for j, b in refs:
+                    assert ref in g.incidence[g.edges[j].vertex(b)]
 
 
 def test_parallel_edges_meet_like_for_like():
@@ -56,9 +59,10 @@ def test_parallel_edges_meet_like_for_like():
         EdgeSpec(id="P1", length=1.0, sigma=1.0, left_vertex="u", right_vertex="v"),
         EdgeSpec(id="P2", length=1.5, sigma=1.0, left_vertex="u", right_vertex="v"),
     ))
-    assert incident_edges(g, (0, Side.LEFT)) == ((1, Side.LEFT),)
-    assert incident_edges(g, (0, Side.RIGHT)) == ((1, Side.RIGHT),)
-    assert incident_edges(g, (1, Side.LEFT)) == ((0, Side.LEFT),)
+    assert g.incidence == {
+        "u": ((0, Side.LEFT), (1, Side.LEFT)),
+        "v": ((0, Side.RIGHT), (1, Side.RIGHT)),
+    }
 
 
 def test_validate_ok_and_conservative(star_graph, leaky_star_graph, chain_graph):

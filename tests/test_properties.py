@@ -1,5 +1,5 @@
-"""Structural invariants of the three discretizations on random valid
-graphs.
+"""Structural invariants on random valid graphs, and the derivations
+from the endpoint exchange matrix against their loop references.
 
 The strategy builds graphs that are admissible by construction: every
 pass-through coefficient targets an edge touching the same vertex, and
@@ -7,14 +7,31 @@ each membrane total is the sum of its coefficients, plus a positive
 leak at one drawn endpoint when the graph is meant to lose mass.
 """
 
+import dataclasses
+import glob
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_star
+from graphdiff.chain import DUAL, PRIMAL, chain_generator, mass_rate
 from graphdiff.finite_volume import dual_generator, primal_generator
 from graphdiff.galerkin import assemble_forms, l2_generator
-from graphdiff.graphs import EdgeSpec, MetricGraph, validate
+from graphdiff.graphs import (
+    EdgeSpec,
+    MetricGraph,
+    Side,
+    load_graph,
+    parse_graph,
+    primal_condition_table,
+    require_valid,
+    trace_functionals,
+    validate,
+)
 from graphdiff.grids import CELLS, make_grid
 
 FEW = settings(max_examples=15, deadline=None, database=None)
@@ -121,3 +138,141 @@ def test_mass_times_matrix_is_minus_flux(graph, kappa):
         product = gen.mass @ gen.dense()
         assert np.abs(product + flux).max() <= 1e-13 * np.abs(flux).max()
 
+
+
+@FEW
+@given(valid_graphs())
+def test_dual_q_weighted_column_identity(graph):
+    q = chain_generator(graph, DUAL).q
+    col = graph.lengths @ q
+    for j, e in enumerate(graph.edges):
+        passed = sum(e.l_to.values()) + sum(e.r_to.values())
+        expected = e.sigma * (passed - e.l - e.r)
+        assert col[j] == pytest.approx(expected, abs=1e-14 * np.abs(q).sum())
+
+
+@FEW
+@given(valid_graphs())
+def test_mass_rate_vanishes_iff_conservative(graph):
+    gen = chain_generator(graph, DUAL)
+    rate = np.abs(mass_rate(gen)).max()
+    if validate(graph).conservative:
+        assert rate <= 1e-14 * np.abs(gen.q).sum()
+    else:
+        # the leaking edge loses sigma * leak >= 0.02
+        assert rate >= 0.02 * (1.0 - 1e-12)
+
+
+@FEW
+@given(valid_graphs())
+def test_parse_graph_round_trips_edge_specs(graph):
+    text = json.dumps({"edges": [dataclasses.asdict(e) for e in graph.edges]})
+    assert parse_graph(json.loads(text)) == graph
+
+
+# ---------------------------------------------------------------------------
+# the exchange-matrix derivations against per-entry loops
+
+def _neighbours(graph, i, side):
+    """(j, s) for every other edge j touching the vertex of (i, side)."""
+    vertex = graph.edges[i].vertex(side)
+    return [(j, s) for (j, s) in graph.incidence[vertex] if j != i]
+
+
+def loop_trace_functionals(graph):
+    n = graph.n_edges
+    coeffs = np.zeros((n, 2, n, 2))
+    for i, e in enumerate(graph.edges):
+        coeffs[i, 0, i, 0] += e.l
+        coeffs[i, 1, i, 1] -= e.r
+        for side in (Side.LEFT, Side.RIGHT):
+            sign = -1.0 if side is Side.LEFT else 1.0
+            for (j, s) in _neighbours(graph, i, side):
+                other = graph.edges[j]
+                c = other.coupling(s).get(e.id, 0.0)
+                if c:
+                    coeffs[i, side.value, j, s.value] += sign * other.sigma * c / e.sigma
+    return coeffs
+
+
+def loop_primal_condition_table(graph):
+    n = graph.n_edges
+    coeffs = np.zeros((n, 2, n, 2))
+    for i, e in enumerate(graph.edges):
+        coeffs[i, 0, i, 0] += e.l
+        coeffs[i, 1, i, 1] -= e.r
+        for side in (Side.LEFT, Side.RIGHT):
+            sign = -1.0 if side is Side.LEFT else 1.0
+            coupling = e.coupling(side)
+            for (j, s) in _neighbours(graph, i, side):
+                c = coupling.get(graph.edges[j].id, 0.0)
+                if c:
+                    coeffs[i, side.value, j, s.value] += sign * c
+    return coeffs
+
+
+def loop_chain_generator(graph, variant):
+    n = graph.n_edges
+    d = graph.lengths
+    sig = graph.sigmas
+    q = np.zeros((n, n))
+    for i, e in enumerate(graph.edges):
+        q[i, i] = -sig[i] * (e.l + e.r) / d[i]
+    for j, e in enumerate(graph.edges):
+        for target_id, c in list(e.l_to.items()) + list(e.r_to.items()):
+            if c == 0.0:
+                continue
+            i = graph.index_of(target_id)
+            if variant == DUAL:
+                q[i, j] += sig[j] * c / d[i]
+            else:
+                q[j, i] += sig[j] * c / d[j]
+    return q
+
+
+def assert_matches_loops(graph):
+    require_valid(graph)
+    pairs = [
+        (trace_functionals(graph).coeffs, loop_trace_functionals(graph)),
+        (primal_condition_table(graph).coeffs, loop_primal_condition_table(graph)),
+        (chain_generator(graph, DUAL).q, loop_chain_generator(graph, DUAL)),
+        (chain_generator(graph, PRIMAL).q, loop_chain_generator(graph, PRIMAL)),
+    ]
+    for got, want in pairs:
+        # sums and sigma factors are taken in another order than the loops
+        tol = 4 * np.finfo(float).eps * max(np.abs(want).max(), np.finfo(float).tiny)
+        assert np.abs(got - want).max() <= tol
+
+
+def _parallel_pair():
+    # two edges between the same vertices, each passing into the other at
+    # both ends
+    return MetricGraph((
+        EdgeSpec(id="P1", length=1.0, sigma=0.7, left_vertex="u", right_vertex="v",
+                 l=0.9, r=1.3, l_to={"P2": 0.4}, r_to={"P2": 1.1}),
+        EdgeSpec(id="P2", length=1.5, sigma=1.9, left_vertex="u", right_vertex="v",
+                 l=0.3, r=0.6, l_to={"P1": 0.3}, r_to={"P1": 0.5}),
+    ))
+
+
+CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.json")))
+
+
+@pytest.mark.parametrize("graph", [
+    pytest.param(make_star(True), id="star"),
+    pytest.param(make_star(False), id="leaky_star"),
+    pytest.param(_parallel_pair(), id="parallel_pair"),
+] + [pytest.param(load_graph(p), id=os.path.basename(p)) for p in CONFIGS])
+def test_exchange_derivations_match_loops(graph):
+    assert_matches_loops(graph)
+
+
+def test_exchange_derivations_match_loops_on_fixtures(chain_graph, sealed_edge):
+    assert_matches_loops(chain_graph)
+    assert_matches_loops(sealed_edge)
+
+
+@FEW
+@given(valid_graphs())
+def test_exchange_derivations_match_loops_on_valid_graphs(graph):
+    assert_matches_loops(graph)

@@ -12,10 +12,10 @@ from numpy.polynomial import Polynomial
 from numpy.testing import assert_allclose
 
 from graphdiff.resolvent import (
+    DEFAULT_QUAD_NODES,
     ClosedFormResolvent,
     averaging_limit_check,
     image_series_cutoff,
-    neumann_defect,
     resolvent_apply,
     resolvent_image_series,
 )
@@ -80,6 +80,20 @@ def test_shifted_interval():
     shifted_phi = Polynomial([-2.0, 1.0])   # phi(x - 2)
     shifted = resolvent_apply(2.0, 5.0, 1.5, shifted_phi, x + 2.0)
     assert_allclose(shifted, base, rtol=1e-12, atol=1e-14)
+
+
+def neumann_defect(a, b, lam, phi):
+    """|psi'| at both ends via one-sided second-order differences.
+
+    The differences stay inside [a, b]: outside, the formula continues
+    as a solution of the homogeneous equation, so straddling an end
+    would pick up an O(h) bias proportional to phi at that end.
+    """
+    res = ClosedFormResolvent.build(a, b, lam, phi, DEFAULT_QUAD_NODES)
+    h = 1e-5 * (b - a)
+    da = (-3.0 * res(a) + 4.0 * res(a + h) - res(a + 2 * h))[0] / (2.0 * h)
+    db = (3.0 * res(b) - 4.0 * res(b - h) + res(b - 2 * h))[0] / (2.0 * h)
+    return abs(da), abs(db)
 
 
 def test_reflecting_ends():
