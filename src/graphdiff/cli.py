@@ -11,7 +11,9 @@ Subcommands:
 Exit codes: 0 success, 1 graph validation failure, 2 I/O or parse
 failure, 3 an acceptance criterion (monotone decrease) failed, 4 the
 propagator did not converge to its tolerance (the message carries the
-basis size or step count, the last error estimate and ``rtol``).  CSV
+basis size or step count, each unconverged time with its last error
+estimate, and ``rtol``).  Non-finite numbers in flags are parse
+failures.  CSV
 output is deterministic: fixed column order, 17 significant digits,
 newline-terminated rows.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
@@ -32,11 +35,23 @@ from .grids import edge_indicator, make_grid
 OK, INVALID, IOERR, FAILED, UNCONVERGED = 0, 1, 2, 3, 4
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _float_list(text: str):
     try:
-        return [float(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+        return [_finite_float(part) for part in text.split(",") if part != ""]
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of finite numbers: {text!r}"
+        )
 
 
 def _open_out(path):
@@ -66,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--kappa", type=_float_list, default=[1.0, 10.0, 100.0, 1000.0, 10000.0])
     p.add_argument("--t", type=_float_list, default=[0.25, 0.5, 1.0, 2.0])
-    p.add_argument("--h", type=float, default=0.005, help="target cell width")
+    p.add_argument("--h", type=_finite_float, default=0.005, help="target cell width")
     p.add_argument("--disc", choices=[evolution.FV, evolution.FEM], default=evolution.FV)
     p.add_argument("--trace-order", type=int, choices=[1, 2], default=1)
     p.add_argument(
@@ -78,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("resolvent-check", help="small-lam averaging table")
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=1.0)
+    p.add_argument("--a", type=_finite_float, default=0.0)
+    p.add_argument("--b", type=_finite_float, default=1.0)
     p.add_argument("--lambdas", type=_float_list, default=[1e-1, 1e-2, 1e-3, 1e-4])
     p.add_argument(
         "--phi",
@@ -91,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("duality-check", help="pairing defect refinement study")
     p.add_argument("--graph", required=True)
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--h", type=float, default=0.04, help="coarsest cell width")
+    p.add_argument("--kappa", type=_finite_float, default=1.0)
+    p.add_argument("--h", type=_finite_float, default=0.04, help="coarsest cell width")
     p.add_argument("--levels", type=int, default=3)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--trace-order", type=int, choices=[1, 2], default=1)
@@ -193,8 +208,8 @@ def _phi_from_flag(flag):
     if kind != "poly" or not rest:
         raise GraphConfigError(f"unsupported --phi value {flag!r}")
     try:
-        coeffs = [float(c) for c in rest.split(",")]
-    except ValueError:
+        coeffs = [_finite_float(c) for c in rest.split(",")]
+    except argparse.ArgumentTypeError:
         raise GraphConfigError(f"bad polynomial coefficients in {flag!r}")
     return Polynomial(coeffs)
 

@@ -11,6 +11,7 @@ demonstrate.
 from __future__ import annotations
 
 import csv
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -61,14 +62,22 @@ def propagate(
     and differences, ``(M, B + C)`` for P1 Galerkin.  The ``expm`` route
     checks the size limit before the dense P1 matrix is formed.
     """
+    return _propagate_times(gen, phi0, [t], method, rtol)[0]
+
+
+def _propagate_times(gen: DiscreteGenerator, phi0, ts, method: str, rtol: float) -> np.ndarray:
+    """phi0 advanced to every time in ``ts``, one row per time in input
+    order.  The Krylov route factors once per window of times
+    (``_stepping.time_windows``); ``expm`` and ``cn`` run per time."""
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.shape != (gen.n,):
         raise ValueError(f"phi0 must have shape ({gen.n},), got {phi0.shape}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    bad = [t for t in ts if not 0 <= t < math.inf]
+    if bad:
+        raise ValueError(f"t must be finite and >= 0, got {bad[0]}")
     if method == "expm":
         _stepping.check_dense(gen.n)
-        return _stepping.expm_apply(gen.matrix, phi0, t)
+        return np.array([_stepping.expm_apply(gen.matrix, phi0, t) for t in ts])
     if method not in ("krylov", "cn"):
         raise ValueError(f"method must be 'krylov', 'expm' or 'cn', got {method!r}")
     if gen.kind == "galerkin_l2":
@@ -77,10 +86,11 @@ def propagate(
         # (diag w, K) would drift up to 40x more mass at kappa = 1e4 than (I, -A)
         mass, stiff = sp.eye(gen.n, format="csr"), -gen.matrix
     if method == "cn":
-        return _stepping.crank_nicolson(
-            mass, stiff, phi0, t, rtol=rtol, weights=gen.weights
-        )
-    return _stepping.krylov_apply(mass, stiff, phi0, t, rtol=rtol, gram=gen.mass)
+        return np.array([
+            _stepping.crank_nicolson(mass, stiff, phi0, t, rtol=rtol, weights=gen.weights)
+            for t in ts
+        ])
+    return _stepping.krylov_apply(mass, stiff, phi0, ts, rtol=rtol, gram=gen.mass)
 
 
 @dataclass(frozen=True)
@@ -153,8 +163,11 @@ def kappa_sweep(
 
     ``phi0`` is a per-edge callable ``(edge, x) -> values`` (see
     ``grids.edge_indicator``); it is sampled on the discretization's own
-    grid.  Kappa values must be positive and strictly increasing, times
-    nonnegative.  An invalid graph raises InvalidGraphError first.
+    grid.  Kappa values must be finite, positive and strictly increasing,
+    times finite and nonnegative.  An invalid graph raises
+    InvalidGraphError first.  Each kappa is assembled once and propagated
+    to all times in one call, so the Krylov route factors once per kappa
+    and window of times; the limit-chain solution is computed once per t.
     """
     gen_q = chain.chain_generator(graph, chain.DUAL)
     if discretization not in _DISCRETIZATIONS:
@@ -163,12 +176,12 @@ def kappa_sweep(
         )
     kappas = [float(k) for k in kappas]
     ts = [float(t) for t in ts]
-    if not kappas or any(k <= 0 for k in kappas):
-        raise ValueError("kappa list must be nonempty and positive")
+    if not kappas or not all(0 < k < math.inf for k in kappas):
+        raise ValueError(f"kappa list must be nonempty, positive and finite, got {kappas}")
     if any(k2 <= k1 for k1, k2 in zip(kappas[:-1], kappas[1:])):
         raise ValueError("kappa list must be strictly increasing")
-    if not ts or any(t < 0 for t in ts):
-        raise ValueError("t list must be nonempty and nonnegative")
+    if not ts or not all(0 <= t < math.inf for t in ts):
+        raise ValueError(f"t list must be nonempty, nonnegative and finite, got {ts}")
 
     if discretization == FV:
         layout = CELLS
@@ -188,17 +201,20 @@ def kappa_sweep(
     )
     mass0 = float(np.sum(weights * start))
 
+    # the limit-chain state exp(tQ) P phi0 and its lift, once per distinct t
+    limits = {}
+    for t in ts:
+        if t not in limits:
+            limit_vec = chain.propagator(gen_q, t) @ projected0.values
+            limit = chain.PiecewiseConstant(values=limit_vec, lengths=grid.lengths)
+            limits[t] = (limit_vec, limit.lift(grid, layout).values)
+
     records = []
     for kappa in kappas:
-        gen = assemble(kappa)
-        for t in ts:
-            sol = propagate(gen, start, t, method=method, rtol=rtol)
-            limit_vec = chain.propagator(gen_q, t) @ projected0.values
-            limit = chain.PiecewiseConstant(
-                values=limit_vec, lengths=grid.lengths
-            ).lift(grid, layout)
-            diff = sol - limit.values
-            err = norms(diff, weights)
+        sols = _propagate_times(assemble(kappa), start, ts, method, rtol)
+        for t, sol in zip(ts, sols):
+            limit_vec, lifted = limits[t]
+            err = norms(sol - lifted, weights)
             # distance between the two chain states, in the sweep's norm
             ps = chain.project_averages(
                 EdgeFunction(grid=grid, layout=layout, values=sol)

@@ -163,6 +163,50 @@ def test_bad_kappa_list_is_parse_error(star_path, capsys):
     assert exc.value.code == 2   # argparse usage failure
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--t", "nan"],
+    ["sweep", "--t", "0.5,inf"],
+    ["sweep", "--kappa", "1,inf"],
+    ["sweep", "--kappa", "1,-inf"],
+    ["sweep", "--h", "inf"],
+    ["duality-check", "--kappa", "inf"],
+    ["duality-check", "--h", "nan"],
+    ["resolvent-check", "--lambdas", "1e-1,nan"],
+    ["resolvent-check", "--b", "inf"],
+])
+def test_non_finite_numbers_are_parse_errors(star_path, argv, capsys):
+    if argv[0] != "resolvent-check":
+        argv = argv[:1] + ["--graph", star_path] + argv[1:]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert "finite" in errors[0] and repr(argv[-1]) in errors[0]
+
+
+def test_non_finite_polynomial_source_is_usage_error(capsys):
+    assert main(["resolvent-check", "--phi", "poly:0,nan"]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("disc", ["fv", "fem"])
+def test_sweep_csv_is_deterministic(star_path, tmp_path, disc):
+    # unsorted times with a duplicate: rows still come out sorted by
+    # (kappa, t), and two runs write the same bytes
+    outs = [tmp_path / f"run{k}.csv" for k in range(2)]
+    for out in outs:
+        code = main([
+            "sweep", "--graph", star_path, "--disc", disc, "--h", "0.05",
+            "--kappa", "1,100", "--t", "2,0.25,0,2,0.5", "--out", str(out),
+        ])
+        assert code == 0
+    first, second = (out.read_bytes() for out in outs)
+    assert first == second
+    rows = [line.split(",")[:2] for line in first.decode().splitlines()[1:]]
+    assert rows == [[k, t] for k in ("1", "100") for t in ("0", "0.25", "0.5", "2", "2")]
+
+
 def test_decreasing_kappa_list_is_clean_error(star_path, tmp_path, capsys):
     # parses as floats but violates the sweep's ordering precondition;
     # must exit cleanly instead of dumping a traceback

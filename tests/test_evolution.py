@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from graphdiff import _stepping
+from graphdiff import _stepping, evolution
 from graphdiff.chain import DUAL, chain_generator, propagator
 from graphdiff.evolution import (
     FEM,
@@ -49,6 +49,15 @@ def test_propagate_validates(star_graph):
         propagate(gen, phi0[:-1], 1.0)
     with pytest.raises(ValueError):
         propagate(gen, phi0, 1.0, method="leapfrog")
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_propagate_rejects_non_finite_time(star_graph, t):
+    grid = make_grid(star_graph, 0.1)
+    gen = dual_generator(star_graph, grid, kappa=2.0)
+    phi0 = grid.sample(edge_indicator(1), CELLS)
+    with pytest.raises(ValueError, match="finite"):
+        propagate(gen, phi0, t)
 
 
 def test_sealed_edge_modes_decay_exactly(sealed_edge):
@@ -134,6 +143,11 @@ def _directed_cycle(n, p):
     ))
 
 
+# two Krylov windows: {0.1, 0.25} and {2, 10}; one pole over all four
+# times stops 6e-2 off on the 20-edge cycle at kappa = 1e3
+WIDE_TIMES = (0.1, 0.25, 2.0, 10.0)
+
+
 @pytest.mark.parametrize("n,p", [(3, 10.0), (10, 10.0), (20, 5.0)])
 def test_krylov_matches_expm_on_directed_cycles(n, p):
     graph = _directed_cycle(n, p)
@@ -141,19 +155,67 @@ def test_krylov_matches_expm_on_directed_cycles(n, p):
     phi0 = grid.sample(edge_indicator(0), CELLS)
     for kappa in (1.0, 1e3):
         gen = dual_generator(graph, grid, kappa=kappa)
-        for t in (0.25, 2.0):
-            got = propagate(gen, phi0, t)
-            want = propagate(gen, phi0, t, method="expm")
-            assert np.abs(got - want).max() <= 1e-8
+        got = evolution._propagate_times(gen, phi0, WIDE_TIMES, "krylov", 1e-8)
+        want = evolution._propagate_times(gen, phi0, WIDE_TIMES, "expm", 1e-8)
+        assert np.abs(got - want).max() <= 1e-8
 
 
 def test_krylov_matches_expm_fem(star_graph):
     grid = make_grid(star_graph, 0.05)
-    gen = l2_generator(assemble_forms(star_graph, grid, 20.0))
     phi0 = grid.sample(edge_indicator(0), NODES)
-    a = propagate(gen, phi0, 0.8, method="expm")
-    b = propagate(gen, phi0, 0.8)
-    assert np.abs(a - b).max() <= 1e-9
+    # at kappa = 1e4 dense expm's own round-off reaches about 3e-8
+    for kappa, bound in ((1.0, 1e-9), (20.0, 1e-9), (1e4, 1e-7)):
+        gen = l2_generator(assemble_forms(star_graph, grid, kappa))
+        a = evolution._propagate_times(gen, phi0, WIDE_TIMES, "expm", 1e-8)
+        b = evolution._propagate_times(gen, phi0, WIDE_TIMES, "krylov", 1e-8)
+        assert np.abs(a - b).max() <= bound
+
+
+def _counting_splu(monkeypatch):
+    calls = []
+
+    def splu(matrix):
+        calls.append(matrix.shape)
+        return real_splu(matrix)
+
+    real_splu = _stepping.splu
+    monkeypatch.setattr(_stepping, "splu", splu)
+    return calls
+
+
+def test_krylov_factors_once_per_window(star_graph, monkeypatch):
+    assert _stepping.time_windows([10.0, 0.0, 0.25, 2.0, 0.1, 2.0]) == [
+        [0.1, 0.25], [2.0, 10.0]
+    ]
+    grid = make_grid(star_graph, 0.1)
+    gen = dual_generator(star_graph, grid, kappa=10.0)
+    phi0 = grid.sample(edge_indicator(0), CELLS)
+    calls = _counting_splu(monkeypatch)
+    evolution._propagate_times(gen, phi0, WIDE_TIMES, "krylov", 1e-8)
+    assert len(calls) == 2
+
+
+def test_sweep_factors_once_per_kappa(star_graph, monkeypatch):
+    # the CLI's default times span a ratio of 8: one window
+    calls = _counting_splu(monkeypatch)
+    grid = make_grid(star_graph, 0.1)
+    kappa_sweep(star_graph, grid, [1.0, 10.0, 100.0], [0.25, 0.5, 1.0, 2.0],
+                edge_indicator(0))
+    assert len(calls) == 3
+
+
+def test_krylov_times_come_back_in_input_order(star_graph):
+    grid = make_grid(star_graph, 0.1)
+    gen = dual_generator(star_graph, grid, kappa=10.0)
+    phi0 = grid.sample(edge_indicator(0), CELLS)
+    ts = [2.0, 0.0, 0.25, 2.0, 10.0, 0.1]
+    got = evolution._propagate_times(gen, phi0, ts, "krylov", 1e-8)
+    assert got.shape == (len(ts), gen.n)
+    assert np.array_equal(got[1], phi0)
+    assert np.array_equal(got[0], got[3])
+    for t, row in zip(ts, got):
+        want = propagate(gen, phi0, t, method="expm")
+        assert np.abs(row - want).max() <= 1e-8
 
 
 def test_expm_size_check_precedes_dense_fem_matrix(star_graph):
@@ -182,7 +244,7 @@ class TestStepping:
     def test_krylov_exact_on_invariant_subspace(self):
         mass = sp.eye(1, format="csr")
         stiff = sp.csr_matrix(np.array([[3.0]]))
-        out = _stepping.krylov_apply(mass, stiff, np.array([2.0]), 1.0)
+        out = _stepping.krylov_apply(mass, stiff, np.array([2.0]), [1.0])[0]
         assert out[0] == pytest.approx(2.0 * np.exp(-3.0), rel=1e-13)
 
     def test_krylov_gives_up_when_capped(self):
@@ -190,8 +252,20 @@ class TestStepping:
         stiff = sp.diags(np.arange(1.0, n + 1))
         with pytest.raises(_stepping.StepControlError, match="m=6"):
             _stepping.krylov_apply(
-                sp.eye(n, format="csr"), stiff, np.ones(n), 1.0, max_dim=6
+                sp.eye(n, format="csr"), stiff, np.ones(n), [1.0], max_dim=6
             )
+
+    def test_capped_krylov_window_names_unconverged_time(self):
+        # t = 0.05 converges at m = 13, t = 0.4 of the same window does not
+        n = 40
+        stiff = sp.diags(np.arange(1.0, n + 1))
+        with pytest.raises(_stepping.StepControlError) as exc:
+            _stepping.krylov_apply(
+                sp.eye(n, format="csr"), stiff, np.ones(n), [0.05, 0.4], max_dim=13
+            )
+        assert "m=13" in str(exc.value)
+        assert "t=0.4 " in str(exc.value)
+        assert "t=0.05" not in str(exc.value)
 
     def test_cn_gives_up_when_capped(self):
         mass = sp.eye(1, format="csr")
@@ -270,6 +344,18 @@ def test_sweep_validates_arguments(star_graph):
         kappa_sweep(star_graph, grid, [1.0], [-2.0], ind)
     with pytest.raises(ValueError):
         kappa_sweep(star_graph, grid, [1.0], [1.0], ind, discretization="fdtd")
+
+
+@pytest.mark.parametrize("kappas,ts", [
+    ([1.0], [np.nan]),
+    ([1.0], [0.5, np.inf]),
+    ([1.0, np.inf], [1.0]),
+    ([np.nan], [1.0]),
+])
+def test_sweep_rejects_non_finite(star_graph, kappas, ts):
+    grid = make_grid(star_graph, 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        kappa_sweep(star_graph, grid, kappas, ts, edge_indicator(0))
 
 
 def test_sweep_csv_format(star_graph):
