@@ -2,7 +2,7 @@
 
 Three routes:
 
-* ``krylov_apply`` (the default behind ``evolution.propagate`` and the
+* ``krylov_apply`` (the one route behind ``evolution.propagate`` and the
   sweeps): shift-and-invert Arnoldi for a whole list of times.  The
   positive times are grouped into windows ``t_max <= KRYLOV_WINDOW *
   t_min``; each window gets one sparse LU of ``M + K/gamma`` with
@@ -20,10 +20,12 @@ Three routes:
   a single pole stops at an answer 6e-2 off on a 20-edge directed
   cycle, hence the windows.  The basis grows until, for every time of
   the window, iterates m - 4 and m agree to ``rtol``.
-* ``expm_apply``: dense matrix exponential (scaling and squaring), kept
-  as a reference; fine up to a couple thousand unknowns.
+* ``expm_apply``: dense matrix exponential (scaling and squaring), a
+  reference that the tests call on ``DiscreteGenerator.matrix``; it
+  refuses more than DENSE_LIMIT unknowns.
 * ``crank_nicolson``: step doubling until the solution stops moving at
-  the requested relative tolerance, kept as an independent reference.
+  the requested relative tolerance, an independent reference that the
+  tests call on ``DiscreteGenerator.pair``.
   The first CN step is split into two backward-Euler half steps, which
   kills the undamped ringing CN otherwise leaves on rough initial data;
   both stages share one factorization since BE at dt/2 and CN at dt use
@@ -57,22 +59,19 @@ class StepControlError(RuntimeError):
 
 
 def expm_apply(matrix, u0: np.ndarray, t: float) -> np.ndarray:
-    """u(t) = expm(t A) u0 with A = ``matrix`` (dense route)."""
+    """u(t) = expm(t A) u0 with A = ``matrix`` (dense route), for at most
+    DENSE_LIMIT unknowns."""
     if t == 0.0:
         return np.array(u0, dtype=float, copy=True)
-    check_dense(matrix.shape[0])
-    if sp.issparse(matrix):
-        matrix = matrix.toarray()
-    return scipy.linalg.expm(t * np.asarray(matrix, dtype=float)) @ u0
-
-
-def check_dense(n: int) -> None:
-    """Refuse the dense route above DENSE_LIMIT unknowns."""
+    n = matrix.shape[0]
     if n > DENSE_LIMIT:
         raise ValueError(
             f"dense exponential limited to {DENSE_LIMIT} unknowns (got {n}); "
-            "use evolution.propagate's default Krylov method or method='cn'"
+            "evolution.propagate's sparse Krylov route has no such limit"
         )
+    if sp.issparse(matrix):
+        matrix = matrix.toarray()
+    return scipy.linalg.expm(t * np.asarray(matrix, dtype=float)) @ u0
 
 
 def _cn_run(mass, stiff, u0, t, n_steps):

@@ -127,11 +127,10 @@ def mass_rate(gen: GeneratorMatrix) -> np.ndarray:
     return gen.lengths @ gen.q
 
 
-def write_csv(gen_dual: GeneratorMatrix, gen_primal: GeneratorMatrix, fh) -> int:
+def write_csv(gen_dual: GeneratorMatrix, gen_primal: GeneratorMatrix, fh) -> None:
     """Write both generator variants (plus the dual mass-rate row) as CSV.
 
-    Returns the number of entries where the variants differ.  Layout: one
-    header row of edge ids, then per variant one row per edge.
+    Layout: one header row of edge ids, then per variant one row per edge.
     """
     if gen_dual.edge_ids != gen_primal.edge_ids:
         raise ValueError("variants built from different graphs")
@@ -141,7 +140,6 @@ def write_csv(gen_dual: GeneratorMatrix, gen_primal: GeneratorMatrix, fh) -> int
         for i, edge_id in enumerate(gen.edge_ids):
             writer.writerow([label, edge_id] + [_fmt(x) for x in gen.q[i]])
     writer.writerow(["mass_rate", ""] + [_fmt(x) for x in mass_rate(gen_dual)])
-    return int(np.sum(~np.isclose(gen_dual.q, gen_primal.q, rtol=0, atol=0)))
 
 
 def _fmt(x: float) -> str:

@@ -11,11 +11,10 @@ Subcommands:
 Exit codes: 0 success, 1 graph validation failure, 2 I/O or parse
 failure, 3 an acceptance criterion (monotone decrease) failed, 4 the
 propagator did not converge to its tolerance (the message carries the
-basis size or step count, each unconverged time with its last error
-estimate, and ``rtol``).  Non-finite numbers in flags are parse
-failures.  CSV
-output is deterministic: fixed column order, 17 significant digits,
-newline-terminated rows.
+Krylov basis size, each unconverged time with its last error estimate,
+and ``rtol``).  Non-finite numbers in flags, and a
+``--levels`` below 1, are parse failures.  CSV output is deterministic:
+fixed column order, 17 significant digits, newline-terminated rows.
 """
 
 from __future__ import annotations
@@ -42,6 +41,16 @@ def _finite_float(text: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
     return value
 
 
@@ -108,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--kappa", type=_finite_float, default=1.0)
     p.add_argument("--h", type=_finite_float, default=0.04, help="coarsest cell width")
-    p.add_argument("--levels", type=int, default=3)
+    p.add_argument("--levels", type=_positive_int, default=3)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--trace-order", type=int, choices=[1, 2], default=1)
     p.add_argument("--out", default=None)
@@ -143,19 +152,18 @@ def cmd_limit_q(args) -> int:
     primal = chain.chain_generator(graph, chain.PRIMAL)
     fh, close = _open_out(args.out)
     try:
-        n_diff = chain.write_csv(dual, primal, fh)
+        chain.write_csv(dual, primal, fh)
     finally:
         if close:
             fh.close()
     ids = dual.edge_ids
-    for i in range(dual.n):
-        for j in range(dual.n):
-            if dual.q[i, j] != primal.q[i, j]:
-                print(
-                    f"variants differ at ({ids[i]}, {ids[j]}): "
-                    f"dual {chain._fmt(dual.q[i, j])} vs primal {chain._fmt(primal.q[i, j])}"
-                )
-    print(f"entries differing between variants: {n_diff}")
+    differ = np.argwhere(dual.q != primal.q)
+    for i, j in differ:
+        print(
+            f"variants differ at ({ids[i]}, {ids[j]}): "
+            f"dual {chain._fmt(dual.q[i, j])} vs primal {chain._fmt(primal.q[i, j])}"
+        )
+    print(f"entries differing between variants: {len(differ)}")
     return OK
 
 

@@ -6,6 +6,11 @@ exp(t Q) P phi0, and reports weighted norms, the mass drift, and the
 minimum value.  As kappa grows the error columns must shrink: that
 monotone decrease is the headline empirical fact this package exists to
 demonstrate.
+
+``propagate`` has one route: shift-and-invert Krylov
+(``_stepping.krylov_apply``) on the generator's sparse pair
+``DiscreteGenerator.pair``.  The dense exponential and Crank-Nicolson in
+``_stepping`` are references that the tests call directly.
 """
 
 from __future__ import annotations
@@ -13,10 +18,9 @@ from __future__ import annotations
 import csv
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _stepping, chain, finite_volume, galerkin
 from .finite_volume import DiscreteGenerator
@@ -49,48 +53,26 @@ def norms(values, weights) -> Norms:
     )
 
 
-def propagate(
-    gen: DiscreteGenerator, phi0, t: float, method: str = "krylov", rtol: float = 1e-8
-) -> np.ndarray:
-    """Advance phi0 by the semigroup of ``gen`` to time t.
-
-    Methods: ``"krylov"`` (default) -- sparse shift-and-invert Arnoldi,
-    converged to ``rtol``; ``"expm"`` -- dense exponential of
-    ``gen.matrix``; ``"cn"`` -- Crank-Nicolson step doubling to ``rtol``.
-    Both sparse routes work on a pair ``M u' = -K u`` in the ``gen.mass``
-    inner product: ``(I, -A)`` with ``A = -W^{-1} K`` for finite volumes
-    and differences, ``(M, B + C)`` for P1 Galerkin.  The ``expm`` route
-    checks the size limit before the dense P1 matrix is formed.
-    """
-    return _propagate_times(gen, phi0, [t], method, rtol)[0]
+def propagate(gen: DiscreteGenerator, phi0, t: float) -> np.ndarray:
+    """Advance phi0 by the semigroup of ``gen`` to time t: sparse
+    shift-and-invert Arnoldi on ``gen.pair`` in the ``gen.mass`` inner
+    product, converged to the default ``rtol`` of
+    ``_stepping.krylov_apply``."""
+    return _propagate_times(gen, phi0, [t])[0]
 
 
-def _propagate_times(gen: DiscreteGenerator, phi0, ts, method: str, rtol: float) -> np.ndarray:
+def _propagate_times(gen: DiscreteGenerator, phi0, ts) -> np.ndarray:
     """phi0 advanced to every time in ``ts``, one row per time in input
-    order.  The Krylov route factors once per window of times
-    (``_stepping.time_windows``); ``expm`` and ``cn`` run per time."""
+    order; one factorization per window of times
+    (``_stepping.time_windows``)."""
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.shape != (gen.n,):
         raise ValueError(f"phi0 must have shape ({gen.n},), got {phi0.shape}")
     bad = [t for t in ts if not 0 <= t < math.inf]
     if bad:
         raise ValueError(f"t must be finite and >= 0, got {bad[0]}")
-    if method == "expm":
-        _stepping.check_dense(gen.n)
-        return np.array([_stepping.expm_apply(gen.matrix, phi0, t) for t in ts])
-    if method not in ("krylov", "cn"):
-        raise ValueError(f"method must be 'krylov', 'expm' or 'cn', got {method!r}")
-    if gen.kind == "galerkin_l2":
-        mass, stiff = gen.mass, gen.flux
-    else:
-        # (diag w, K) would drift up to 40x more mass at kappa = 1e4 than (I, -A)
-        mass, stiff = sp.eye(gen.n, format="csr"), -gen.matrix
-    if method == "cn":
-        return np.array([
-            _stepping.crank_nicolson(mass, stiff, phi0, t, rtol=rtol, weights=gen.weights)
-            for t in ts
-        ])
-    return _stepping.krylov_apply(mass, stiff, phi0, ts, rtol=rtol, gram=gen.mass)
+    mass, stiff = gen.pair
+    return _stepping.krylov_apply(mass, stiff, phi0, ts, gram=gen.mass)
 
 
 @dataclass(frozen=True)
@@ -155,8 +137,6 @@ def kappa_sweep(
     phi0,
     discretization: str = FV,
     trace_order: int = 1,
-    method: str = "krylov",
-    rtol: float = 1e-8,
 ) -> SweepResult:
     """Propagate phi0 for every (kappa, t) and measure the distance to the
     lifted limit-chain solution.
@@ -165,9 +145,10 @@ def kappa_sweep(
     ``grids.edge_indicator``); it is sampled on the discretization's own
     grid.  Kappa values must be finite, positive and strictly increasing,
     times finite and nonnegative.  An invalid graph raises
-    InvalidGraphError first.  Each kappa is assembled once and propagated
-    to all times in one call, so the Krylov route factors once per kappa
-    and window of times; the limit-chain solution is computed once per t.
+    InvalidGraphError first.  The generator is assembled once, at the
+    first kappa, and ``dataclasses.replace`` gives it every other kappa;
+    each kappa is propagated to all times in one call, which factors once
+    per window of times; the limit-chain solution is computed once per t.
     """
     gen_q = chain.chain_generator(graph, chain.DUAL)
     if discretization not in _DISCRETIZATIONS:
@@ -183,19 +164,18 @@ def kappa_sweep(
     if not ts or not all(0 <= t < math.inf for t in ts):
         raise ValueError(f"t list must be nonempty, nonnegative and finite, got {ts}")
 
+    # assembled once: every other kappa only rescales the diffusion form
     if discretization == FV:
         layout = CELLS
-        assemble = lambda k: finite_volume.dual_generator(
-            graph, grid, k, trace_order=trace_order
+        gen = finite_volume.dual_generator(
+            graph, grid, kappas[0], trace_order=trace_order
         )
     else:
         layout = NODES
-        assemble = lambda k: galerkin.l2_generator(
-            galerkin.assemble_forms(graph, grid, k)
-        )
+        gen = galerkin.l2_generator(galerkin.assemble_forms(graph, grid, kappas[0]))
 
     start = grid.sample(phi0, layout)
-    weights = grid.weights(layout)
+    weights = gen.weights
     projected0 = chain.project_averages(
         EdgeFunction(grid=grid, layout=layout, values=start)
     )
@@ -211,7 +191,7 @@ def kappa_sweep(
 
     records = []
     for kappa in kappas:
-        sols = _propagate_times(assemble(kappa), start, ts, method, rtol)
+        sols = _propagate_times(replace(gen, kappa=kappa), start, ts)
         for t, sol in zip(ts, sols):
             limit_vec, lifted = limits[t]
             err = norms(sol - lifted, weights)

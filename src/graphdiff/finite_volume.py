@@ -28,14 +28,14 @@ and phi the adjoint ones, <phi, A f> and <A* phi, f> must approach each
 other under refinement (the continuum pairing is an exact identity).
 
 All three discretizations (these two and P1 Galerkin in ``galerkin``)
-are assembled in the mass form  M u' = -K u  from two sparse builders:
-the interior diffusion form S = G^T diag(sigma/h) G (G: neighbour
-differences inside each edge), which kappa scales, and the endpoint
-coupling E^T Y T (E: each edge's first and last unknown, Y: the graph's
-exchange matrix X or its transpose, T: the trace map), which kappa does
-not touch.  Here K = kappa S - E^T X^T T on cells and
-K = kappa S - E^T X E on nodes, with M = diag(w): the forward coupling is
-the transpose of the adjoint one.
+are ``DiscreteGenerator`` records of the mass form  M u' = -K u  with
+K = kappa S + C, built from two sparse builders: the interior diffusion
+form S = G^T diag(sigma/h) G (G: neighbour differences inside each edge),
+and the endpoint coupling C = -E^T Y T (E: each edge's first and last
+unknown, Y: the graph's exchange matrix X or its transpose, T: the trace
+map).  Only S carries kappa, so one assembly serves every kappa.  Here
+C = -E^T X^T T on cells and C = -E^T X E on nodes, with M = diag(w): the
+forward coupling is the transpose of the adjoint one.
 """
 
 from __future__ import annotations
@@ -58,37 +58,55 @@ from .graphs import (
 from .grids import CELLS, NODES, EdgeGrid
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscreteGenerator:
-    """A generator in mass form  M u' = -flux u,  with the quadrature
-    weights that make <w, u> the discrete integral over the graph.
+    """A generator in mass form  M u' = -(kappa S + C) u,  with the
+    quadrature weights that make <w, u> the discrete integral over the
+    graph.
 
-    Finite volumes and finite differences have the diagonal mass
-    diag(weights); P1 Galerkin has the consistent mass matrix.
+    Only the diffusion form S depends on the speed parameter, so
+    ``dataclasses.replace(gen, kappa=k)`` is the same discretization at
+    kappa = k.  Finite volumes and finite differences have the diagonal
+    mass diag(weights); P1 Galerkin has the consistent mass matrix.
     """
 
     mass: sp.csr_matrix
-    flux: sp.csr_matrix
+    diffusion: sp.csr_matrix
+    coupling: sp.csr_matrix
     weights: np.ndarray
     kappa: float
-    kind: str                 # "dual_fv" | "primal_fd" | "galerkin_l2"
-    grid: EdgeGrid
-    layout: str
-    trace_order: int = 0      # dual_fv only
 
     @property
     def n(self) -> int:
-        return self.flux.shape[0]
+        return self.mass.shape[0]
+
+    @cached_property
+    def flux(self) -> sp.csr_matrix:
+        """K = kappa S + C."""
+        return self.kappa * self.diffusion + self.coupling
+
+    @property
+    def diagonal_mass(self) -> bool:
+        return sp.triu(self.mass, 1).count_nonzero() == 0
 
     @cached_property
     def matrix(self):
-        """A with u' = A u: sparse -W^{-1} K for finite volumes and
-        differences, dense -M^{-1} K for P1, formed on first read."""
-        if self.kind == "galerkin_l2":
-            return -scipy.linalg.solve(
-                self.mass.toarray(), self.flux.toarray(), assume_a="pos"
-            )
-        return -(sp.diags(1.0 / self.weights) @ self.flux).tocsr()
+        """A with u' = A u: sparse -W^{-1} K for a diagonal mass, dense
+        -M^{-1} K for P1, formed on first read."""
+        if self.diagonal_mass:
+            return -(sp.diags(1.0 / self.weights) @ self.flux).tocsr()
+        return -scipy.linalg.solve(
+            self.mass.toarray(), self.flux.toarray(), assume_a="pos"
+        )
+
+    @property
+    def pair(self):
+        """The sparse pair (M, K) of  M u' = -K u  that the propagators
+        take: (I, -A) for a diagonal mass, since (diag w, K) would drift up
+        to 40x more mass at kappa = 1e4; (M, K) for P1."""
+        if self.diagonal_mass:
+            return sp.eye(self.n, format="csr"), -self.matrix
+        return self.mass, self.flux
 
     def dense(self) -> np.ndarray:
         if sp.issparse(self.matrix):
@@ -144,10 +162,10 @@ def _endpoints(grid: EdgeGrid, layout: str) -> sp.csr_matrix:
 
 
 def _coupling(grid: EdgeGrid, layout: str, exchange, trace) -> sp.csr_matrix:
-    """E^T Y T: the membrane exchange Y (X or X^T) of the endpoint traces
-    T u, scattered onto each edge's first and last unknown.  Independent
-    of kappa."""
-    return (_endpoints(grid, layout).T @ exchange @ trace).tocsr()
+    """C = -E^T Y T: the membrane exchange Y (X or X^T) of the endpoint
+    traces T u, scattered onto each edge's first and last unknown.
+    Independent of kappa."""
+    return -(_endpoints(grid, layout).T @ exchange @ trace).tocsr()
 
 
 def _trace_matrix(grid: EdgeGrid, trace_order: int) -> sp.csr_matrix:
@@ -173,20 +191,8 @@ def dual_generator(
     with membrane-flux conditions: K = kappa S - E^T X^T T."""
     exchange = exchange_matrix(graph)
     _check_assembly_args(graph, grid, kappa)
-    flux = kappa * _diffusion_form(graph, grid, CELLS) - _coupling(
-        grid, CELLS, exchange.T, _trace_matrix(grid, trace_order)
-    )
-    weights = grid.weights(CELLS)
-    return DiscreteGenerator(
-        mass=sp.diags(weights, format="csr"),
-        flux=flux,
-        weights=weights,
-        kappa=kappa,
-        kind="dual_fv",
-        grid=grid,
-        layout=CELLS,
-        trace_order=trace_order,
-    )
+    coupling = _coupling(grid, CELLS, exchange.T, _trace_matrix(grid, trace_order))
+    return _diagonal_generator(graph, grid, CELLS, coupling, kappa)
 
 
 def primal_generator(graph: MetricGraph, grid: EdgeGrid, kappa: float) -> DiscreteGenerator:
@@ -196,18 +202,18 @@ def primal_generator(graph: MetricGraph, grid: EdgeGrid, kappa: float) -> Discre
     kappa f'(end) = G[i, side](f)."""
     exchange = exchange_matrix(graph)
     _check_assembly_args(graph, grid, kappa)
-    flux = kappa * _diffusion_form(graph, grid, NODES) - _coupling(
-        grid, NODES, exchange, _endpoints(grid, NODES)
-    )
-    weights = grid.weights(NODES)
+    coupling = _coupling(grid, NODES, exchange, _endpoints(grid, NODES))
+    return _diagonal_generator(graph, grid, NODES, coupling, kappa)
+
+
+def _diagonal_generator(graph, grid, layout, coupling, kappa) -> DiscreteGenerator:
+    weights = grid.weights(layout)
     return DiscreteGenerator(
         mass=sp.diags(weights, format="csr"),
-        flux=flux,
+        diffusion=_diffusion_form(graph, grid, layout),
+        coupling=coupling,
         weights=weights,
         kappa=kappa,
-        kind="primal_fd",
-        grid=grid,
-        layout=NODES,
     )
 
 

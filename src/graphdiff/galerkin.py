@@ -12,9 +12,10 @@ the selection of endpoint values; c is independent of kappa and couples
 only endpoint values.  With M the (unweighted) mass matrix the semidiscrete
 dynamics are  M u' = -(B + C) u,  i.e. the generator is
 A = -M^{-1} (B + C).  B and C come from the same builders as the
-finite-volume matrices (B = kappa S, C = -E^T X^T E on nodes); the
-propagator works on the sparse pair (M, B + C), and the dense A is formed
-only when ``DiscreteGenerator.matrix`` is read.
+finite-volume matrices (B = kappa S, C = -E^T X^T E on nodes), and
+``l2_generator`` keeps S and C apart, so one assembly serves every kappa;
+the propagator works on the sparse pair (M, B + C), and the dense A is
+formed only when ``DiscreteGenerator.matrix`` is read.
 
 The numerical range of A in the M-inner product gives a growth rate: with
 S the symmetric part of B + C, d/dt ||u||_M^2 = -2 u^T S u, so
@@ -43,18 +44,17 @@ from .finite_volume import (
     _endpoints,
 )
 from .graphs import MetricGraph, exchange_matrix
-from .grids import CELLS, NODES, EdgeGrid
+from .grids import NODES, EdgeGrid
 
 
 @dataclass
 class FemSystem:
-    """Assembled P1 matrices: mass M, stiffness B (kappa included),
-    endpoint coupling C."""
+    """Assembled P1 matrices: mass M, diffusion form S (kappa = 1),
+    endpoint coupling C, and the speed parameter; B = kappa S."""
 
-    graph: MetricGraph
     grid: EdgeGrid
     mass: sp.csr_matrix
-    stiffness: sp.csr_matrix
+    diffusion: sp.csr_matrix
     coupling: sp.csr_matrix
     kappa: float
 
@@ -62,12 +62,16 @@ class FemSystem:
     def n(self) -> int:
         return self.mass.shape[0]
 
+    @property
+    def stiffness(self) -> sp.csr_matrix:
+        return self.kappa * self.diffusion
+
 
 def assemble_forms(graph: MetricGraph, grid: EdgeGrid, kappa: float) -> FemSystem:
-    """Assemble M, B, C on the per-edge node grid (no cross-edge DOFs).
+    """Assemble M, S, C on the per-edge node grid (no cross-edge DOFs).
 
-    B = kappa S and C = -E^T X^T E are the finite-volume builders on
-    nodes; with P = |G| the element sums, the element mass (h/6)[[2,1],[1,2]]
+    S and C = -E^T X^T E are the finite-volume builders on nodes; with
+    P = |G| the element sums, the element mass (h/6)[[2,1],[1,2]]
     assembles to M = P^T diag(h/6) P + diag(w)/3.
     """
     exchange = exchange_matrix(graph)
@@ -77,28 +81,24 @@ def assemble_forms(graph: MetricGraph, grid: EdgeGrid, kappa: float) -> FemSyste
     mass = sums.T @ sp.diags(grid.widths[edge] / 6.0) @ sums + sp.diags(
         grid.weights(NODES) / 3.0
     )
-    coupling = -_coupling(grid, NODES, exchange.T, _endpoints(grid, NODES))
     return FemSystem(
-        graph=graph,
         grid=grid,
         mass=mass.tocsr(),
-        stiffness=kappa * _diffusion_form(graph, grid, NODES),
-        coupling=coupling,
+        diffusion=_diffusion_form(graph, grid, NODES),
+        coupling=_coupling(grid, NODES, exchange.T, _endpoints(grid, NODES)),
         kappa=kappa,
     )
 
 
 def l2_generator(system: FemSystem) -> DiscreteGenerator:
-    """The pair (M, B + C); its dense A = -M^{-1} (B + C) is formed only
-    when ``matrix`` is read."""
+    """The pair (M, kappa S + C); its dense A = -M^{-1} (B + C) is formed
+    only when ``matrix`` is read."""
     return DiscreteGenerator(
         mass=system.mass,
-        flux=system.stiffness + system.coupling,
+        diffusion=system.diffusion,
+        coupling=system.coupling,
         weights=system.grid.weights(NODES),
         kappa=system.kappa,
-        kind="galerkin_l2",
-        grid=system.grid,
-        layout=NODES,
     )
 
 
@@ -124,8 +124,6 @@ def interpolate_to_cells(grid: EdgeGrid, u_nodes: np.ndarray) -> np.ndarray:
     """Midpoint values of the P1 function: node-pair averages per cell
     (for comparison against finite-volume cell values)."""
     u_nodes = np.asarray(u_nodes, dtype=float)
-    out = np.empty(grid.total_cells)
-    for i in range(grid.n_edges):
-        nodes = u_nodes[grid.block(i, NODES)]
-        out[grid.block(i, CELLS)] = (nodes[:-1] + nodes[1:]) / 2.0
-    return out
+    # every node but the last of each edge starts a cell
+    left = np.delete(np.arange(grid.total_nodes), grid.node_offsets[1:] - 1)
+    return (u_nodes[left] + u_nodes[left + 1]) / 2.0

@@ -90,16 +90,11 @@ class EdgeGrid:
     def weights(self, layout: str) -> np.ndarray:
         """Quadrature weights matching the layout, packed like values."""
         _check_layout(layout)
-        out = np.empty(self.size(layout))
-        for i in range(self.n_edges):
-            h = self.widths[i]
-            blk = self.block(i, layout)
-            if layout == CELLS:
-                out[blk] = h
-            else:
-                w = np.full(int(self.cells[i]) + 1, h)
-                w[0] = w[-1] = h / 2.0
-                out[blk] = w
+        if layout == CELLS:
+            return np.repeat(self.widths, self.cells)
+        out = np.repeat(self.widths, self.cells + 1)
+        off = self.node_offsets
+        out[np.concatenate([off[:-1], off[1:] - 1])] /= 2.0
         return out
 
     def sample(self, f, layout: str) -> np.ndarray:
@@ -163,10 +158,8 @@ def lift_constants(grid: EdgeGrid, layout: str, per_edge) -> EdgeFunction:
     per_edge = np.asarray(per_edge, dtype=float)
     if per_edge.shape != (grid.n_edges,):
         raise ValueError(f"need one value per edge, got shape {per_edge.shape}")
-    values = np.empty(grid.size(layout))
-    for i in range(grid.n_edges):
-        values[grid.block(i, layout)] = per_edge[i]
-    return EdgeFunction(grid=grid, layout=layout, values=values)
+    counts = grid.cells if layout == CELLS else grid.cells + 1
+    return EdgeFunction(grid=grid, layout=layout, values=np.repeat(per_edge, counts))
 
 
 def edge_indicator(edge: int):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from graphdiff import _stepping
+from graphdiff import _stepping, finite_volume, galerkin, graphs
 from graphdiff.cli import main
 
 STAR = {
@@ -207,6 +207,29 @@ def test_sweep_csv_is_deterministic(star_path, tmp_path, disc):
     assert rows == [[k, t] for k in ("1", "100") for t in ("0", "0.25", "0.5", "2", "2")]
 
 
+@pytest.mark.parametrize("disc,module,assembler", [
+    ("fv", finite_volume, "dual_generator"),
+    ("fem", galerkin, "assemble_forms"),
+], ids=["fv", "fem"])
+def test_sweep_assembles_once(star_path, tmp_path, monkeypatch, disc, module, assembler):
+    # five kappas, one assembly; the graph is validated by the load, the
+    # limit chain and that one assembly
+    counts = {"validate": 0, "assemble": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(graphs, "validate", counting("validate", graphs.validate))
+    monkeypatch.setattr(module, assembler, counting("assemble", getattr(module, assembler)))
+    code = main(["sweep", "--graph", star_path, "--disc", disc, "--h", "0.05",
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 0
+    assert counts == {"validate": 3, "assemble": 1}
+
+
 def test_decreasing_kappa_list_is_clean_error(star_path, tmp_path, capsys):
     # parses as floats but violates the sweep's ordering precondition;
     # must exit cleanly instead of dumping a traceback
@@ -254,3 +277,13 @@ def test_duality_check_second_order_traces(star_path, tmp_path):
         "--h", "0.1", "--levels", "2", "--out", str(tmp_path / "d.csv"),
     ])
     assert code == 0
+
+
+@pytest.mark.parametrize("levels", ["0", "-2", "two"])
+def test_duality_check_levels_must_be_positive(star_path, levels, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["duality-check", "--graph", star_path, "--levels", levels])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert "positive integer" in errors[0] and repr(levels) in errors[0]

@@ -47,8 +47,6 @@ def test_propagate_validates(star_graph):
         propagate(gen, phi0, -1.0)
     with pytest.raises(ValueError):
         propagate(gen, phi0[:-1], 1.0)
-    with pytest.raises(ValueError):
-        propagate(gen, phi0, 1.0, method="leapfrog")
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf])
@@ -127,8 +125,8 @@ def test_cn_matches_expm_mildly_stiff(star_graph):
     grid = make_grid(star_graph, 0.05)
     gen = dual_generator(star_graph, grid, kappa=20.0)
     phi0 = grid.sample(edge_indicator(0), CELLS)
-    a = propagate(gen, phi0, 0.8, method="expm")
-    b = propagate(gen, phi0, 0.8, method="cn", rtol=1e-9)
+    a = _stepping.expm_apply(gen.matrix, phi0, 0.8)
+    b = _stepping.crank_nicolson(*gen.pair, phi0, 0.8, rtol=1e-9, weights=gen.weights)
     assert np.abs(a - b).max() <= 1e-7
 
 
@@ -148,6 +146,11 @@ def _directed_cycle(n, p):
 WIDE_TIMES = (0.1, 0.25, 2.0, 10.0)
 
 
+def _expm_rows(gen, phi0, ts):
+    """The dense reference, one row per time."""
+    return np.array([_stepping.expm_apply(gen.matrix, phi0, t) for t in ts])
+
+
 @pytest.mark.parametrize("n,p", [(3, 10.0), (10, 10.0), (20, 5.0)])
 def test_krylov_matches_expm_on_directed_cycles(n, p):
     graph = _directed_cycle(n, p)
@@ -155,8 +158,8 @@ def test_krylov_matches_expm_on_directed_cycles(n, p):
     phi0 = grid.sample(edge_indicator(0), CELLS)
     for kappa in (1.0, 1e3):
         gen = dual_generator(graph, grid, kappa=kappa)
-        got = evolution._propagate_times(gen, phi0, WIDE_TIMES, "krylov", 1e-8)
-        want = evolution._propagate_times(gen, phi0, WIDE_TIMES, "expm", 1e-8)
+        got = evolution._propagate_times(gen, phi0, WIDE_TIMES)
+        want = _expm_rows(gen, phi0, WIDE_TIMES)
         assert np.abs(got - want).max() <= 1e-8
 
 
@@ -166,8 +169,8 @@ def test_krylov_matches_expm_fem(star_graph):
     # at kappa = 1e4 dense expm's own round-off reaches about 3e-8
     for kappa, bound in ((1.0, 1e-9), (20.0, 1e-9), (1e4, 1e-7)):
         gen = l2_generator(assemble_forms(star_graph, grid, kappa))
-        a = evolution._propagate_times(gen, phi0, WIDE_TIMES, "expm", 1e-8)
-        b = evolution._propagate_times(gen, phi0, WIDE_TIMES, "krylov", 1e-8)
+        a = _expm_rows(gen, phi0, WIDE_TIMES)
+        b = evolution._propagate_times(gen, phi0, WIDE_TIMES)
         assert np.abs(a - b).max() <= bound
 
 
@@ -191,7 +194,7 @@ def test_krylov_factors_once_per_window(star_graph, monkeypatch):
     gen = dual_generator(star_graph, grid, kappa=10.0)
     phi0 = grid.sample(edge_indicator(0), CELLS)
     calls = _counting_splu(monkeypatch)
-    evolution._propagate_times(gen, phi0, WIDE_TIMES, "krylov", 1e-8)
+    evolution._propagate_times(gen, phi0, WIDE_TIMES)
     assert len(calls) == 2
 
 
@@ -209,24 +212,11 @@ def test_krylov_times_come_back_in_input_order(star_graph):
     gen = dual_generator(star_graph, grid, kappa=10.0)
     phi0 = grid.sample(edge_indicator(0), CELLS)
     ts = [2.0, 0.0, 0.25, 2.0, 10.0, 0.1]
-    got = evolution._propagate_times(gen, phi0, ts, "krylov", 1e-8)
+    got = evolution._propagate_times(gen, phi0, ts)
     assert got.shape == (len(ts), gen.n)
     assert np.array_equal(got[1], phi0)
     assert np.array_equal(got[0], got[3])
-    for t, row in zip(ts, got):
-        want = propagate(gen, phi0, t, method="expm")
-        assert np.abs(row - want).max() <= 1e-8
-
-
-def test_expm_size_check_precedes_dense_fem_matrix(star_graph):
-    # 6003 nodes: the size check must fire before -M^{-1} K (288 MB dense)
-    # is formed
-    grid = make_grid(star_graph, 0.0005)
-    gen = l2_generator(assemble_forms(star_graph, grid, 1.0))
-    phi0 = grid.sample(edge_indicator(0), NODES)
-    with pytest.raises(ValueError, match="limited to 4000 unknowns"):
-        propagate(gen, phi0, 1.0, method="expm")
-    assert "matrix" not in vars(gen)
+    assert np.abs(got - _expm_rows(gen, phi0, ts)).max() <= 1e-8
 
 
 class TestStepping:

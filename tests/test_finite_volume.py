@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,7 +15,13 @@ from graphdiff.finite_volume import (
     with_primal_conditions,
 )
 from graphdiff.galerkin import assemble_forms, l2_generator
-from graphdiff.graphs import InvalidGraphError, Side, primal_condition_table, trace_functionals
+from graphdiff.graphs import (
+    InvalidGraphError,
+    Side,
+    load_graph,
+    primal_condition_table,
+    trace_functionals,
+)
 from graphdiff.grids import CELLS, NODES, EdgeGrid, make_grid
 
 
@@ -297,3 +306,30 @@ def test_duality_defect_shrinks(star_graph, order):
     assert defects[1] <= 0.75 * defects[0]
     assert defects[2] <= 0.75 * defects[1]
 
+
+# ---------------------------------------------------------------------------
+# the kappa-affine record
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("h", [0.05, 0.005])
+@pytest.mark.parametrize("config", ["star.json", "chain.json"])
+def test_replaced_kappa_is_a_fresh_assembly(config, h):
+    # only the diffusion form carries kappa, so moving an assembled record
+    # to another kappa gives the bits of assembling there
+    graph = load_graph(CONFIGS / config)
+    grid = make_grid(graph, h)
+    builders = {
+        "fv order 1": lambda k: dual_generator(graph, grid, k, trace_order=1),
+        "fv order 2": lambda k: dual_generator(graph, grid, k, trace_order=2),
+        "fd": lambda k: primal_generator(graph, grid, k),
+        "p1": lambda k: l2_generator(assemble_forms(graph, grid, k)),
+    }
+    for name, build in builders.items():
+        for base, kappa in ((1.0, 10.0), (1.0, 1e4), (3.0, 1e3)):
+            moved = replace(build(base), kappa=kappa).flux
+            fresh = build(kappa).flux
+            for part in ("data", "indices", "indptr"):
+                assert getattr(moved, part).tobytes() == getattr(fresh, part).tobytes(), (
+                    name, base, kappa, part)
