@@ -4,7 +4,7 @@ In the fast-diffusion limit a solution flattens on each edge, so the
 state space collapses to one number per edge: the vertices of the line
 graph.  This module builds the projection onto edge-wise averages and the
 limit generator matrix, in its two variants.  Both are the graph's
-endpoint exchange matrix X (``graphs.exchange_matrix``) restricted to
+endpoint exchange matrix X (``MetricGraph.exchange``) restricted to
 edge sums,
 
 * ``"dual"``   -- Q = D^-1 R X^T R^T, the flux (adjoint) dynamics; the
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .graphs import MetricGraph, exchange_matrix
+from .graphs import MetricGraph
 from .grids import EdgeFunction, EdgeGrid, lift_constants
 
 DUAL = "dual"
@@ -98,7 +98,7 @@ def chain_generator(graph: MetricGraph, variant: str = DUAL) -> GeneratorMatrix:
     """Build the limit generator matrix for a valid graph."""
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    exchange = exchange_matrix(graph)
+    exchange = graph.exchange
     flow = (exchange.T if variant == DUAL else exchange).tocoo()
     d = graph.lengths
     q = np.zeros((graph.n_edges, graph.n_edges))

@@ -20,6 +20,7 @@ fixed column order, 17 significant digits, newline-terminated rows.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -67,6 +68,18 @@ def _open_out(path):
     if path is None or path == "-":
         return sys.stdout, False
     return open(path, "w", encoding="utf-8", newline=""), True
+
+
+@contextlib.contextmanager
+def _output(path):
+    """The ``--out`` stream: stdout for None or '-', else the file, closed
+    on exit."""
+    fh, close = _open_out(path)
+    try:
+        yield fh
+    finally:
+        if close:
+            fh.close()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,12 +163,8 @@ def cmd_limit_q(args) -> int:
     graph = _load_valid(args.graph)
     dual = chain.chain_generator(graph, chain.DUAL)
     primal = chain.chain_generator(graph, chain.PRIMAL)
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         chain.write_csv(dual, primal, fh)
-    finally:
-        if close:
-            fh.close()
     ids = dual.edge_ids
     differ = np.argwhere(dual.q != primal.q)
     for i, j in differ:
@@ -196,12 +205,8 @@ def cmd_sweep(args) -> int:
         discretization=args.disc,
         trace_order=args.trace_order,
     )
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         result.write_csv(fh)
-    finally:
-        if close:
-            fh.close()
     for t in result.times():
         errs = result.errors(t)
         print(
@@ -228,15 +233,11 @@ def cmd_resolvent_check(args) -> int:
         return IOERR
     phi = _phi_from_flag(args.phi)
     table = resolvent.averaging_limit_check(args.a, args.b, phi, args.lambdas)
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["lambda", "l1_distance"])
         for lam, dist in table.rows:
             writer.writerow([chain._fmt(lam), chain._fmt(dist)])
-    finally:
-        if close:
-            fh.close()
     dists = table.distances()
     decreasing = table.nonincreasing(slack=0.05)
     vanishing = dists[-1] <= 0.05
@@ -261,16 +262,12 @@ def cmd_duality_check(args) -> int:
             graph, grid, args.kappa, f_polys, phi_polys, trace_order=args.trace_order
         )
         rows.append((h, defect))
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["h", "defect", "ratio"])
         for k, (h, defect) in enumerate(rows):
             ratio = "" if k == 0 else chain._fmt(rows[k][1] / rows[k - 1][1])
             writer.writerow([chain._fmt(h), chain._fmt(defect), ratio])
-    finally:
-        if close:
-            fh.close()
     ok = True
     floor = 1e-12 * max(1.0, rows[0][1])
     for k in range(1, len(rows)):

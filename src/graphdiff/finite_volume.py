@@ -51,7 +51,6 @@ from numpy.polynomial import Polynomial
 from .graphs import (
     MetricGraph,
     TraceFunctionalTable,
-    exchange_matrix,
     primal_condition_table,
     trace_functionals,
 )
@@ -189,7 +188,7 @@ def dual_generator(
 ) -> DiscreteGenerator:
     """Finite-volume matrix of the adjoint generator kappa sigma d2/dx2
     with membrane-flux conditions: K = kappa S - E^T X^T T."""
-    exchange = exchange_matrix(graph)
+    exchange = graph.exchange
     _check_assembly_args(graph, grid, kappa)
     coupling = _coupling(grid, CELLS, exchange.T, _trace_matrix(grid, trace_order))
     return _diagonal_generator(graph, grid, CELLS, coupling, kappa)
@@ -200,7 +199,7 @@ def primal_generator(graph: MetricGraph, grid: EdgeGrid, kappa: float) -> Discre
     K = kappa S - E^T X E.  The half-width end weights turn the end rows
     of S into the ghost-node elimination of the transmission condition
     kappa f'(end) = G[i, side](f)."""
-    exchange = exchange_matrix(graph)
+    exchange = graph.exchange
     _check_assembly_args(graph, grid, kappa)
     coupling = _coupling(grid, NODES, exchange, _endpoints(grid, NODES))
     return _diagonal_generator(graph, grid, NODES, coupling, kappa)

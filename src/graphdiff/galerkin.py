@@ -43,7 +43,7 @@ from .finite_volume import (
     _diffusion_form,
     _endpoints,
 )
-from .graphs import MetricGraph, exchange_matrix
+from .graphs import MetricGraph
 from .grids import NODES, EdgeGrid
 
 
@@ -74,7 +74,7 @@ def assemble_forms(graph: MetricGraph, grid: EdgeGrid, kappa: float) -> FemSyste
     P = |G| the element sums, the element mass (h/6)[[2,1],[1,2]]
     assembles to M = P^T diag(h/6) P + diag(w)/3.
     """
-    exchange = exchange_matrix(graph)
+    exchange = graph.exchange
     _check_assembly_args(graph, grid, kappa)
     diff, edge = _differences(grid, NODES)
     sums = abs(diff)

@@ -10,7 +10,7 @@ neighbouring edge.  The membrane is *conservative* at an endpoint when the
 pass-through coefficients add up exactly to the total.
 
 Everything downstream (flux conditions, limit chain, discretizations) is
-derived from one sparse matrix built here, ``exchange_matrix``:
+derived from one sparse matrix built here, ``MetricGraph.exchange``:
 
     X = Sigma (P - T),   (2n, 2n), endpoint index 2*edge + side,
 
@@ -131,6 +131,33 @@ class MetricGraph:
             out.setdefault(e.left_vertex, []).append((i, Side.LEFT))
             out.setdefault(e.right_vertex, []).append((i, Side.RIGHT))
         return {v: tuple(refs) for v, refs in out.items()}
+
+    @cached_property
+    def exchange(self) -> sp.csr_matrix:
+        """X = Sigma (P - T) over endpoints, index 2*edge + side, for a
+        valid graph (InvalidGraphError otherwise).  Built and validated
+        once per graph; every derivation shares it, so callers must not
+        modify it.
+
+        X[(i,a), (i,a)] = -sigma_i * (l_i or r_i), and X[(i,a), (j,b)] =
+        sigma_i * (i's side-a coefficient into j) for the endpoint (j,b)
+        of each other edge j at the same vertex.  Loops are forbidden, so
+        each neighbour touches a vertex through exactly one endpoint.
+        """
+        require_valid(self)
+        rows, cols, vals = [], [], []
+        for refs in self.incidence.values():
+            for i, a in refs:
+                e = self.edges[i]
+                coupling = e.coupling(a)
+                for j, b in refs:
+                    c = -e.total(a) if j == i else coupling.get(self.edges[j].id, 0.0)
+                    if c:
+                        rows.append(2 * i + a.value)
+                        cols.append(2 * j + b.value)
+                        vals.append(e.sigma * c)
+        n = 2 * self.n_edges
+        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 @dataclass(frozen=True)
@@ -264,31 +291,6 @@ class TraceFunctionalTable:
         return self.coeffs.reshape(2 * n, 2 * n)
 
 
-def exchange_matrix(graph: MetricGraph) -> sp.csr_matrix:
-    """X = Sigma (P - T) over endpoints, index 2*edge + side, for a valid
-    graph (InvalidGraphError otherwise).
-
-    X[(i,a), (i,a)] = -sigma_i * (l_i or r_i), and X[(i,a), (j,b)] =
-    sigma_i * (i's side-a coefficient into j) for the endpoint (j,b) of
-    each other edge j at the same vertex.  Loops are forbidden, so each
-    neighbour touches a vertex through exactly one endpoint.
-    """
-    require_valid(graph)
-    rows, cols, vals = [], [], []
-    for refs in graph.incidence.values():
-        for i, a in refs:
-            e = graph.edges[i]
-            coupling = e.coupling(a)
-            for j, b in refs:
-                c = -e.total(a) if j == i else coupling.get(graph.edges[j].id, 0.0)
-                if c:
-                    rows.append(2 * i + a.value)
-                    cols.append(2 * j + b.value)
-                    vals.append(e.sigma * c)
-    n = 2 * graph.n_edges
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
 def _endpoint_table(graph: MetricGraph, flow: sp.csr_matrix) -> TraceFunctionalTable:
     """-D_s Sigma^-1 flow as a dense (n, 2, n, 2) table."""
     n = graph.n_edges
@@ -311,7 +313,7 @@ def trace_functionals(graph: MetricGraph) -> TraceFunctionalTable:
     c_{ji} is j's pass-through coefficient into i through j's touching
     membrane; phi(.) is evaluated at j's touching endpoint.
     """
-    return _endpoint_table(graph, exchange_matrix(graph).T)
+    return _endpoint_table(graph, graph.exchange.T)
 
 
 def primal_condition_table(graph: MetricGraph) -> TraceFunctionalTable:
@@ -324,7 +326,7 @@ def primal_condition_table(graph: MetricGraph) -> TraceFunctionalTable:
     Here l_ij / r_ij are edge i's own pass-through coefficients and f(.) is
     evaluated at neighbour j's endpoint sitting at the shared vertex.
     """
-    return _endpoint_table(graph, exchange_matrix(graph))
+    return _endpoint_table(graph, graph.exchange)
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,18 @@ def test_criterion_3_small_lambda_averaging():
     assert table.average == pytest.approx(0.5)
     assert np.all(np.diff(d) <= 0.0)
     assert d[-1] <= 0.05
-    print(f"criterion 3: PASS (distances {d[0]:.2e} -> {d[-1]:.2e})")
+    # a degree-4 source down to lam = 1e-8: the distance is linear in lam
+    quartic = gd.averaging_limit_check(
+        0.0, 1.0, Polynomial([0.3, -0.5, 0.7, 0.2, -0.9]),
+        [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8],
+    )
+    dq = quartic.distances()
+    rate = dq / np.array([lam for lam, _ in quartic.rows])
+    assert np.all(np.diff(dq) <= 0.0)
+    assert dq[-1] <= 0.05
+    assert rate.max() <= 1.01 * rate.min()
+    print(f"criterion 3: PASS (distances {d[0]:.2e} -> {d[-1]:.2e}; "
+          f"quartic distance/lam {rate.min():.5e} to {rate.max():.5e})")
 
 
 def test_criterion_4_markov_property(star, leaky_star):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import graphdiff
 from graphdiff import _stepping, finite_volume, galerkin, graphs
 from graphdiff.cli import main
 
@@ -207,27 +212,37 @@ def test_sweep_csv_is_deterministic(star_path, tmp_path, disc):
     assert rows == [[k, t] for k in ("1", "100") for t in ("0", "0.25", "0.5", "2", "2")]
 
 
+def _counting(counts, key, fn):
+    def wrapped(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+
 @pytest.mark.parametrize("disc,module,assembler", [
     ("fv", finite_volume, "dual_generator"),
     ("fem", galerkin, "assemble_forms"),
 ], ids=["fv", "fem"])
 def test_sweep_assembles_once(star_path, tmp_path, monkeypatch, disc, module, assembler):
-    # five kappas, one assembly; the graph is validated by the load, the
-    # limit chain and that one assembly
+    # five kappas, one assembly; the graph is validated by the load and by
+    # the one exchange matrix that the limit chain and the assembly share
     counts = {"validate": 0, "assemble": 0}
-
-    def counting(key, fn):
-        def wrapped(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(graphs, "validate", counting("validate", graphs.validate))
-    monkeypatch.setattr(module, assembler, counting("assemble", getattr(module, assembler)))
+    monkeypatch.setattr(graphs, "validate", _counting(counts, "validate", graphs.validate))
+    monkeypatch.setattr(module, assembler, _counting(counts, "assemble", getattr(module, assembler)))
     code = main(["sweep", "--graph", star_path, "--disc", disc, "--h", "0.05",
                  "--out", str(tmp_path / "s.csv")])
     assert code == 0
-    assert counts == {"validate": 3, "assemble": 1}
+    assert counts == {"validate": 2, "assemble": 1}
+
+
+def test_duality_check_shares_one_exchange_matrix(star_path, tmp_path, monkeypatch):
+    # both condition fits and every level's assembly share one exchange matrix
+    counts = {"validate": 0}
+    monkeypatch.setattr(graphs, "validate", _counting(counts, "validate", graphs.validate))
+    code = main(["duality-check", "--graph", star_path, "--h", "0.1",
+                 "--out", str(tmp_path / "d.csv")])
+    assert code == 0
+    assert counts == {"validate": 2}
 
 
 def test_decreasing_kappa_list_is_clean_error(star_path, tmp_path, capsys):
@@ -252,6 +267,12 @@ def test_resolvent_check_defaults(capsys):
 def test_resolvent_check_failure_exit(capsys):
     # big lambda keeps the scaled resolvent far from the plain average
     assert main(["resolvent-check", "--lambdas", "10,5"]) == 3
+
+
+def test_resolvent_check_small_lambda_quartic(capsys):
+    assert main(["resolvent-check", "--phi", "poly:0.3,-0.5,0.7,0.2,-0.9",
+                 "--lambdas", "1e-3,1e-5,1e-6,1e-8"]) == 0
+    assert "nonincreasing (5% slack): true" in capsys.readouterr().out
 
 
 def test_resolvent_check_bad_interval():
@@ -287,3 +308,17 @@ def test_duality_check_levels_must_be_positive(star_path, levels, capsys):
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert len(errors) == 1
     assert "positive integer" in errors[0] and repr(levels) in errors[0]
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # every CLI run pays for its imports; these scipy subpackages cost tens
+    # of milliseconds each and the program needs none of them
+    heavy = ("scipy.special", "scipy.integrate", "scipy.optimize", "scipy.stats")
+    src = str(Path(graphdiff.__file__).resolve().parents[1])
+    probe = f"import sys, graphdiff.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]"

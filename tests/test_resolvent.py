@@ -12,13 +12,34 @@ from numpy.polynomial import Polynomial
 from numpy.testing import assert_allclose
 
 from graphdiff.resolvent import (
-    DEFAULT_QUAD_NODES,
+    EVAL_NODES,
     ClosedFormResolvent,
     averaging_limit_check,
     image_series_cutoff,
     resolvent_apply,
     resolvent_image_series,
 )
+
+
+def cosine_series_distances(phi, lams, modes=2000):
+    """L1 distances of lam psi from mean(phi) on [0, 1] from the Neumann
+    cosine series, with the trapezoid rule of ``averaging_limit_check``.
+
+    phi_k = 2 integral_0^1 phi cos(k pi x) dx follows from integrating by
+    parts until the polynomial runs out; the terms of the series fall off
+    like k^-4, so ``modes`` terms leave about 1 / (3 modes^3) relative.
+    """
+    omega = np.pi * np.arange(1, modes + 1)
+    parity = (-1.0) ** np.arange(1, modes + 1)
+    phi_k = np.zeros(modes)
+    for order in range(1, phi.degree() + 1, 2):
+        d = phi.deriv(order)
+        sign = 1.0 if order % 4 == 1 else -1.0
+        phi_k += 2.0 * sign * (d(1.0) * parity - d(0.0)) / omega ** (order + 1)
+    x = np.linspace(0.0, 1.0, EVAL_NODES)
+    weights = lams * phi_k[:, None] / (lams + omega[:, None] ** 2)
+    err = np.abs(np.cos(np.outer(x, omega)) @ weights)
+    return np.diff(x) @ ((err[:-1] + err[1:]) / 2.0)
 
 
 def fd_resolvent(a, b, lam, phi, n=20000):
@@ -56,15 +77,6 @@ def test_constant_source_exact():
     assert_allclose(psi, 3.0 / 2.5, rtol=1e-14)
 
 
-def test_cosine_source_hits_known_solution():
-    # cos(pi x) already has flat ends, so the answer is just a rescaling:
-    # psi = cos(pi x) / (1 + pi^2); only quadrature error remains
-    x = np.linspace(0.0, 1.0, 101)
-    psi = resolvent_apply(0.0, 1.0, 1.0, lambda y: np.cos(np.pi * y), x,
-                          quad_nodes=8001)
-    assert np.abs(psi - np.cos(np.pi * x) / (1.0 + np.pi**2)).max() <= 1e-7
-
-
 def test_nonnegative_source_stays_nonnegative():
     x = np.linspace(0.0, 1.0, 201)
     for phi in SOURCES[:3]:
@@ -89,7 +101,7 @@ def neumann_defect(a, b, lam, phi):
     as a solution of the homogeneous equation, so straddling an end
     would pick up an O(h) bias proportional to phi at that end.
     """
-    res = ClosedFormResolvent.build(a, b, lam, phi, DEFAULT_QUAD_NODES)
+    res = ClosedFormResolvent.build(a, b, lam, phi)
     h = 1e-5 * (b - a)
     da = (-3.0 * res(a) + 4.0 * res(a + h) - res(a + 2 * h))[0] / (2.0 * h)
     db = (3.0 * res(b) - 4.0 * res(b - h) + res(b - 2 * h))[0] / (2.0 * h)
@@ -102,22 +114,6 @@ def test_reflecting_ends():
         assert max(da, db) <= 1e-8
 
 
-def test_callable_source_matches_polynomial():
-    # sampled sources go through trapezoid sums, so expect O(h^2) agreement
-    x = np.linspace(0.0, 2.0, 21)
-    by_poly = resolvent_apply(0.0, 2.0, 3.0, Polynomial([0.0, 0.0, 1.0]), x)
-    by_call = resolvent_apply(0.0, 2.0, 3.0, lambda y: y**2, x, quad_nodes=4001)
-    assert np.abs(by_poly - by_call).max() <= 1e-6
-
-
-def test_array_source():
-    y = np.linspace(0.0, 1.0, 3001)
-    x = np.linspace(0.0, 1.0, 11)
-    got = resolvent_apply(0.0, 1.0, 2.0, (y, y**3), x)
-    want = resolvent_apply(0.0, 1.0, 2.0, Polynomial([0, 0, 0, 1.0]), x)
-    assert np.abs(got - want).max() <= 1e-7
-
-
 def test_input_validation():
     phi = Polynomial([1.0])
     with pytest.raises(ValueError):
@@ -126,8 +122,9 @@ def test_input_validation():
         resolvent_apply(0.0, 1.0, -2.0, phi, [0.5])
     with pytest.raises(ValueError):
         resolvent_apply(0.0, 1.0, 1.0, phi, [1.5])   # outside the interval
-    with pytest.raises(TypeError):
-        resolvent_apply(0.0, 1.0, 1.0, object(), [0.5])
+    for not_polynomial in (object(), lambda y: y, np.linspace(0.0, 1.0, 5)):
+        with pytest.raises(TypeError):
+            resolvent_apply(0.0, 1.0, 1.0, not_polynomial, [0.5])
 
 
 class TestImageSeries:
@@ -183,17 +180,18 @@ class TestAveraging:
         d = tab.distances()
         assert d[0] / d[1] == pytest.approx(10.0, rel=0.05)
 
-    def test_discontinuous_source_averages_to_zero(self):
-        # a balanced step has average zero, so the scaled resolvent must
-        # die out even though the source jumps
-        y = np.linspace(0.0, 1.0, 8001)
-        tab = averaging_limit_check(
-            0.0, 1.0, (y, np.sign(y - 0.5)), [1e-1, 1e-2, 1e-3]
-        )
-        assert tab.average == pytest.approx(0.0, abs=1e-12)
-        d = tab.distances()
-        assert d[-1] < d[0]
-        assert d[-1] <= 1e-3
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_distances_match_cosine_series(self, seed):
+        # lam psi - mean(phi) = sum_{k>=1} lam phi_k / (lam + (k pi)^2)
+        # cos(k pi x) on [0, 1], which has no cancellation as lam -> 0;
+        # the closed form subtracts a rounded average, hence the 4 eps
+        # absolute floor
+        phi = Polynomial(np.random.default_rng(seed).uniform(-1.0, 1.0, size=5))
+        lams = np.geomspace(1e-1, 1e-8, 15)
+        tab = averaging_limit_check(0.0, 1.0, phi, lams)
+        ref = cosine_series_distances(phi, lams)
+        floor = 4.0 * np.finfo(float).eps * abs(tab.average)
+        assert np.all(np.abs(tab.distances() - ref) <= 1e-6 * ref + floor)
 
     def test_lambdas_must_decrease(self):
         with pytest.raises(ValueError):
