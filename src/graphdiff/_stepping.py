@@ -2,8 +2,9 @@
 
 Three routes:
 
-* ``krylov_apply`` (the one route behind ``evolution.propagate`` and the
-  sweeps): shift-and-invert Arnoldi for a whole list of times.  The
+* ``krylov_apply`` (the one route behind ``evolution.propagate`` and
+  both sides of a sweep, the limit chain c' = Q c taken as the pair
+  (I, -Q)): shift-and-invert Arnoldi for a whole list of times.  The
   positive times are grouped into windows ``t_max <= KRYLOV_WINDOW *
   t_min``; each window gets one sparse LU of ``M + K/gamma`` with
   ``gamma = SHIFT_T / sqrt(t_min t_max)`` and one Arnoldi basis on

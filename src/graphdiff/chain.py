@@ -53,15 +53,6 @@ class PiecewiseConstant:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "lengths", lengths)
 
-    def norm_l1(self) -> float:
-        return float(np.sum(self.lengths * np.abs(self.values)))
-
-    def norm_l2(self) -> float:
-        return float(np.sqrt(np.sum(self.lengths * self.values**2)))
-
-    def mass(self) -> float:
-        return float(np.sum(self.lengths * self.values))
-
     def lift(self, grid: EdgeGrid, layout: str) -> EdgeFunction:
         """Embed back as an edge-wise constant grid function."""
         if grid.n_edges != len(self.values):
@@ -86,12 +77,9 @@ class GeneratorMatrix:
 def project_averages(phi: EdgeFunction) -> PiecewiseConstant:
     """Average over each edge: the projection onto edge-wise constants."""
     grid = phi.grid
-    w = phi.weights()
-    values = np.empty(grid.n_edges)
-    for i in range(grid.n_edges):
-        blk = grid.block(i, phi.layout)
-        values[i] = float(np.dot(w[blk], phi.values[blk])) / grid.lengths[i]
-    return PiecewiseConstant(values=values, lengths=grid.lengths.copy())
+    return PiecewiseConstant(
+        values=grid.averaging(phi.layout) @ phi.values, lengths=grid.lengths.copy()
+    )
 
 
 def chain_generator(graph: MetricGraph, variant: str = DUAL) -> GeneratorMatrix:
@@ -111,9 +99,10 @@ def chain_generator(graph: MetricGraph, variant: str = DUAL) -> GeneratorMatrix:
 
 
 def propagator(gen: GeneratorMatrix, t: float) -> np.ndarray:
-    """exp(t Q) by scaling and squaring."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    """exp(t Q) by scaling and squaring: the dense reference for the
+    sweep's sparse Krylov limit chain."""
+    if not 0 <= t < np.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     if t == 0:
         return np.eye(gen.n)
     return scipy.linalg.expm(t * gen.q)

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from . import _stepping, chain, evolution, finite_volume, resolvent
-from .graphs import GraphConfigError, InvalidGraphError, load_graph, require_valid, validate
+from .graphs import GraphConfigError, InvalidGraphError, load_graph, validate
 from .grids import edge_indicator, make_grid
 
 OK, INVALID, IOERR, FAILED, UNCONVERGED = 0, 1, 2, 3, 4
@@ -155,7 +155,7 @@ def _load_valid(path):
     """Load a graph config; an invalid one raises InvalidGraphError, which
     ``main`` reports as one 'problem: ...' line per problem."""
     graph = load_graph(path)
-    require_valid(graph)
+    graph.exchange  # validates once; every derivation reuses the cached matrix
     return graph
 
 

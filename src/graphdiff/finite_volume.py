@@ -120,18 +120,14 @@ def _check_assembly_args(graph, grid, kappa):
         grid.lengths, graph.lengths, rtol=1e-12, atol=0
     ):
         raise ValueError("grid does not match the graph's edges")
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-
-
-def _offsets(grid: EdgeGrid, layout: str) -> np.ndarray:
-    return grid.cell_offsets if layout == CELLS else grid.node_offsets
+    if not 0 < kappa < np.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
 
 
 def _differences(grid: EdgeGrid, layout: str):
     """G with (G u)_k = u[k + 1] - u[k] for neighbours k, k + 1 inside one
     edge, and the edge of each row."""
-    off = _offsets(grid, layout)
+    off = grid.offsets(layout)
     first = np.delete(np.arange(off[-1]), off[1:] - 1)
     diff = sp.csr_matrix(
         (np.tile([-1.0, 1.0], first.size),
@@ -152,7 +148,7 @@ def _diffusion_form(graph, grid: EdgeGrid, layout: str) -> sp.csr_matrix:
 def _endpoints(grid: EdgeGrid, layout: str) -> sp.csr_matrix:
     """E, the (2 n_edges, unknowns) selection of each edge's first and
     last unknown; row 2*edge + side."""
-    off = _offsets(grid, layout)
+    off = grid.offsets(layout)
     cols = np.column_stack([off[:-1], off[1:] - 1]).ravel()
     return sp.csr_matrix(
         (np.ones(cols.size), cols, np.arange(cols.size + 1)),
@@ -274,8 +270,8 @@ def _fit_conditions(graph, kappa, polys, table: TraceFunctionalTable):
     slope targets can be read off the uncorrected polynomials."""
     if len(polys) != graph.n_edges:
         raise ValueError("need one polynomial per edge")
-    if not kappa > 0:
-        raise ValueError("kappa must be positive")
+    if not 0 < kappa < np.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     d = graph.lengths
     ends = np.empty((graph.n_edges, 2))
     for i, p in enumerate(polys):

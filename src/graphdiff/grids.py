@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 CELLS = "cells"
 NODES = "nodes"
@@ -68,15 +69,27 @@ class EdgeGrid:
     def total_nodes(self) -> int:
         return int(self.node_offsets[-1])
 
-    def size(self, layout: str) -> int:
+    def offsets(self, layout: str) -> np.ndarray:
+        """Where each edge's block starts in the packed array, then the
+        total size."""
         _check_layout(layout)
-        return self.total_cells if layout == CELLS else self.total_nodes
+        return self.cell_offsets if layout == CELLS else self.node_offsets
+
+    def size(self, layout: str) -> int:
+        return int(self.offsets(layout)[-1])
 
     def block(self, edge: int, layout: str) -> slice:
         """Flat-array slice of one edge's values."""
-        _check_layout(layout)
-        off = self.cell_offsets if layout == CELLS else self.node_offsets
+        off = self.offsets(layout)
         return slice(int(off[edge]), int(off[edge + 1]))
+
+    def averaging(self, layout: str) -> sp.csr_matrix:
+        """P, the (n_edges, size) map from packed values to edge averages:
+        row i holds edge i's quadrature weights divided by its length."""
+        off = self.offsets(layout)
+        values = self.weights(layout) / np.repeat(self.lengths, np.diff(off))
+        shape = (self.n_edges, off[-1])
+        return sp.csr_matrix((values, np.arange(off[-1]), off), shape=shape)
 
     def coords(self, edge: int, layout: str) -> np.ndarray:
         """Local coordinates (0 .. length) of one edge's points."""
@@ -99,7 +112,6 @@ class EdgeGrid:
 
     def sample(self, f, layout: str) -> np.ndarray:
         """Pack f(edge_index, local_coords) into a flat array."""
-        _check_layout(layout)
         out = np.empty(self.size(layout))
         for i in range(self.n_edges):
             blk = self.block(i, layout)
@@ -133,7 +145,6 @@ class EdgeFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        _check_layout(self.layout)
         self.values = np.asarray(self.values, dtype=float)
         expected = self.grid.size(self.layout)
         if self.values.shape != (expected,):
@@ -158,7 +169,7 @@ def lift_constants(grid: EdgeGrid, layout: str, per_edge) -> EdgeFunction:
     per_edge = np.asarray(per_edge, dtype=float)
     if per_edge.shape != (grid.n_edges,):
         raise ValueError(f"need one value per edge, got shape {per_edge.shape}")
-    counts = grid.cells if layout == CELLS else grid.cells + 1
+    counts = np.diff(grid.offsets(layout))
     return EdgeFunction(grid=grid, layout=layout, values=np.repeat(per_edge, counts))
 
 

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from graphdiff.chain import (
     DUAL,
     PRIMAL,
-    PiecewiseConstant,
     chain_generator,
     mass_rate,
     project_averages,
@@ -15,7 +14,7 @@ from graphdiff.chain import (
     write_csv,
 )
 from graphdiff.graphs import EdgeSpec, InvalidGraphError, MetricGraph
-from graphdiff.grids import CELLS, EdgeGrid, sample_function
+from graphdiff.grids import CELLS, NODES, EdgeGrid, sample_function
 
 
 def expm_taylor(m, terms=50):
@@ -113,6 +112,9 @@ class TestPropagator:
         gen = chain_generator(star_graph, DUAL)
         with pytest.raises(ValueError):
             propagator(gen, -0.5)
+        for t in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                propagator(gen, t)
 
     def test_positivity_and_mass(self, star_graph, leaky_star_graph):
         for g, conserves in ((star_graph, True), (leaky_star_graph, False)):
@@ -127,13 +129,6 @@ class TestPropagator:
                     assert np.all(masses <= gen.lengths + 1e-12)
 
 
-def test_piecewise_constant_norms():
-    pc = PiecewiseConstant(values=np.array([1.0, -2.0]), lengths=np.array([1.0, 2.0]))
-    assert pc.norm_l1() == pytest.approx(5.0)
-    assert pc.norm_l2() == pytest.approx(3.0)
-    assert pc.mass() == pytest.approx(-3.0)
-
-
 def test_project_averages_inverts_lift():
     grid = EdgeGrid(lengths=(1.0, 2.0), cells=(8, 8))
     f = sample_function(grid, CELLS, lambda i, x: np.full_like(x, 2.0 + i))
@@ -146,6 +141,17 @@ def test_project_averages_weighted():
     f = sample_function(grid, CELLS, lambda i, x: x)
     # midpoint sums integrate linear functions exactly
     assert_allclose(project_averages(f).values, [0.5])
+
+
+def test_project_averages_on_nodes_matches_per_edge_sums():
+    grid = EdgeGrid(lengths=(1.0, 2.0, 0.5), cells=(4, 7, 3))
+    f = sample_function(grid, NODES, lambda i, x: np.cos(3.0 * x) + i * x**2)
+    w = f.weights()
+    expected = [
+        np.dot(w[grid.block(i, NODES)], f.edge_values(i)) / grid.lengths[i]
+        for i in range(grid.n_edges)
+    ]
+    assert_allclose(project_averages(f).values, expected, rtol=1e-15, atol=1e-15)
 
 
 def test_csv_round_trip(chain_graph):

@@ -224,15 +224,15 @@ def _counting(counts, key, fn):
     ("fem", galerkin, "assemble_forms"),
 ], ids=["fv", "fem"])
 def test_sweep_assembles_once(star_path, tmp_path, monkeypatch, disc, module, assembler):
-    # five kappas, one assembly; the graph is validated by the load and by
-    # the one exchange matrix that the limit chain and the assembly share
+    # five kappas, one assembly; the graph is validated once, by the
+    # exchange matrix that the load builds and every derivation shares
     counts = {"validate": 0, "assemble": 0}
     monkeypatch.setattr(graphs, "validate", _counting(counts, "validate", graphs.validate))
     monkeypatch.setattr(module, assembler, _counting(counts, "assemble", getattr(module, assembler)))
     code = main(["sweep", "--graph", star_path, "--disc", disc, "--h", "0.05",
                  "--out", str(tmp_path / "s.csv")])
     assert code == 0
-    assert counts == {"validate": 2, "assemble": 1}
+    assert counts == {"validate": 1, "assemble": 1}
 
 
 def test_duality_check_shares_one_exchange_matrix(star_path, tmp_path, monkeypatch):
@@ -242,7 +242,26 @@ def test_duality_check_shares_one_exchange_matrix(star_path, tmp_path, monkeypat
     code = main(["duality-check", "--graph", star_path, "--h", "0.1",
                  "--out", str(tmp_path / "d.csv")])
     assert code == 0
-    assert counts == {"validate": 2}
+    assert counts == {"validate": 1}
+
+
+def test_limit_q_validates_once(star_path, tmp_path, monkeypatch):
+    # both generator variants share the exchange matrix the load built
+    counts = {"validate": 0}
+    monkeypatch.setattr(graphs, "validate", _counting(counts, "validate", graphs.validate))
+    assert main(["limit-q", "--graph", star_path, "--out", str(tmp_path / "q.csv")]) == 0
+    assert counts == {"validate": 1}
+
+
+def test_fem_sweep_rejects_second_order_traces(star_path, tmp_path, capsys):
+    # trace order is a finite-volume option; P1 has no traces to extrapolate
+    code = main([
+        "sweep", "--graph", star_path, "--disc", "fem", "--trace-order", "2",
+        "--kappa", "1,10", "--t", "0.5", "--h", "0.1",
+        "--out", str(tmp_path / "x.csv"),
+    ])
+    assert code == 2
+    assert "trace_order" in capsys.readouterr().err
 
 
 def test_decreasing_kappa_list_is_clean_error(star_path, tmp_path, capsys):

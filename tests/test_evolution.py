@@ -1,11 +1,12 @@
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from graphdiff import _stepping, evolution
+from graphdiff import _stepping, chain, evolution
 from graphdiff.chain import DUAL, chain_generator, propagator
 from graphdiff.evolution import (
     FEM,
@@ -18,7 +19,7 @@ from graphdiff.evolution import (
 )
 from graphdiff.finite_volume import dual_generator
 from graphdiff.galerkin import assemble_forms, l2_generator
-from graphdiff.graphs import EdgeSpec, MetricGraph
+from graphdiff.graphs import EdgeSpec, MetricGraph, load_graph
 from graphdiff.grids import CELLS, NODES, EdgeGrid, edge_indicator, make_grid
 
 
@@ -199,12 +200,14 @@ def test_krylov_factors_once_per_window(star_graph, monkeypatch):
 
 
 def test_sweep_factors_once_per_kappa(star_graph, monkeypatch):
-    # the CLI's default times span a ratio of 8: one window
+    # the CLI's default times span a ratio of 8: one window, so one PDE
+    # factorization per kappa and one of the limit chain's I - Q/gamma
     calls = _counting_splu(monkeypatch)
     grid = make_grid(star_graph, 0.1)
     kappa_sweep(star_graph, grid, [1.0, 10.0, 100.0], [0.25, 0.5, 1.0, 2.0],
                 edge_indicator(0))
-    assert len(calls) == 3
+    n = grid.total_cells
+    assert sorted(calls) == [(3, 3)] + [(n, n)] * 3
 
 
 def test_krylov_times_come_back_in_input_order(star_graph):
@@ -334,6 +337,9 @@ def test_sweep_validates_arguments(star_graph):
         kappa_sweep(star_graph, grid, [1.0], [-2.0], ind)
     with pytest.raises(ValueError):
         kappa_sweep(star_graph, grid, [1.0], [1.0], ind, discretization="fdtd")
+    with pytest.raises(ValueError, match="trace_order"):
+        kappa_sweep(star_graph, grid, [1.0], [1.0], ind, discretization=FEM,
+                    trace_order=2)
 
 
 @pytest.mark.parametrize("kappas,ts", [
@@ -385,3 +391,27 @@ def test_sweep_limit_solution_is_the_projection(star_graph):
     direct = propagator(q, 1.0) @ start
     two_step = propagator(q, 0.25) @ (propagator(q, 0.75) @ start)
     assert_allclose(direct, two_step, atol=1e-13)
+
+
+def test_sweep_never_forms_the_dense_chain_propagator(star_graph, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep formed a dense exp(tQ)")
+
+    expected = _run_small_sweep(star_graph)
+    monkeypatch.setattr(chain, "propagator", refuse)
+    assert _run_small_sweep(star_graph) == expected
+
+
+@pytest.mark.parametrize("graph", ["star", "leaky_star", "chain_config"])
+def test_limit_states_match_the_dense_propagator(graph, request):
+    if graph == "chain_config":
+        g = load_graph(Path(__file__).resolve().parents[1] / "configs" / "chain.json")
+    else:
+        g = request.getfixturevalue(f"{graph}_graph")
+    q = chain_generator(g, DUAL)
+    c0 = np.zeros(q.n)
+    c0[0] = 1.0
+    ts = [0.0, 0.25, 0.5, 1.0, 2.0]
+    got = evolution._limit_states(q, c0, ts)
+    for t, row in zip(ts, got):
+        assert np.sum(q.lengths * np.abs(row - propagator(q, t) @ c0)) <= 1e-12

@@ -83,6 +83,9 @@ def test_trace_order_validation(star_graph):
         dual_generator(star_graph, grid, kappa=1.0, trace_order=3)
     with pytest.raises(ValueError):
         dual_generator(star_graph, grid, kappa=0.0)
+    for assemble in (dual_generator, primal_generator, assemble_forms):
+        with pytest.raises(ValueError, match="finite"):
+            assemble(star_graph, grid, kappa=np.inf)
     with pytest.raises(InvalidGraphError):
         from graphdiff.graphs import EdgeSpec, MetricGraph
         bad = MetricGraph((EdgeSpec(id="L", length=1.0, sigma=1.0,
@@ -195,7 +198,7 @@ def test_forward_rejects_unfitted_function(star_graph):
 def _loop_flux(graph, grid, kappa, layout, table, traces):
     """K = kappa S - coupling(table, T) one entry at a time; ``traces``
     maps (edge, side) to the (unknown, weight) pairs of that trace."""
-    off = grid.cell_offsets if layout == CELLS else grid.node_offsets
+    off = grid.offsets(layout)
     k = np.zeros((off[-1], off[-1]))
     for i, e in enumerate(graph.edges):
         d = e.sigma / grid.widths[i]
@@ -214,7 +217,7 @@ def _loop_flux(graph, grid, kappa, layout, table, traces):
 
 
 def _ends(grid, layout):
-    off = grid.cell_offsets if layout == CELLS else grid.node_offsets
+    off = grid.offsets(layout)
     return lambda j, s: [(off[j + 1] - 1 if s else off[j], 1.0)]
 
 
@@ -283,6 +286,9 @@ def test_fitting_validates_inputs(star_graph):
         with_primal_conditions(star_graph, 1.0, [Polynomial([1.0])])
     with pytest.raises(ValueError):
         with_primal_conditions(star_graph, -1.0, [Polynomial([1.0])] * 3)
+    for fit in (with_primal_conditions, with_dual_conditions):
+        with pytest.raises(ValueError, match="finite"):
+            fit(star_graph, np.inf, [Polynomial([1.0])] * 3)
 
 
 # ---------------------------------------------------------------------------

@@ -167,5 +167,7 @@ def test_assembly_validation(star_graph, chain_graph):
     grid = make_grid(star_graph, 0.2)
     with pytest.raises(ValueError):
         assemble_forms(star_graph, grid, kappa=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        assemble_forms(star_graph, grid, kappa=np.inf)
     with pytest.raises(ValueError):
         assemble_forms(chain_graph, grid, kappa=1.0)

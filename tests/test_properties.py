@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_star
-from graphdiff.chain import DUAL, PRIMAL, chain_generator, mass_rate
+from graphdiff import evolution
+from graphdiff.chain import DUAL, PRIMAL, chain_generator, mass_rate, propagator
 from graphdiff.finite_volume import dual_generator, primal_generator
 from graphdiff.galerkin import assemble_forms, l2_generator
 from graphdiff.graphs import (
@@ -161,6 +162,20 @@ def test_mass_rate_vanishes_iff_conservative(graph):
     else:
         # the leaking edge loses sigma * leak >= 0.02
         assert rate >= 0.02 * (1.0 - 1e-12)
+
+
+@FEW
+@given(valid_graphs(), st.data())
+def test_sweep_limit_states_match_the_dense_propagator(graph, data):
+    # the sweep's sparse Krylov limit chain against exp(tQ) at the CLI's
+    # default times, in the length-weighted L1 norm of the edge states
+    q = chain_generator(graph, DUAL)
+    c0 = np.zeros(q.n)
+    c0[data.draw(st.integers(0, q.n - 1))] = 1.0
+    ts = [0.25, 0.5, 1.0, 2.0]
+    got = evolution._limit_states(q, c0, ts)
+    for t, row in zip(ts, got):
+        assert np.sum(q.lengths * np.abs(row - propagator(q, t) @ c0)) <= 1e-12
 
 
 @FEW
