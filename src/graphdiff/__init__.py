@@ -9,47 +9,17 @@ the continuous-time Markov chain that the dynamics collapse to when
 diffusion is fast compared to the membranes.
 """
 
-from .chain import (
-    DUAL,
-    PRIMAL,
-    GeneratorMatrix,
-    PiecewiseConstant,
-    chain_generator,
-    mass_rate,
-    project_averages,
-    propagator,
-)
-from .evolution import FEM, FV, SweepResult, kappa_sweep, norms, propagate
+from .chain import DUAL, chain_generator, propagator
+from .evolution import FEM, FV, kappa_sweep
 from .finite_volume import (
-    DiscreteGenerator,
     dual_generator,
     duality_defect,
-    primal_generator,
     with_dual_conditions,
     with_primal_conditions,
 )
-from .galerkin import FemSystem, assemble_forms, growth_rate, l2_generator
-from .graphs import (
-    EdgeSpec,
-    GraphConfigError,
-    InvalidGraphError,
-    MetricGraph,
-    Side,
-    TraceFunctionalTable,
-    load_graph,
-    parse_graph,
-    primal_condition_table,
-    require_valid,
-    trace_functionals,
-    validate,
-)
-from .grids import EdgeFunction, EdgeGrid, edge_indicator, make_grid, sample_function
-from .resolvent import (
-    averaging_limit_check,
-    image_series_cutoff,
-    resolvent_apply,
-    resolvent_image_series,
-)
+from .graphs import load_graph, validate
+from .grids import make_grid
+from .resolvent import averaging_limit_check, resolvent_apply, resolvent_image_series
 
 __version__ = "0.1.0"
 
@@ -57,45 +27,16 @@ __all__ = [
     "DUAL",
     "FEM",
     "FV",
-    "PRIMAL",
-    "DiscreteGenerator",
-    "EdgeFunction",
-    "EdgeGrid",
-    "EdgeSpec",
-    "FemSystem",
-    "GeneratorMatrix",
-    "GraphConfigError",
-    "InvalidGraphError",
-    "MetricGraph",
-    "PiecewiseConstant",
-    "Side",
-    "SweepResult",
-    "TraceFunctionalTable",
-    "assemble_forms",
     "averaging_limit_check",
     "chain_generator",
     "dual_generator",
     "duality_defect",
-    "edge_indicator",
-    "growth_rate",
-    "image_series_cutoff",
     "kappa_sweep",
-    "l2_generator",
     "load_graph",
     "make_grid",
-    "mass_rate",
-    "norms",
-    "parse_graph",
-    "primal_condition_table",
-    "primal_generator",
-    "project_averages",
-    "propagate",
     "propagator",
-    "require_valid",
     "resolvent_apply",
     "resolvent_image_series",
-    "sample_function",
-    "trace_functionals",
     "validate",
     "with_dual_conditions",
     "with_primal_conditions",

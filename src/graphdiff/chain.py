@@ -20,6 +20,11 @@ satisfies the weighted column identity
 
 which is <= 0 and vanishes exactly for conservative graphs; lengths act
 as the stationary reference weights.
+
+Q is kept sparse, like X: an edge only exchanges with the edges it meets
+at a vertex.  The dense n_edges x n_edges view is formed only where the
+output itself is dense: the ``limit-q`` CSV and the ``expm`` reference
+``propagator``.
 """
 
 from __future__ import annotations
@@ -29,9 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .graphs import MetricGraph
-from .grids import EdgeFunction, EdgeGrid, lift_constants
+from .grids import EdgeGrid
 
 DUAL = "dual"
 PRIMAL = "primal"
@@ -53,18 +59,19 @@ class PiecewiseConstant:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "lengths", lengths)
 
-    def lift(self, grid: EdgeGrid, layout: str) -> EdgeFunction:
-        """Embed back as an edge-wise constant grid function."""
+    def lift(self, grid: EdgeGrid, layout: str) -> np.ndarray:
+        """Embed back as an edge-wise constant packed grid function."""
         if grid.n_edges != len(self.values):
             raise ValueError("grid edge count does not match")
-        return lift_constants(grid, layout, self.values)
+        return np.repeat(self.values, np.diff(grid.offsets(layout)))
 
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Limit generator with its variant tag and edge metadata."""
+    """Limit generator with its variant tag and edge metadata; ``q`` is
+    sparse, row i holding entries only for the edges that i meets."""
 
-    q: np.ndarray
+    q: sp.csr_matrix
     variant: str
     edge_ids: tuple
     lengths: np.ndarray
@@ -74,12 +81,10 @@ class GeneratorMatrix:
         return self.q.shape[0]
 
 
-def project_averages(phi: EdgeFunction) -> PiecewiseConstant:
-    """Average over each edge: the projection onto edge-wise constants."""
-    grid = phi.grid
-    return PiecewiseConstant(
-        values=grid.averaging(phi.layout) @ phi.values, lengths=grid.lengths.copy()
-    )
+def project_averages(grid: EdgeGrid, layout: str, values) -> np.ndarray:
+    """Average of a packed grid function over each edge: the projection
+    onto edge-wise constants."""
+    return grid.averaging(layout) @ np.asarray(values, dtype=float)
 
 
 def chain_generator(graph: MetricGraph, variant: str = DUAL) -> GeneratorMatrix:
@@ -89,10 +94,13 @@ def chain_generator(graph: MetricGraph, variant: str = DUAL) -> GeneratorMatrix:
     exchange = graph.exchange
     flow = (exchange.T if variant == DUAL else exchange).tocoo()
     d = graph.lengths
-    q = np.zeros((graph.n_edges, graph.n_edges))
-    # R flow R^T: endpoint 2*edge + side belongs to row/column edge
-    np.add.at(q, (flow.row // 2, flow.col // 2), flow.data)
-    q /= d[:, None]
+    # R flow R^T: endpoint 2*edge + side belongs to row/column edge; an
+    # entry sums at most two endpoint pairs, so the order cannot matter
+    q = sp.csr_matrix(
+        (flow.data, (flow.row // 2, flow.col // 2)),
+        shape=(graph.n_edges, graph.n_edges),
+    )
+    q.data /= np.repeat(d, np.diff(q.indptr))
     return GeneratorMatrix(
         q=q, variant=variant, edge_ids=graph.edge_ids, lengths=d.copy()
     )
@@ -105,29 +113,31 @@ def propagator(gen: GeneratorMatrix, t: float) -> np.ndarray:
         raise ValueError(f"t must be finite and >= 0, got {t}")
     if t == 0:
         return np.eye(gen.n)
-    return scipy.linalg.expm(t * gen.q)
+    return scipy.linalg.expm(t * gen.q.toarray())
 
 
 def mass_rate(gen: GeneratorMatrix) -> np.ndarray:
     """Weighted column sums d^T Q: rate of total-mass change per unit of
-    density sitting on each edge.  Zero iff the graph is conservative."""
+    density sitting on each edge.  Zero iff the graph is conservative.
+    Summed over the dense view, in the order the CSV has always used."""
     if gen.variant != DUAL:
         raise ValueError("mass_rate applies to the dual variant only")
-    return gen.lengths @ gen.q
+    return gen.lengths @ gen.q.toarray()
 
 
 def write_csv(gen_dual: GeneratorMatrix, gen_primal: GeneratorMatrix, fh) -> None:
     """Write both generator variants (plus the dual mass-rate row) as CSV.
 
-    Layout: one header row of edge ids, then per variant one row per edge.
+    Layout: one header row of edge ids, then per variant one row per edge
+    of the dense n_edges x n_edges matrix.
     """
     if gen_dual.edge_ids != gen_primal.edge_ids:
         raise ValueError("variants built from different graphs")
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["variant", "edge"] + list(gen_dual.edge_ids))
     for label, gen in ((DUAL, gen_dual), (PRIMAL, gen_primal)):
-        for i, edge_id in enumerate(gen.edge_ids):
-            writer.writerow([label, edge_id] + [_fmt(x) for x in gen.q[i]])
+        for edge_id, row in zip(gen.edge_ids, gen.q.toarray()):
+            writer.writerow([label, edge_id] + [_fmt(x) for x in row])
     writer.writerow(["mass_rate", ""] + [_fmt(x) for x in mass_rate(gen_dual)])
 
 

@@ -166,11 +166,12 @@ def cmd_limit_q(args) -> int:
     with _output(args.out) as fh:
         chain.write_csv(dual, primal, fh)
     ids = dual.edge_ids
-    differ = np.argwhere(dual.q != primal.q)
+    dq, pq = dual.q.toarray(), primal.q.toarray()
+    differ = np.argwhere(dq != pq)
     for i, j in differ:
         print(
             f"variants differ at ({ids[i]}, {ids[j]}): "
-            f"dual {chain._fmt(dual.q[i, j])} vs primal {chain._fmt(primal.q[i, j])}"
+            f"dual {chain._fmt(dq[i, j])} vs primal {chain._fmt(pq[i, j])}"
         )
     print(f"entries differing between variants: {len(differ)}")
     return OK

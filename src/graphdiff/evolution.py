@@ -82,7 +82,7 @@ def _limit_states(gen_q: chain.GeneratorMatrix, c0, ts) -> np.ndarray:
     """exp(tQ) c0, one row per time in ``ts``: the chain c' = Q c is
     M c' = -K c with (M, K) = (I, -Q), normed by the edge lengths."""
     identity, gram = sp.identity(gen_q.n), sp.diags(gen_q.lengths)
-    return _stepping.krylov_apply(identity, -sp.csr_matrix(gen_q.q), c0, ts, gram=gram)
+    return _stepping.krylov_apply(identity, -gen_q.q, c0, ts, gram=gram)
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ def kappa_sweep(
         )
     else:
         layout = NODES
-        gen = galerkin.l2_generator(galerkin.assemble_forms(graph, grid, kappas[0]))
+        gen = galerkin.assemble_forms(graph, grid, kappas[0])
 
     start = grid.sample(phi0, layout)
     weights = gen.weights

@@ -48,12 +48,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from numpy.polynomial import Polynomial
 
-from .graphs import (
-    MetricGraph,
-    TraceFunctionalTable,
-    primal_condition_table,
-    trace_functionals,
-)
+from .graphs import MetricGraph, endpoint_conditions
 from .grids import CELLS, NODES, EdgeGrid
 
 
@@ -264,10 +259,11 @@ def _bump_right(d: float) -> Polynomial:
     return Polynomial([0.0, 0.0, -1.0 / d, 1.0 / d**2])
 
 
-def _fit_conditions(graph, kappa, polys, table: TraceFunctionalTable):
-    """Add cubic bump corrections so the endpoint slopes meet the
-    conditions encoded in ``table``; endpoint values are untouched, so the
-    slope targets can be read off the uncorrected polynomials."""
+def _fit_conditions(graph, kappa, polys, conditions: sp.csr_matrix):
+    """Add cubic bump corrections so the endpoint slopes meet
+    ``conditions`` (``graphs.endpoint_conditions``); endpoint values are
+    untouched, so the slope targets can be read off the uncorrected
+    polynomials."""
     if len(polys) != graph.n_edges:
         raise ValueError("need one polynomial per edge")
     if not 0 < kappa < np.inf:
@@ -277,7 +273,8 @@ def _fit_conditions(graph, kappa, polys, table: TraceFunctionalTable):
     for i, p in enumerate(polys):
         ends[i, 0] = p(0.0)
         ends[i, 1] = p(d[i])
-    targets = table.apply(ends) / kappa  # required slopes at (edge, side)
+    # required slopes at (edge, side)
+    targets = (conditions @ ends.ravel()).reshape(-1, 2) / kappa
     out = []
     for i, p in enumerate(polys):
         dp = p.deriv()
@@ -289,10 +286,10 @@ def _fit_conditions(graph, kappa, polys, table: TraceFunctionalTable):
 
 def with_primal_conditions(graph: MetricGraph, kappa: float, polys):
     """Per-edge polynomials obeying the forward transmission conditions."""
-    return _fit_conditions(graph, kappa, polys, primal_condition_table(graph))
+    return _fit_conditions(graph, kappa, polys, endpoint_conditions(graph, graph.exchange))
 
 
 def with_dual_conditions(graph: MetricGraph, kappa: float, polys):
     """Per-edge polynomials obeying the adjoint flux conditions."""
-    return _fit_conditions(graph, kappa, polys, trace_functionals(graph))
+    return _fit_conditions(graph, kappa, polys, endpoint_conditions(graph, graph.exchange.T))
 

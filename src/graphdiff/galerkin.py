@@ -13,9 +13,10 @@ only endpoint values.  With M the (unweighted) mass matrix the semidiscrete
 dynamics are  M u' = -(B + C) u,  i.e. the generator is
 A = -M^{-1} (B + C).  B and C come from the same builders as the
 finite-volume matrices (B = kappa S, C = -E^T X^T E on nodes), and
-``l2_generator`` keeps S and C apart, so one assembly serves every kappa;
-the propagator works on the sparse pair (M, B + C), and the dense A is
-formed only when ``DiscreteGenerator.matrix`` is read.
+``assemble_forms`` returns them as one ``DiscreteGenerator`` that keeps
+S and C apart, so one assembly serves every kappa; the propagator works
+on the sparse pair (M, B + C), and the dense A is formed only when
+``DiscreteGenerator.matrix`` is read.
 
 The numerical range of A in the M-inner product gives a growth rate: with
 S the symmetric part of B + C, d/dt ||u||_M^2 = -2 u^T S u, so
@@ -28,8 +29,6 @@ chain generator exactly (endpoint traces of constants are exact).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -47,28 +46,9 @@ from .graphs import MetricGraph
 from .grids import NODES, EdgeGrid
 
 
-@dataclass
-class FemSystem:
-    """Assembled P1 matrices: mass M, diffusion form S (kappa = 1),
-    endpoint coupling C, and the speed parameter; B = kappa S."""
-
-    grid: EdgeGrid
-    mass: sp.csr_matrix
-    diffusion: sp.csr_matrix
-    coupling: sp.csr_matrix
-    kappa: float
-
-    @property
-    def n(self) -> int:
-        return self.mass.shape[0]
-
-    @property
-    def stiffness(self) -> sp.csr_matrix:
-        return self.kappa * self.diffusion
-
-
-def assemble_forms(graph: MetricGraph, grid: EdgeGrid, kappa: float) -> FemSystem:
-    """Assemble M, S, C on the per-edge node grid (no cross-edge DOFs).
+def assemble_forms(graph: MetricGraph, grid: EdgeGrid, kappa: float) -> DiscreteGenerator:
+    """The P1 generator: M, S, C on the per-edge node grid (no cross-edge
+    DOFs), with the trapezoid weights of the nodes.
 
     S and C = -E^T X^T E are the finite-volume builders on nodes; with
     P = |G| the element sums, the element mass (h/6)[[2,1],[1,2]]
@@ -78,44 +58,37 @@ def assemble_forms(graph: MetricGraph, grid: EdgeGrid, kappa: float) -> FemSyste
     _check_assembly_args(graph, grid, kappa)
     diff, edge = _differences(grid, NODES)
     sums = abs(diff)
-    mass = sums.T @ sp.diags(grid.widths[edge] / 6.0) @ sums + sp.diags(
-        grid.weights(NODES) / 3.0
-    )
-    return FemSystem(
-        grid=grid,
+    weights = grid.weights(NODES)
+    mass = sums.T @ sp.diags(grid.widths[edge] / 6.0) @ sums + sp.diags(weights / 3.0)
+    return DiscreteGenerator(
         mass=mass.tocsr(),
         diffusion=_diffusion_form(graph, grid, NODES),
         coupling=_coupling(grid, NODES, exchange.T, _endpoints(grid, NODES)),
+        weights=weights,
         kappa=kappa,
     )
 
 
-def l2_generator(system: FemSystem) -> DiscreteGenerator:
-    """The pair (M, kappa S + C); its dense A = -M^{-1} (B + C) is formed
-    only when ``matrix`` is read."""
-    return DiscreteGenerator(
-        mass=system.mass,
-        diffusion=system.diffusion,
-        coupling=system.coupling,
-        weights=system.grid.weights(NODES),
-        kappa=system.kappa,
-    )
+def l2_generator(gen: DiscreteGenerator) -> DiscreteGenerator:
+    """The generator itself: ``assemble_forms`` already returns the pair
+    (M, kappa S + C).  Kept as a name for callers that still take it."""
+    return gen
 
 
-def l2_norm(system: FemSystem, u) -> float:
+def l2_norm(gen: DiscreteGenerator, u) -> float:
     """Exact L2 norm of the P1 function with nodal values u."""
     u = np.asarray(u, dtype=float)
-    return float(np.sqrt(abs(u @ (system.mass @ u))))
+    return float(np.sqrt(abs(u @ (gen.mass @ u))))
 
 
-def growth_rate(system: FemSystem) -> float:
-    """Largest eigenvalue of (-(symmetric part of B + C), M): the sharp
+def growth_rate(gen: DiscreteGenerator) -> float:
+    """Largest eigenvalue of (-(symmetric part of K), M): the sharp
     exponential growth rate of ||u(t)||_M for the semidiscrete flow."""
-    flux = (system.stiffness + system.coupling).toarray()
+    flux = gen.flux.toarray()
     sym = (flux + flux.T) / 2.0
     vals = scipy.linalg.eigh(
-        -sym, system.mass.toarray(), eigvals_only=True,
-        subset_by_index=[system.n - 1, system.n - 1],
+        -sym, gen.mass.toarray(), eigvals_only=True,
+        subset_by_index=[gen.n - 1, gen.n - 1],
     )
     return float(vals[0])
 

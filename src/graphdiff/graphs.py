@@ -22,10 +22,14 @@ negative diagonal) and where it arrives (the other endpoints at that
 vertex); the forward problem couples endpoints through X, the adjoint
 (density) problem through X^T.  With D_s = diag(+1 left, -1 right):
 
-* ``trace_functionals``      = -D_s Sigma^-1 X^T, the adjoint flux
-  functionals over endpoint values,
-* ``primal_condition_table`` = -D_s Sigma^-1 X, the forward transmission
-  conditions.
+* ``endpoint_conditions(graph, X^T)`` = -D_s Sigma^-1 X^T, the adjoint
+  flux functionals over endpoint values,
+* ``endpoint_conditions(graph, X)``   = -D_s Sigma^-1 X, the forward
+  transmission conditions.
+
+Both are sparse like X.  ``trace_functionals`` and
+``primal_condition_table`` give them as dense (n, 2, n, 2) tables, for
+inspection only: the program itself never forms a dense table.
 """
 
 from __future__ import annotations
@@ -260,42 +264,28 @@ def require_valid(graph: MetricGraph) -> ValidationReport:
 
 @dataclass(frozen=True)
 class TraceFunctionalTable:
-    """Linear functionals over endpoint values.
-
+    """Linear functionals over endpoint values, as a dense table:
     ``coeffs[i, side, j, s]`` is the weight the functional attached to
-    endpoint (i, side) puts on the value at endpoint (j, s).  ``apply``
-    contracts with a table of endpoint values of the same shape (n, 2).
-    """
+    endpoint (i, side) puts on the value at endpoint (j, s)."""
 
     coeffs: np.ndarray
 
-    @property
-    def n_edges(self) -> int:
-        return self.coeffs.shape[0]
 
-    def functional(self, edge: int, side: Side) -> np.ndarray:
-        return self.coeffs[edge, side.value]
-
-    def apply(self, traces: np.ndarray) -> np.ndarray:
-        traces = np.asarray(traces, dtype=float)
-        if traces.shape != (self.n_edges, 2):
-            raise ValueError(
-                f"expected endpoint values of shape {(self.n_edges, 2)}, "
-                f"got {traces.shape}"
-            )
-        return np.einsum("isjt,jt->is", self.coeffs, traces)
-
-    def as_matrix(self) -> np.ndarray:
-        """(2n, 2n) matrix over flattened endpoints, index = 2*edge + side."""
-        n = self.n_edges
-        return self.coeffs.reshape(2 * n, 2 * n)
+def endpoint_conditions(graph: MetricGraph, flow: sp.csr_matrix) -> sp.csr_matrix:
+    """-D_s Sigma^-1 flow over endpoints, index 2*edge + side, for flow
+    X (forward) or X^T (adjoint); each stored entry c of row (i, side)
+    becomes (c * sign) / sigma_i."""
+    conditions = sp.csr_matrix(flow, copy=True)
+    rows = np.repeat(np.arange(flow.shape[0]), np.diff(conditions.indptr))
+    signs = np.where(rows % 2, 1.0, -1.0)
+    conditions.data = conditions.data * signs / graph.sigmas[rows // 2]
+    return conditions
 
 
 def _endpoint_table(graph: MetricGraph, flow: sp.csr_matrix) -> TraceFunctionalTable:
-    """-D_s Sigma^-1 flow as a dense (n, 2, n, 2) table."""
+    """``endpoint_conditions`` as a dense (n, 2, n, 2) table."""
     n = graph.n_edges
-    signs = np.tile([-1.0, 1.0], n)[:, None]
-    coeffs = flow.toarray() * signs / np.repeat(graph.sigmas, 2)[:, None]
+    coeffs = endpoint_conditions(graph, flow).toarray()
     return TraceFunctionalTable(coeffs=coeffs.reshape(n, 2, n, 2))
 
 

@@ -7,8 +7,10 @@ Two layouts are used throughout:
 * ``"nodes"`` -- nodal values including both endpoints (finite
   differences / P1 elements); weights are composite-trapezoid weights.
 
-Values for all edges are packed into one flat array, edge blocks in edge
-order.
+A grid function is a plain array: the values for all edges packed into
+one flat array, edge blocks in edge order.  ``EdgeGrid`` holds the maps
+that act on it (``offsets``, ``block``, ``weights``, ``averaging``); no
+wrapper type carries the grid along.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ class EdgeGrid:
         cells = np.asarray(self.cells, dtype=int)
         if lengths.ndim != 1 or lengths.shape != cells.shape:
             raise ValueError("lengths and cells must be 1-d arrays of equal size")
-        if np.any(lengths <= 0):
-            raise ValueError("edge lengths must be positive")
+        if not np.all(np.isfinite(lengths)) or np.any(lengths <= 0):
+            raise ValueError(f"edge lengths must be positive and finite, got {lengths}")
         if np.any(cells < 2):
             raise ValueError("need at least 2 cells per edge")
         object.__setattr__(self, "lengths", lengths)
@@ -134,43 +136,6 @@ def make_grid(graph, target_width: float) -> EdgeGrid:
         2, [math.ceil(d / target_width - 1e-9) for d in lengths]
     )
     return EdgeGrid(lengths=lengths, cells=np.asarray(cells, dtype=int))
-
-
-@dataclass
-class EdgeFunction:
-    """A packed grid function: values on ``grid`` in a given layout."""
-
-    grid: EdgeGrid
-    layout: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        expected = self.grid.size(self.layout)
-        if self.values.shape != (expected,):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid "
-                f"({expected} {self.layout})"
-            )
-
-    def weights(self) -> np.ndarray:
-        return self.grid.weights(self.layout)
-
-    def edge_values(self, edge: int) -> np.ndarray:
-        return self.values[self.grid.block(edge, self.layout)]
-
-
-def sample_function(grid: EdgeGrid, layout: str, f) -> EdgeFunction:
-    return EdgeFunction(grid=grid, layout=layout, values=grid.sample(f, layout))
-
-
-def lift_constants(grid: EdgeGrid, layout: str, per_edge) -> EdgeFunction:
-    """Edge-wise constant grid function from one value per edge."""
-    per_edge = np.asarray(per_edge, dtype=float)
-    if per_edge.shape != (grid.n_edges,):
-        raise ValueError(f"need one value per edge, got shape {per_edge.shape}")
-    counts = np.diff(grid.offsets(layout))
-    return EdgeFunction(grid=grid, layout=layout, values=np.repeat(per_edge, counts))
 
 
 def edge_indicator(edge: int):

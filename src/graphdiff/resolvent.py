@@ -120,10 +120,10 @@ def _kernel(poly: Polynomial, a: float, b: float, mu: float, c) -> np.ndarray:
 
 
 def _check_interval(a: float, b: float, lam: float):
-    if not b > a:
-        raise ValueError(f"need b > a, got ({a}, {b})")
-    if not lam > 0:
-        raise ValueError(f"need lam > 0, got {lam}")
+    if not -math.inf < a < b < math.inf:
+        raise ValueError(f"need finite b > a, got ({a}, {b})")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}")
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +240,8 @@ def averaging_limit_check(a, b, phi, lams) -> AveragingTable:
     lams = [float(v) for v in lams]
     if not lams:
         raise ValueError("need at least one lam value")
-    if any(v <= 0 for v in lams):
-        raise ValueError("lam values must be positive")
+    for lam in lams:
+        _check_interval(a, b, lam)
     if any(l2 >= l1 for l1, l2 in zip(lams[:-1], lams[1:])):
         raise ValueError("lam values must be strictly decreasing")
     src = as_source(phi)

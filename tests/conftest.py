@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,34 @@ def make_star(conservative=True):
         EdgeSpec(id="E3", length=1.0, sigma=1.2, left_vertex="hub", right_vertex="c",
                  l=1.1, l_to={"E1": 0.7, "E2": 0.4}),
     ))
+
+
+def make_path(n_edges, seed=0):
+    # unit edges in a line with drawn sigmas and membrane permeabilities;
+    # every interior membrane passes on all it absorbs (conservative)
+    rng = np.random.default_rng(seed)
+    sigma = rng.uniform(0.5, 2.0, n_edges)
+    left, right = rng.uniform(0.5, 1.5, (2, n_edges - 1))
+    edges = []
+    for k in range(n_edges):
+        l_to = {f"E{k - 1}": float(left[k - 1])} if k > 0 else {}
+        r_to = {f"E{k + 1}": float(right[k])} if k < n_edges - 1 else {}
+        edges.append(EdgeSpec(
+            id=f"E{k}", length=1.0, sigma=float(sigma[k]),
+            left_vertex=f"v{k}", right_vertex=f"v{k + 1}",
+            l=sum(l_to.values()), r=sum(r_to.values()), l_to=l_to, r_to=r_to,
+        ))
+    return MetricGraph(tuple(edges))
+
+
+def traced_peak(fn):
+    """Peak bytes that tracemalloc sees while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

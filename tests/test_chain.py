@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from graphdiff.chain import (
     DUAL,
     PRIMAL,
+    PiecewiseConstant,
     chain_generator,
     mass_rate,
     project_averages,
@@ -14,7 +15,9 @@ from graphdiff.chain import (
     write_csv,
 )
 from graphdiff.graphs import EdgeSpec, InvalidGraphError, MetricGraph
-from graphdiff.grids import CELLS, NODES, EdgeGrid, sample_function
+from graphdiff.grids import CELLS, NODES, EdgeGrid
+
+from conftest import make_path, traced_peak
 
 
 def expm_taylor(m, terms=50):
@@ -38,17 +41,17 @@ def _chain(sigma1=1.0):
 
 def test_two_edge_generator_frozen_values():
     q = chain_generator(_chain(), DUAL)
-    assert_allclose(q.q, [[-1.0, 1.0], [0.5, -0.5]])
+    assert_allclose(q.q.toarray(), [[-1.0, 1.0], [0.5, -0.5]])
     # equal sigma: the two variants coincide
     qp = chain_generator(_chain(), PRIMAL)
-    assert_allclose(qp.q, q.q)
+    assert_allclose(qp.q.toarray(), q.q.toarray())
 
 
 def test_two_edge_generator_sigma_weighting():
     qd = chain_generator(_chain(sigma1=2.0), DUAL)
     qp = chain_generator(_chain(sigma1=2.0), PRIMAL)
-    assert_allclose(qd.q, [[-2.0, 1.0], [1.0, -0.5]])
-    assert_allclose(qp.q, [[-2.0, 2.0], [0.5, -0.5]])
+    assert_allclose(qd.q.toarray(), [[-2.0, 1.0], [1.0, -0.5]])
+    assert_allclose(qp.q.toarray(), [[-2.0, 2.0], [0.5, -0.5]])
 
 
 def test_rejects_invalid_graph():
@@ -65,7 +68,7 @@ def test_unknown_variant(chain_graph):
 
 
 def test_star_generator_row_structure(star_graph):
-    q = chain_generator(star_graph, DUAL).q
+    q = chain_generator(star_graph, DUAL).q.toarray()
     sig = star_graph.sigmas
     # diagonal carries the total permeability of each edge
     assert q[0, 0] == pytest.approx(-sig[0] * 1.0)
@@ -97,11 +100,28 @@ def test_conservative_columns_vanish(star_graph):
     assert_allclose(gen.lengths @ gen.q, 0.0, atol=1e-14)
 
 
+def test_chain_generator_stays_sparse_on_a_long_path():
+    # a dense n_edges^2 Q is 8 MB at 1000 edges; the sparse one holds the
+    # diagonal and the two neighbours of each edge
+    graph = make_path(1000)
+    graph.exchange   # built and validated once, outside the measurement
+    gens = {}
+
+    def build():
+        for variant in (DUAL, PRIMAL):
+            gens[variant] = chain_generator(graph, variant)
+
+    assert traced_peak(build) <= 2e6
+    for gen in gens.values():
+        assert gen.q.nnz == 3 * 1000 - 2
+    assert_allclose(mass_rate(gens[DUAL]), 0.0, atol=1e-14)
+
+
 class TestPropagator:
     def test_matches_series_oracle(self, star_graph):
         gen = chain_generator(star_graph, DUAL)
         for t in (0.1, 0.5, 2.0):
-            assert_allclose(propagator(gen, t), expm_taylor(t * gen.q),
+            assert_allclose(propagator(gen, t), expm_taylor(t * gen.q.toarray()),
                             rtol=1e-13, atol=1e-15)
 
     def test_zero_time_is_identity(self, star_graph):
@@ -131,27 +151,28 @@ class TestPropagator:
 
 def test_project_averages_inverts_lift():
     grid = EdgeGrid(lengths=(1.0, 2.0), cells=(8, 8))
-    f = sample_function(grid, CELLS, lambda i, x: np.full_like(x, 2.0 + i))
-    avg = project_averages(f)
-    assert_allclose(avg.values, [2.0, 3.0])
+    for layout in (CELLS, NODES):
+        lifted = PiecewiseConstant([2.0, 3.0], grid.lengths).lift(grid, layout)
+        assert lifted.shape == (grid.size(layout),)
+        assert_allclose(project_averages(grid, layout, lifted), [2.0, 3.0])
 
 
 def test_project_averages_weighted():
     grid = EdgeGrid(lengths=(1.0,), cells=(64,))
-    f = sample_function(grid, CELLS, lambda i, x: x)
+    f = grid.sample(lambda i, x: x, CELLS)
     # midpoint sums integrate linear functions exactly
-    assert_allclose(project_averages(f).values, [0.5])
+    assert_allclose(project_averages(grid, CELLS, f), [0.5])
 
 
 def test_project_averages_on_nodes_matches_per_edge_sums():
     grid = EdgeGrid(lengths=(1.0, 2.0, 0.5), cells=(4, 7, 3))
-    f = sample_function(grid, NODES, lambda i, x: np.cos(3.0 * x) + i * x**2)
-    w = f.weights()
+    f = grid.sample(lambda i, x: np.cos(3.0 * x) + i * x**2, NODES)
+    w = grid.weights(NODES)
     expected = [
-        np.dot(w[grid.block(i, NODES)], f.edge_values(i)) / grid.lengths[i]
+        np.dot(w[grid.block(i, NODES)], f[grid.block(i, NODES)]) / grid.lengths[i]
         for i in range(grid.n_edges)
     ]
-    assert_allclose(project_averages(f).values, expected, rtol=1e-15, atol=1e-15)
+    assert_allclose(project_averages(grid, NODES, f), expected, rtol=1e-15, atol=1e-15)
 
 
 def test_csv_round_trip(chain_graph):
@@ -163,7 +184,7 @@ def test_csv_round_trip(chain_graph):
     assert lines[0] == "variant,edge,E1,E2"
     assert lines[1] == "dual,E1,-1,1"
     assert lines[-1].startswith("mass_rate")
-    assert np.count_nonzero(dual.q != primal.q) == 0
+    assert (dual.q != primal.q).nnz == 0
     sig_chain = MetricGraph((
         EdgeSpec(id="E1", length=1.0, sigma=2.0, left_vertex="a", right_vertex="b",
                  r=1.0, r_to={"E2": 1.0}),
@@ -173,4 +194,4 @@ def test_csv_round_trip(chain_graph):
     dual = chain_generator(sig_chain, DUAL)
     primal = chain_generator(sig_chain, PRIMAL)
     # the off-diagonal pair differs once sigma does
-    assert np.count_nonzero(dual.q != primal.q) == 2
+    assert (dual.q != primal.q).nnz == 2

@@ -245,6 +245,22 @@ def test_duality_check_shares_one_exchange_matrix(star_path, tmp_path, monkeypat
     assert counts == {"validate": 1}
 
 
+def test_duality_check_forms_no_dense_condition_table(star_path, tmp_path, monkeypatch):
+    # the condition fits read the sparse endpoint conditions; the dense
+    # (n, 2, n, 2) tables are for inspection only
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense condition table was built")
+
+    for module in (graphdiff, graphs, finite_volume):
+        for name in ("trace_functionals", "primal_condition_table"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for order in ("1", "2"):
+        code = main(["duality-check", "--graph", star_path, "--h", "0.1",
+                     "--trace-order", order, "--out", str(tmp_path / "d.csv")])
+        assert code == 0
+
+
 def test_limit_q_validates_once(star_path, tmp_path, monkeypatch):
     # both generator variants share the exchange matrix the load built
     counts = {"validate": 0}

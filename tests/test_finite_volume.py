@@ -24,6 +24,8 @@ from graphdiff.graphs import (
 )
 from graphdiff.grids import CELLS, NODES, EdgeGrid, make_grid
 
+from conftest import make_path, traced_peak
+
 
 # ---------------------------------------------------------------------------
 # adjoint (cell-centred) generator
@@ -209,7 +211,7 @@ def _loop_flux(graph, grid, kappa, layout, table, traces):
             k[a + 1, a] -= kappa * d
         for side, row, sign in ((Side.LEFT, off[i], -1.0),
                                 (Side.RIGHT, off[i + 1] - 1, 1.0)):
-            func = table.functional(i, side)
+            func = table.coeffs[i, side.value]
             for j, s in zip(*np.nonzero(func)):
                 for col, weight in traces(j, s):
                     k[row, col] -= sign * e.sigma * func[j, s] * weight
@@ -271,7 +273,7 @@ def test_fitted_slopes_meet_conditions(star_graph):
     ):
         ends = np.array([[p(0.0), p(star_graph.lengths[i])]
                          for i, p in enumerate(polys)])
-        targets = table.apply(ends)
+        targets = np.einsum("isjt,jt->is", table.coeffs, ends)
         for i, p in enumerate(polys):
             dp = p.deriv()
             assert kappa * dp(0.0) == pytest.approx(targets[i, 0], abs=1e-12)
@@ -279,6 +281,23 @@ def test_fitted_slopes_meet_conditions(star_graph):
         # the correction never moves endpoint values
         for p, q in zip(raw, polys):
             assert p(0.0) == pytest.approx(q(0.0))
+
+
+def test_fits_form_no_dense_table_on_a_long_path():
+    # the dense (n, 2, n, 2) condition tables are 32 MB each at 1000 edges;
+    # the fits read the sparse conditions, two entries per endpoint
+    graph = make_path(1000)
+    graph.exchange   # built and validated once, outside the measurement
+    rng = np.random.default_rng(29)
+    raw = [Polynomial(rng.uniform(-1.0, 1.0, size=4)) for _ in range(graph.n_edges)]
+    for fit, table in ((with_primal_conditions, primal_condition_table),
+                       (with_dual_conditions, trace_functionals)):
+        fitted = []
+        assert traced_peak(lambda: fitted.extend(fit(graph, 2.0, raw))) <= 2e6
+        ends = np.array([[p(0.0), p(1.0)] for p in fitted])
+        slopes = np.array([[p.deriv()(0.0), p.deriv()(1.0)] for p in fitted])
+        want = np.einsum("isjt,jt->is", table(graph).coeffs, ends)
+        assert_allclose(2.0 * slopes, want, rtol=0, atol=1e-12)
 
 
 def test_fitting_validates_inputs(star_graph):

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from graphdiff import _stepping
-from graphdiff.chain import DUAL, chain_generator, project_averages
+from graphdiff.chain import DUAL, PiecewiseConstant, chain_generator, project_averages
 from graphdiff.galerkin import (
     assemble_forms,
     growth_rate,
@@ -11,7 +11,7 @@ from graphdiff.galerkin import (
     l2_generator,
     l2_norm,
 )
-from graphdiff.grids import NODES, EdgeFunction, EdgeGrid, lift_constants, make_grid
+from graphdiff.grids import NODES, EdgeGrid, make_grid
 
 
 def test_mass_matrix_integrates_one(chain_graph):
@@ -24,8 +24,8 @@ def test_mass_matrix_integrates_one(chain_graph):
 def test_stiffness_annihilates_edge_constants(star_graph):
     grid = make_grid(star_graph, 0.2)
     system = assemble_forms(star_graph, grid, kappa=4.0)
-    lifted = lift_constants(grid, NODES, [1.0, -2.0, 0.5])
-    assert np.abs(system.stiffness @ lifted.values).max() <= 1e-12
+    lifted = PiecewiseConstant([1.0, -2.0, 0.5], grid.lengths).lift(grid, NODES)
+    assert np.abs(system.kappa * system.diffusion @ lifted).max() <= 1e-12
 
 
 def test_coupling_block_two_edges(chain_graph):
@@ -56,7 +56,7 @@ def test_sealed_edge_generalized_cosine_eigenpairs(sealed_edge):
         c = np.cos(k * np.pi * h)
         v = np.cos(k * np.pi * j * h)
         lam_h = (6.0 / h**2) * (1.0 - c) / (2.0 + c)
-        assert_allclose(system.stiffness @ v, lam_h * (system.mass @ v),
+        assert_allclose(system.diffusion @ v, lam_h * (system.mass @ v),
                         atol=1e-9 * lam_h)
 
 
@@ -64,12 +64,12 @@ def test_stiffness_is_accretive_and_linear_in_kappa(star_graph, sealed_edge):
     grid = make_grid(star_graph, 0.2)
     s1 = assemble_forms(star_graph, grid, kappa=1.0)
     s5 = assemble_forms(star_graph, grid, kappa=5.0)
-    assert_allclose(s5.stiffness.toarray(), 5.0 * s1.stiffness.toarray(),
-                    rtol=1e-14)
+    assert_allclose((s5.kappa * s5.diffusion).toarray(),
+                    5.0 * (s1.kappa * s1.diffusion).toarray(), rtol=1e-14)
     rng = np.random.default_rng(3)
     for _ in range(8):
         u = rng.normal(size=s1.n)
-        assert u @ (s1.stiffness @ u) >= -1e-12
+        assert u @ (s1.diffusion @ u) >= -1e-12
     # no membranes -> no endpoint coupling at all
     sealed = assemble_forms(sealed_edge, make_grid(sealed_edge, 0.2), kappa=1.0)
     assert sealed.coupling.nnz == 0
@@ -109,17 +109,17 @@ def test_constant_lift_reproduces_chain_generator(star_graph):
     q = chain_generator(star_graph, DUAL).q
     mass = system.mass.toarray()
     for v in np.eye(3):
-        lifted = lift_constants(grid, NODES, v)
-        acted = -np.linalg.solve(mass, system.coupling @ lifted.values)
-        avg = project_averages(EdgeFunction(grid, NODES, acted))
-        assert_allclose(avg.values, q @ v, atol=1e-12)
+        lifted = PiecewiseConstant(v, grid.lengths).lift(grid, NODES)
+        acted = -np.linalg.solve(mass, system.coupling @ lifted)
+        assert_allclose(project_averages(grid, NODES, acted), q @ v, atol=1e-12)
 
 
 def test_generator_matches_forms(star_graph):
     grid = make_grid(star_graph, 0.2)
     system = assemble_forms(star_graph, grid, kappa=3.0)
     gen = l2_generator(system)
-    flux = (system.stiffness + system.coupling).toarray()
+    assert gen is system
+    flux = (system.kappa * system.diffusion + system.coupling).toarray()
     assert_allclose(system.mass.toarray() @ gen.matrix, -flux, atol=1e-10)
 
 

@@ -162,18 +162,18 @@ def _two_edge(sigma1):
 
 def test_adjoint_trace_functional_equal_sigma():
     tab = trace_functionals(_two_edge(1.0))
-    co = tab.functional(0, Side.RIGHT)
+    co = tab.coeffs[0, Side.RIGHT.value]
     expected = np.zeros((2, 2))
     expected[0, 1] = -1.0   # minus the trace on E1's own right end
     expected[1, 0] = 1.0    # plus the trace on E2's left end
     assert_allclose(co, expected)
     # left end of E1 is impermeable: the functional vanishes
-    assert_allclose(tab.functional(0, Side.LEFT), 0.0)
+    assert_allclose(tab.coeffs[0, Side.LEFT.value], 0.0)
 
 
 def test_adjoint_trace_functional_weighted_sigma():
     tab = trace_functionals(_two_edge(2.0))
-    co = tab.functional(0, Side.RIGHT)
+    co = tab.coeffs[0, Side.RIGHT.value]
     assert co[0, 1] == -1.0
     assert co[1, 0] == pytest.approx(0.5)   # sigma_2 / sigma_1
 
@@ -181,18 +181,9 @@ def test_adjoint_trace_functional_weighted_sigma():
 def test_forward_table_ignores_sigma():
     for s in (1.0, 2.0):
         tab = primal_condition_table(_two_edge(s))
-        co = tab.functional(0, Side.RIGHT)
+        co = tab.coeffs[0, Side.RIGHT.value]
         assert co[0, 1] == -1.0
         assert co[1, 0] == 1.0
-
-
-def test_trace_table_apply_matches_matrix(star_graph):
-    tab = trace_functionals(star_graph)
-    rng = np.random.default_rng(11)
-    traces = rng.normal(size=(3, 2))
-    out = tab.apply(traces)
-    flat = tab.as_matrix() @ traces.reshape(-1)
-    assert_allclose(out.reshape(-1), flat)
 
 
 def test_star_functionals_balance_when_conservative(star_graph):
@@ -202,7 +193,7 @@ def test_star_functionals_balance_when_conservative(star_graph):
     total = np.zeros((3, 2))
     for i in range(3):
         total += star_graph.edges[i].sigma * (
-            tab.functional(i, Side.LEFT) - tab.functional(i, Side.RIGHT)
+            tab.coeffs[i, Side.LEFT.value] - tab.coeffs[i, Side.RIGHT.value]
         )
     assert_allclose(total, 0.0, atol=1e-15)
 
@@ -215,7 +206,7 @@ def test_conservative_coupling_bookkeeping(star_graph):
     cross = 0.0
     for i in range(star_graph.n_edges):
         for side in (Side.LEFT, Side.RIGHT):
-            co = tab.functional(i, side).copy()
+            co = tab.coeffs[i, side.value].copy()
             co[i, side.value] = 0.0
             cross += star_graph.edges[i].sigma * np.abs(co).sum()
     absorbed = sum(e.sigma * (e.l + e.r) for e in star_graph.edges)

@@ -2,16 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from graphdiff.grids import (
-    CELLS,
-    NODES,
-    EdgeFunction,
-    EdgeGrid,
-    edge_indicator,
-    lift_constants,
-    make_grid,
-    sample_function,
-)
+from graphdiff.chain import PiecewiseConstant
+from graphdiff.grids import CELLS, NODES, EdgeGrid, edge_indicator, make_grid
 
 
 @pytest.fixture
@@ -63,16 +55,17 @@ def test_make_grid_uneven_lengths(chain_graph):
 
 
 def test_sample_and_indicator(grid):
-    f = sample_function(grid, CELLS, edge_indicator(1))
-    assert_allclose(f.values[grid.block(0, CELLS)], 0.0)
-    assert_allclose(f.values[grid.block(1, CELLS)], 1.0)
-    assert isinstance(f, EdgeFunction)
+    f = grid.sample(edge_indicator(1), CELLS)
+    assert f.shape == (grid.total_cells,)
+    assert_allclose(f[grid.block(0, CELLS)], 0.0)
+    assert_allclose(f[grid.block(1, CELLS)], 1.0)
 
 
 def test_lift_constants_round_trip(grid):
-    lifted = lift_constants(grid, NODES, [2.0, -3.0])
-    assert_allclose(lifted.edge_values(0), 2.0)
-    assert_allclose(lifted.edge_values(1), -3.0)
+    lifted = PiecewiseConstant([2.0, -3.0], grid.lengths).lift(grid, NODES)
+    assert lifted.shape == (grid.total_nodes,)
+    assert_allclose(lifted[grid.block(0, NODES)], 2.0)
+    assert_allclose(lifted[grid.block(1, NODES)], -3.0)
 
 
 def test_bad_construction():
@@ -82,8 +75,6 @@ def test_bad_construction():
         EdgeGrid(lengths=(1.0, 1.0), cells=(4,))      # mismatched
     with pytest.raises(ValueError):
         EdgeGrid(lengths=(-1.0,), cells=(4,))
-
-
-def test_edge_function_shape_check(grid):
-    with pytest.raises(ValueError):
-        EdgeFunction(grid, CELLS, np.zeros(3))
+    for length in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            EdgeGrid(lengths=(length,), cells=(4,))

@@ -14,6 +14,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,9 +118,9 @@ def test_fd_annihilates_constants_iff_conservative(graph, kappa):
 @given(valid_graphs(), KAPPAS)
 def test_p1_conserves_mass_iff_conservative(graph, kappa):
     system = assemble_forms(graph, make_grid(graph, 0.2), kappa)
-    rate = np.abs(np.ones(system.n) @ (system.stiffness + system.coupling)).max()
+    rate = np.abs(np.ones(system.n) @ system.flux).max()
     if validate(graph).conservative:
-        scale = abs(system.coupling).max() + abs(system.stiffness).max()
+        scale = abs(system.coupling).max() + abs(kappa * system.diffusion).max()
         assert rate <= 1e-13 * scale
     else:
         # the leaking endpoint's column sums to sigma * leak >= 0.02
@@ -250,8 +251,8 @@ def assert_matches_loops(graph):
     pairs = [
         (trace_functionals(graph).coeffs, loop_trace_functionals(graph)),
         (primal_condition_table(graph).coeffs, loop_primal_condition_table(graph)),
-        (chain_generator(graph, DUAL).q, loop_chain_generator(graph, DUAL)),
-        (chain_generator(graph, PRIMAL).q, loop_chain_generator(graph, PRIMAL)),
+        (chain_generator(graph, DUAL).q.toarray(), loop_chain_generator(graph, DUAL)),
+        (chain_generator(graph, PRIMAL).q.toarray(), loop_chain_generator(graph, PRIMAL)),
     ]
     for got, want in pairs:
         # sums and sigma factors are taken in another order than the loops
@@ -280,6 +281,11 @@ CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "config
 ] + [pytest.param(load_graph(p), id=os.path.basename(p)) for p in CONFIGS])
 def test_exchange_derivations_match_loops(graph):
     assert_matches_loops(graph)
+    # Q stores exactly the entries the loop reference fills
+    for variant in (DUAL, PRIMAL):
+        q = chain_generator(graph, variant).q
+        assert sp.issparse(q)
+        assert q.nnz == np.count_nonzero(loop_chain_generator(graph, variant))
 
 
 def test_exchange_derivations_match_loops_on_fixtures(chain_graph, sealed_edge):

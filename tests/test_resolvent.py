@@ -122,6 +122,10 @@ def test_input_validation():
         resolvent_apply(0.0, 1.0, -2.0, phi, [0.5])
     with pytest.raises(ValueError):
         resolvent_apply(0.0, 1.0, 1.0, phi, [1.5])   # outside the interval
+    for a, b, lam in ((0.0, 1.0, np.inf), (0.0, np.inf, 1.0), (-np.inf, 1.0, 1.0),
+                      (0.0, 1.0, np.nan), (np.nan, 1.0, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            resolvent_apply(a, b, lam, phi, [0.5])
     for not_polynomial in (object(), lambda y: y, np.linspace(0.0, 1.0, 5)):
         with pytest.raises(TypeError):
             resolvent_apply(0.0, 1.0, 1.0, not_polynomial, [0.5])
@@ -198,6 +202,9 @@ class TestAveraging:
             averaging_limit_check(0.0, 1.0, Polynomial([1.0]), [1e-3, 1e-2])
         with pytest.raises(ValueError):
             averaging_limit_check(0.0, 1.0, Polynomial([1.0]), [1e-2, -1e-3])
+        for b, lams in ((1.0, [np.inf, 1.0]), (1.0, [1.0, np.nan]), (np.inf, [1.0])):
+            with pytest.raises(ValueError, match="finite"):
+                averaging_limit_check(0.0, b, Polynomial([1.0]), lams)
 
 
 def test_build_exposes_constants():
