@@ -22,9 +22,9 @@ which is <= 0 and vanishes exactly for conservative graphs; lengths act
 as the stationary reference weights.
 
 Q is kept sparse, like X: an edge only exchanges with the edges it meets
-at a vertex.  The dense n_edges x n_edges view is formed only where the
-output itself is dense: the ``limit-q`` CSV and the ``expm`` reference
-``propagator``.
+at a vertex.  The dense n_edges x n_edges view is formed only by the
+``expm`` reference ``propagator``; the ``limit-q`` CSV densifies one row
+at a time.
 """
 
 from __future__ import annotations
@@ -118,11 +118,10 @@ def propagator(gen: GeneratorMatrix, t: float) -> np.ndarray:
 
 def mass_rate(gen: GeneratorMatrix) -> np.ndarray:
     """Weighted column sums d^T Q: rate of total-mass change per unit of
-    density sitting on each edge.  Zero iff the graph is conservative.
-    Summed over the dense view, in the order the CSV has always used."""
+    density sitting on each edge.  Zero iff the graph is conservative."""
     if gen.variant != DUAL:
         raise ValueError("mass_rate applies to the dual variant only")
-    return gen.lengths @ gen.q.toarray()
+    return gen.q.T @ gen.lengths
 
 
 def write_csv(gen_dual: GeneratorMatrix, gen_primal: GeneratorMatrix, fh) -> None:
@@ -136,8 +135,8 @@ def write_csv(gen_dual: GeneratorMatrix, gen_primal: GeneratorMatrix, fh) -> Non
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["variant", "edge"] + list(gen_dual.edge_ids))
     for label, gen in ((DUAL, gen_dual), (PRIMAL, gen_primal)):
-        for edge_id, row in zip(gen.edge_ids, gen.q.toarray()):
-            writer.writerow([label, edge_id] + [_fmt(x) for x in row])
+        for edge_id, row in zip(gen.edge_ids, gen.q):  # one sparse row at a time
+            writer.writerow([label, edge_id] + [_fmt(x) for x in row.toarray()[0]])
     writer.writerow(["mass_rate", ""] + [_fmt(x) for x in mass_rate(gen_dual)])
 
 

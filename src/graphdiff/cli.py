@@ -166,14 +166,16 @@ def cmd_limit_q(args) -> int:
     with _output(args.out) as fh:
         chain.write_csv(dual, primal, fh)
     ids = dual.edge_ids
-    dq, pq = dual.q.toarray(), primal.q.toarray()
-    differ = np.argwhere(dq != pq)
-    for i, j in differ:
+    differ = dual.q != primal.q
+    differ.sort_indices()  # row-major, as the listing has always been
+    rows, cols = differ.nonzero()
+    dq, pq = (np.asarray(q[rows, cols]).ravel() for q in (dual.q, primal.q))
+    for i, j, a, b in zip(rows, cols, dq, pq):
         print(
             f"variants differ at ({ids[i]}, {ids[j]}): "
-            f"dual {chain._fmt(dq[i, j])} vs primal {chain._fmt(pq[i, j])}"
+            f"dual {chain._fmt(a)} vs primal {chain._fmt(b)}"
         )
-    print(f"entries differing between variants: {len(differ)}")
+    print(f"entries differing between variants: {len(rows)}")
     return OK
 
 

@@ -1,4 +1,5 @@
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from graphdiff.chain import (
     propagator,
     write_csv,
 )
-from graphdiff.graphs import EdgeSpec, InvalidGraphError, MetricGraph
+from graphdiff.graphs import EdgeSpec, InvalidGraphError, MetricGraph, load_graph
 from graphdiff.grids import CELLS, NODES, EdgeGrid
 
 from conftest import make_path, traced_peak
@@ -115,6 +116,17 @@ def test_chain_generator_stays_sparse_on_a_long_path():
     for gen in gens.values():
         assert gen.q.nnz == 3 * 1000 - 2
     assert_allclose(mass_rate(gens[DUAL]), 0.0, atol=1e-14)
+
+
+def test_mass_rate_matches_the_dense_column_sums():
+    # d^T Q from the sparse Q: bit for bit on the shipped configs, and
+    # within an ulp of the dense sums on a long conservative path
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    for name in ("star.json", "chain.json"):
+        gen = chain_generator(load_graph(configs / name), DUAL)
+        assert np.array_equal(mass_rate(gen), gen.lengths @ gen.q.toarray())
+    gen = chain_generator(make_path(1000, seed=3), DUAL)
+    assert np.abs(mass_rate(gen) - gen.lengths @ gen.q.toarray()).max() <= 4.5e-16
 
 
 class TestPropagator:

@@ -1,14 +1,19 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 import graphdiff
-from graphdiff import _stepping, finite_volume, galerkin, graphs
+from graphdiff import _stepping, chain, finite_volume, galerkin, graphs
 from graphdiff.cli import main
+
+from conftest import make_path, traced_peak
 
 STAR = {
     "edges": [
@@ -74,6 +79,30 @@ def test_limit_q_writes_csv(star_path, tmp_path, capsys):
     assert lines[-1].startswith("mass_rate")
     text = capsys.readouterr().out
     assert "entries differing" in text
+
+
+def test_limit_q_reads_the_sparse_generators_only(tmp_path, capsys):
+    # a dense n_edges^2 copy is 1.3 MB at 400 edges; the listing walks the
+    # sparse difference and the CSV one row at a time
+    graph = make_path(400, seed=3)
+    path = tmp_path / "path.json"
+    edges = [dataclasses.asdict(e) for e in graph.edges]
+    path.write_text(json.dumps({"edges": edges}))
+    out = tmp_path / "q.csv"
+    peak = traced_peak(lambda: main(["limit-q", "--graph", str(path), "--out", str(out)]))
+    assert peak <= 1.5e6
+    dual, primal = (chain.chain_generator(graph, v).q.toarray()
+                    for v in (chain.DUAL, chain.PRIMAL))
+    ids = graph.edge_ids
+    want = [
+        f"variants differ at ({ids[i]}, {ids[j]}): "
+        f"dual {chain._fmt(dual[i, j])} vs primal {chain._fmt(primal[i, j])}"
+        for i, j in np.argwhere(dual != primal)
+    ]
+    want.append(f"entries differing between variants: {len(want)}")
+    assert capsys.readouterr().out.splitlines() == want
+    lines = out.read_text().splitlines()
+    assert lines[1] == ",".join(["dual", "E0"] + [chain._fmt(x) for x in dual[0]])
 
 
 def test_limit_q_rejects_invalid(broken_path, capsys):
@@ -233,6 +262,28 @@ def test_sweep_assembles_once(star_path, tmp_path, monkeypatch, disc, module, as
                  "--out", str(tmp_path / "s.csv")])
     assert code == 0
     assert counts == {"validate": 1, "assemble": 1}
+
+
+@pytest.mark.parametrize("disc", ["fv", "fem"])
+def test_star_sweeps_take_one_eigendecomposition_per_krylov_step(
+        star_path, tmp_path, monkeypatch, disc):
+    # every Arnoldi step of both sides of the sweep evaluates its small
+    # exponential from one eigendecomposition; scipy's dense expm and inv
+    # (the fallback for a near-defective eigenbasis) are never reached
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep reached the dense expm fallback")
+
+    eigs = {"eig": 0}
+    monkeypatch.setattr(np.linalg, "eig", _counting(eigs, "eig", np.linalg.eig))
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    monkeypatch.setattr(scipy.linalg, "inv", refuse)
+    out = str(tmp_path / "s.csv")
+    assert main(["sweep", "--graph", star_path, "--disc", disc, "--out", out]) == 0
+    assert eigs["eig"] <= 62
+    for phi0 in ("indicator", "uniform"):
+        code = main(["sweep", "--graph", star_path, "--disc", disc, "--phi0", phi0,
+                     "--t", "0,0.1,0.25,0.5,1,2,10", "--out", out])
+        assert code in (0, 3)
 
 
 def test_duality_check_shares_one_exchange_matrix(star_path, tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
@@ -220,6 +221,119 @@ def test_krylov_times_come_back_in_input_order(star_graph):
     assert np.array_equal(got[1], phi0)
     assert np.array_equal(got[0], got[3])
     assert np.abs(got - _expm_rows(gen, phi0, ts)).max() <= 1e-8
+
+
+def _captured_hessenbergs(monkeypatch, run):
+    """``run()`` and the (H_m, taus) pairs that its Krylov windows evaluate."""
+    seen = []
+
+    def record(hess, taus):
+        seen.append((hess.copy(), np.array(taus)))
+        return real(hess, taus)
+
+    real = _stepping._small_exp_e1
+    with monkeypatch.context() as patch:
+        patch.setattr(_stepping, "_small_exp_e1", record)
+        return run(), seen
+
+
+def _dense_exp_e1(hess, taus):
+    core = np.eye(len(hess)) - scipy.linalg.inv(hess)
+    return np.array([scipy.linalg.expm(tau * core)[:, 0] for tau in taus]), core
+
+
+def _star_window(disc, kappa):
+    graph = load_graph(Path(__file__).resolve().parents[1] / "configs" / "star.json")
+    grid = make_grid(graph, 0.005)
+    if disc == FV:
+        gen = dual_generator(graph, grid, kappa=kappa)
+        phi0 = grid.sample(edge_indicator(0), CELLS)
+    else:
+        gen = assemble_forms(graph, grid, kappa)
+        phi0 = grid.sample(edge_indicator(0), NODES)
+    return lambda: evolution._propagate_times(gen, phi0, [0.25, 0.5, 1.0, 2.0])
+
+
+def _cycle_window(kappa):
+    graph = _directed_cycle(20, 5.0)
+    grid = make_grid(graph, 1.0 / 50)
+    gen = dual_generator(graph, grid, kappa=kappa)
+    phi0 = grid.sample(edge_indicator(0), CELLS)
+    return lambda: evolution._propagate_times(gen, phi0, WIDE_TIMES)
+
+
+@pytest.mark.parametrize("case", [
+    (FV, 1.0), (FV, 1e4), (FEM, 1.0), (FEM, 1e4), ("cycle", 1.0), ("cycle", 1e3),
+], ids=lambda c: f"{c[0]}-{c[1]:g}")
+def test_small_exp_matches_dense_expm_on_real_windows(case, monkeypatch):
+    # the eigen evaluation of exp(tau (I - H^-1)) e1 against the dense expm
+    # it replaced, on every Hessenberg of the window.  The dense expm is
+    # itself off by up to eps ||tau (I - H^-1)||_1 (2e-10 relative on star
+    # at kappa = 1e4, where a 40-digit reference puts the eigen evaluation
+    # within 2e-14), so that bound is added to the 1e-12
+    disc, kappa = case
+    run = _cycle_window(kappa) if disc == "cycle" else _star_window(disc, kappa)
+    _, seen = _captured_hessenbergs(monkeypatch, run)
+    assert len(seen) >= 8
+    eps = np.finfo(float).eps
+    for hess, taus in seen:
+        want, core = _dense_exp_e1(hess, taus)
+        bound = 1e-12 + eps * taus.max() * np.abs(core).sum(axis=0).max()
+        got = _stepping._small_exp_e1(hess, taus)
+        assert np.abs(got - want).max() <= bound * np.abs(want).max()
+
+
+def test_small_exp_falls_back_to_expm_on_a_near_defective_hessenberg(monkeypatch):
+    # e1 is the generalized eigenvector of a Jordan-like block: its
+    # coordinates in the nearly parallel eigenbasis are about 5e6
+    calls = []
+
+    def expm(matrix):
+        calls.append(matrix.shape)
+        return real_expm(matrix)
+
+    real_expm = scipy.linalg.expm
+    taus = np.array([0.5, 3.0])
+    for eps in (1e-14, 0.0):
+        hess = np.array([[0.5, eps], [1.0, 0.5]])
+        want, _ = _dense_exp_e1(hess, taus)
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy.linalg, "expm", expm)
+            got = _stepping._small_exp_e1(hess, taus)
+        assert_allclose(got, want, rtol=1e-14, atol=0)
+    assert calls == [(2, 2)] * 4
+    # an eigenbasis with exactly parallel columns cannot be solved at all
+    monkeypatch.setattr(np.linalg, "eig", lambda a: (np.full(2, 0.5), np.ones((2, 2))))
+    monkeypatch.setattr(scipy.linalg, "expm", expm)
+    got = _stepping._small_exp_e1(hess, taus)
+    assert_allclose(got, want, rtol=1e-14, atol=0)
+    assert len(calls) == 6
+
+
+def test_krylov_basis_grows_as_rtol_tightens(star_graph, monkeypatch):
+    # at kappa = 1 the error against the dense reference falls with rtol;
+    # at kappa = 1e4 the basis stops at 9 vectors for every rtol because
+    # the iterates agree, and the remaining gap is the dense reference's
+    # own round-off, not the stopping rule
+    grid = make_grid(star_graph, 0.05)
+    phi0 = grid.sample(edge_indicator(0), CELLS)
+    ts = [0.25, 0.5, 1.0, 2.0]
+    for kappa in (1.0, 1e4):
+        gen = dual_generator(star_graph, grid, kappa=kappa)
+        want = _expm_rows(gen, phi0, ts)
+        sizes, errors = [], []
+        for rtol in (1e-6, 1e-8, 1e-10, 1e-11):
+            got, seen = _captured_hessenbergs(monkeypatch, lambda: (
+                _stepping.krylov_apply(*gen.pair, phi0, ts, rtol=rtol, gram=gen.mass)))
+            sizes.append(max(len(hess) for hess, _ in seen))
+            errors.append(np.abs(got - want).max())
+        assert sizes == sorted(sizes)
+        if kappa == 1.0:
+            assert sizes[-1] > sizes[0]
+            assert errors[-1] <= 1e-3 * errors[0]
+            assert all(b <= max(a, 5e-13) for a, b in zip(errors, errors[1:]))
+        else:
+            assert max(errors) <= 1e-9
 
 
 class TestStepping:
