@@ -35,7 +35,9 @@ Three routes:
   the same left-hand matrix M + (dt/2) K.
 
 The two step-controlled routes raise ``StepControlError`` with the
-numbers of their last attempt when they cannot reach ``rtol``.
+numbers of their last attempt when they cannot reach ``rtol``; the
+Krylov route raises it too when ``M + K/gamma`` is singular in floating
+point, as at kappa = 1e14 on the shipped star.
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ EIG_CANCEL_MAX = 1e3
 
 
 class StepControlError(RuntimeError):
-    """A step-controlled propagator did not reach its tolerance."""
+    """A step-controlled propagator did not reach its tolerance, or the
+    Krylov route could not factor its shifted matrix."""
 
 
 def expm_apply(matrix, u0: np.ndarray, t: float) -> np.ndarray:
@@ -181,7 +184,14 @@ def krylov_apply(
 def _krylov_window(mass, stiff, gram, u0, beta, window, rtol, max_dim) -> dict:
     """{t: u(t)} for the ascending times of one window."""
     gamma = SHIFT_T / math.sqrt(window[0] * window[-1])
-    solve = splu((mass + stiff / gamma).tocsc()).solve
+    try:
+        solve = splu((mass + stiff / gamma).tocsc()).solve
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        times = ", ".join(f"{t:g}" for t in window)
+        raise StepControlError(
+            f"Krylov propagator: the shifted matrix M + K/gamma is singular "
+            f"({exc}) at gamma={gamma:g} with {u0.size} unknowns, for t={times}"
+        ) from exc
 
     basis = np.empty((max_dim + 1, u0.size))
     hess = np.zeros((max_dim + 1, max_dim))

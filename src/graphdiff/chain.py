@@ -23,13 +23,11 @@ as the stationary reference weights.
 
 Q is kept sparse, like X: an edge only exchanges with the edges it meets
 at a vertex.  The dense n_edges x n_edges view is formed only by the
-``expm`` reference ``propagator``; the ``limit-q`` CSV densifies one row
-at a time.
+``expm`` reference ``propagator``.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,22 +121,3 @@ def mass_rate(gen: GeneratorMatrix) -> np.ndarray:
         raise ValueError("mass_rate applies to the dual variant only")
     return gen.q.T @ gen.lengths
 
-
-def write_csv(gen_dual: GeneratorMatrix, gen_primal: GeneratorMatrix, fh) -> None:
-    """Write both generator variants (plus the dual mass-rate row) as CSV.
-
-    Layout: one header row of edge ids, then per variant one row per edge
-    of the dense n_edges x n_edges matrix.
-    """
-    if gen_dual.edge_ids != gen_primal.edge_ids:
-        raise ValueError("variants built from different graphs")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["variant", "edge"] + list(gen_dual.edge_ids))
-    for label, gen in ((DUAL, gen_dual), (PRIMAL, gen_primal)):
-        for edge_id, row in zip(gen.edge_ids, gen.q):  # one sparse row at a time
-            writer.writerow([label, edge_id] + [_fmt(x) for x in row.toarray()[0]])
-    writer.writerow(["mass_rate", ""] + [_fmt(x) for x in mass_rate(gen_dual)])
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")

@@ -12,16 +12,22 @@ Exit codes: 0 success, 1 graph validation failure, 2 I/O or parse
 failure, 3 an acceptance criterion (monotone decrease) failed, 4 the
 propagator did not converge to its tolerance (the message carries the
 Krylov basis size, each unconverged time with its last error estimate,
-and ``rtol``).  Non-finite numbers in flags, and a
-``--levels`` below 1, are parse failures.  CSV output is deterministic:
-fixed column order, 17 significant digits, newline-terminated rows.
+and ``rtol``) or met a singular shifted matrix.  Non-finite numbers in
+flags, and a ``--levels`` below 1, are parse failures.
+
+This module alone formats output.  Every CSV goes through ``_write_csv``
+and is deterministic: a header row, fixed column order, ``\n`` line ends,
+float cells printed by ``_fmt`` with 17 significant digits (they
+round-trip exactly), text cells as given.  Numbers printed on stdout go
+through the same ``_fmt``.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
+import dataclasses
+import itertools
 import math
 import sys
 
@@ -70,13 +76,22 @@ def _open_out(path):
     return open(path, "w", encoding="utf-8", newline=""), True
 
 
-@contextlib.contextmanager
-def _output(path):
-    """The ``--out`` stream: stdout for None or '-', else the file, closed
-    on exit."""
+def _fmt(x) -> str:
+    return format(float(x), ".17g")
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` to the ``--out`` stream (stdout
+    for None or '-'): str cells as given, every other cell through
+    ``_fmt``.  ``rows`` may be a generator; it is written as it comes."""
     fh, close = _open_out(path)
     try:
-        yield fh
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            [cell if isinstance(cell, str) else _fmt(cell) for cell in row]
+            for row in rows
+        )
     finally:
         if close:
             fh.close()
@@ -159,13 +174,28 @@ def _load_valid(path):
     return graph
 
 
+def _generator_rows(gen):
+    """One CSV row per edge of ``gen.q``: the variant, the edge id, then
+    the literal "0" (which is ``_fmt(0.0)``) except at the stored entries,
+    so only those are formatted."""
+    q = gen.q
+    for i, edge_id in enumerate(gen.edge_ids):
+        row = [gen.variant, edge_id] + ["0"] * gen.n
+        stored = slice(q.indptr[i], q.indptr[i + 1])
+        for j, x in zip(q.indices[stored], q.data[stored]):
+            row[2 + j] = x
+        yield row
+
+
 def cmd_limit_q(args) -> int:
     graph = _load_valid(args.graph)
     dual = chain.chain_generator(graph, chain.DUAL)
     primal = chain.chain_generator(graph, chain.PRIMAL)
-    with _output(args.out) as fh:
-        chain.write_csv(dual, primal, fh)
     ids = dual.edge_ids
+    # both variants, then the dual's weighted column sums
+    mass_rate = ["mass_rate", ""] + list(chain.mass_rate(dual))
+    rows = itertools.chain(_generator_rows(dual), _generator_rows(primal), [mass_rate])
+    _write_csv(args.out, ["variant", "edge"] + list(ids), rows)
     differ = dual.q != primal.q
     differ.sort_indices()  # row-major, as the listing has always been
     rows, cols = differ.nonzero()
@@ -173,7 +203,7 @@ def cmd_limit_q(args) -> int:
     for i, j, a, b in zip(rows, cols, dq, pq):
         print(
             f"variants differ at ({ids[i]}, {ids[j]}): "
-            f"dual {chain._fmt(a)} vs primal {chain._fmt(b)}"
+            f"dual {_fmt(a)} vs primal {_fmt(b)}"
         )
     print(f"entries differing between variants: {len(rows)}")
     return OK
@@ -208,12 +238,12 @@ def cmd_sweep(args) -> int:
         discretization=args.disc,
         trace_order=args.trace_order,
     )
-    with _output(args.out) as fh:
-        result.write_csv(fh)
+    # kappa_sweep orders the records by (kappa, t)
+    _write_csv(args.out, evolution.CSV_COLUMNS, map(dataclasses.astuple, result.records))
     for t in result.times():
         errs = result.errors(t)
         print(
-            f"t={chain._fmt(t)}: err {' -> '.join(chain._fmt(e) for e in errs)}"
+            f"t={_fmt(t)}: err {' -> '.join(_fmt(e) for e in errs)}"
             f" ({'nonincreasing' if result.nonincreasing_at(t) else 'NOT nonincreasing'})"
         )
     return OK if result.errors_nonincreasing() else FAILED
@@ -236,17 +266,13 @@ def cmd_resolvent_check(args) -> int:
         return IOERR
     phi = _phi_from_flag(args.phi)
     table = resolvent.averaging_limit_check(args.a, args.b, phi, args.lambdas)
-    with _output(args.out) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lambda", "l1_distance"])
-        for lam, dist in table.rows:
-            writer.writerow([chain._fmt(lam), chain._fmt(dist)])
+    _write_csv(args.out, ["lambda", "l1_distance"], table.rows)
     dists = table.distances()
     decreasing = table.nonincreasing(slack=0.05)
     vanishing = dists[-1] <= 0.05
-    print(f"average: {chain._fmt(table.average)}")
+    print(f"average: {_fmt(table.average)}")
     print(f"distances nonincreasing (5% slack): {str(decreasing).lower()}")
-    print(f"final distance {chain._fmt(dists[-1])} <= 0.05: {str(vanishing).lower()}")
+    print(f"final distance {_fmt(dists[-1])} <= 0.05: {str(vanishing).lower()}")
     return OK if (decreasing and vanishing) else FAILED
 
 
@@ -265,19 +291,17 @@ def cmd_duality_check(args) -> int:
             graph, grid, args.kappa, f_polys, phi_polys, trace_order=args.trace_order
         )
         rows.append((h, defect))
-    with _output(args.out) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["h", "defect", "ratio"])
-        for k, (h, defect) in enumerate(rows):
-            ratio = "" if k == 0 else chain._fmt(rows[k][1] / rows[k - 1][1])
-            writer.writerow([chain._fmt(h), chain._fmt(defect), ratio])
+    _write_csv(args.out, ["h", "defect", "ratio"], [
+        (h, defect, "" if k == 0 else defect / rows[k - 1][1])
+        for k, (h, defect) in enumerate(rows)
+    ])
     ok = True
     floor = 1e-12 * max(1.0, rows[0][1])
     for k in range(1, len(rows)):
         prev, cur = rows[k - 1][1], rows[k][1]
         if cur > floor and cur > 0.75 * prev:
             ok = False
-        print(f"h={chain._fmt(rows[k][0])}: defect {chain._fmt(cur)} (ratio {chain._fmt(cur / prev) if prev else 'n/a'})")
+        print(f"h={_fmt(rows[k][0])}: defect {_fmt(cur)} (ratio {_fmt(cur / prev) if prev else 'n/a'})")
     return OK if ok else FAILED
 
 

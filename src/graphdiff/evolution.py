@@ -17,7 +17,6 @@ fact this package exists to demonstrate.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -36,7 +35,10 @@ FV = "fv"
 FEM = "fem"
 _DISCRETIZATIONS = (FV, FEM)
 
+# the fields of SweepRecord, in order: the columns of the sweep CSV
 CSV_COLUMNS = ("kappa", "t", "err_l1", "err_l2", "err_projected", "mass_drift", "min_value")
+# relative slack of the monotone-decrease check, for round-off only
+NONINCREASING_SLACK = 1e-12
 
 
 def norms(values, weights) -> Norms:
@@ -113,30 +115,15 @@ class SweepResult:
     def times(self):
         return sorted({r.t for r in self.records})
 
-    def nonincreasing_at(self, t: float, metric: str = None, slack: float = 1e-12) -> bool:
-        """Does the error at time t shrink (weakly) along kappa?"""
+    def nonincreasing_at(self, t: float, metric: str = None) -> bool:
+        """Does the error at time t shrink (weakly) along kappa, up to
+        NONINCREASING_SLACK relative?"""
         e = self.errors(t, metric)
-        return bool(np.all(e[1:] <= e[:-1] + slack * (1.0 + e[:-1])))
+        return bool(np.all(e[1:] <= e[:-1] + NONINCREASING_SLACK * (1.0 + e[:-1])))
 
-    def errors_nonincreasing(self, metric: str = None, slack: float = 1e-12) -> bool:
+    def errors_nonincreasing(self, metric: str = None) -> bool:
         """Does the error shrink (weakly) along kappa for every t?"""
-        return all(self.nonincreasing_at(t, metric, slack) for t in self.times())
-
-    def write_csv(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in sorted(self.records, key=lambda r: (r.kappa, r.t)):
-            writer.writerow(
-                [
-                    chain._fmt(r.kappa),
-                    chain._fmt(r.t),
-                    chain._fmt(r.err_l1),
-                    chain._fmt(r.err_l2),
-                    chain._fmt(r.err_projected),
-                    chain._fmt(r.mass_drift),
-                    chain._fmt(r.min_value),
-                ]
-            )
+        return all(self.nonincreasing_at(t, metric) for t in self.times())
 
 
 def kappa_sweep(

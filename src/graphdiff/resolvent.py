@@ -129,51 +129,24 @@ def _check_interval(a: float, b: float, lam: float):
 # ---------------------------------------------------------------------------
 # closed form
 
-@dataclass
-class ClosedFormResolvent:
-    """Precomputed pieces of the closed form; call it on points in [a, b]."""
-
-    a: float
-    b: float
-    lam: float
-    mu: float
-    xi: float
-    zeta: float
-    source: Polynomial
-
-    @classmethod
-    def build(cls, a: float, b: float, lam: float, phi):
-        _check_interval(a, b, lam)
-        src = as_source(phi)
-        mu = math.sqrt(lam)
-        xi, zeta = 0.5 * _kernel(src, a, b, mu, [a, b])
-        return cls(a=a, b=b, lam=lam, mu=mu, xi=float(xi), zeta=float(zeta), source=src)
-
-    def free_part(self, x: np.ndarray) -> np.ndarray:
-        return _kernel(self.source, self.a, self.b, self.mu, x) / (2.0 * self.mu)
-
-    def homogeneous_part(self, x: np.ndarray) -> np.ndarray:
-        # c e^{mu x} + d e^{-mu x}, regrouped with nonpositive exponents
-        mu, a, b = self.mu, self.a, self.b
-        big_l = b - a
-        denom = mu * (-math.expm1(-2.0 * mu * big_l))
-        up = np.exp(-mu * (b - x))      # e^{mu (x - b)}
-        down = np.exp(-mu * (x - a))
-        damp = math.exp(-mu * big_l)
-        return (
-            self.zeta * (up + damp * down) + self.xi * (down + damp * up)
-        ) / denom
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(x < self.a) or np.any(x > self.b):
-            raise ValueError("evaluation points must lie in [a, b]")
-        return self.free_part(x) + self.homogeneous_part(x)
-
-
 def resolvent_apply(a, b, lam, phi, x) -> np.ndarray:
-    """Evaluate the reflecting-end resolvent (lam - d2/dx2)^{-1} phi at x."""
-    return ClosedFormResolvent.build(a, b, lam, phi)(x)
+    """Evaluate the reflecting-end resolvent (lam - d2/dx2)^{-1} phi at
+    points x in [a, b]: the free part J(x) plus c e^{mu x} + d e^{-mu x}."""
+    _check_interval(a, b, lam)
+    src = as_source(phi)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(x < a) or np.any(x > b):
+        raise ValueError("evaluation points must lie in [a, b]")
+    mu = math.sqrt(lam)
+    xi, zeta = 0.5 * _kernel(src, a, b, mu, [a, b])
+    free = _kernel(src, a, b, mu, x) / (2.0 * mu)
+    # the homogeneous part, regrouped with nonpositive exponents
+    big_l = b - a
+    denom = mu * (-math.expm1(-2.0 * mu * big_l))
+    up = np.exp(-mu * (b - x))      # e^{mu (x - b)}
+    down = np.exp(-mu * (x - a))
+    damp = math.exp(-mu * big_l)
+    return free + (zeta * (up + damp * down) + xi * (down + damp * up)) / denom
 
 
 # ---------------------------------------------------------------------------

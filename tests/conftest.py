@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -48,6 +50,13 @@ def make_path(n_edges, seed=0):
             l=sum(l_to.values()), r=sum(r_to.values()), l_to=l_to, r_to=r_to,
         ))
     return MetricGraph(tuple(edges))
+
+
+def write_config(graph, path):
+    """Write ``graph`` as a JSON graph config at ``path``; returns the
+    path as a string, ready for ``--graph``."""
+    path.write_text(json.dumps({"edges": [dataclasses.asdict(e) for e in graph.edges]}))
+    return str(path)
 
 
 def traced_peak(fn):

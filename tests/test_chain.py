@@ -1,4 +1,3 @@
-import io
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +12,12 @@ from graphdiff.chain import (
     mass_rate,
     project_averages,
     propagator,
-    write_csv,
 )
+from graphdiff.cli import main
 from graphdiff.graphs import EdgeSpec, InvalidGraphError, MetricGraph, load_graph
 from graphdiff.grids import CELLS, NODES, EdgeGrid
 
-from conftest import make_path, traced_peak
+from conftest import make_path, traced_peak, write_config
 
 
 def expm_taylor(m, terms=50):
@@ -187,12 +186,13 @@ def test_project_averages_on_nodes_matches_per_edge_sums():
     assert_allclose(project_averages(grid, NODES, f), expected, rtol=1e-15, atol=1e-15)
 
 
-def test_csv_round_trip(chain_graph):
-    buf = io.StringIO()
+def test_csv_round_trip(chain_graph, tmp_path):
+    out = tmp_path / "q.csv"
+    config = write_config(chain_graph, tmp_path / "chain.json")
+    assert main(["limit-q", "--graph", config, "--out", str(out)]) == 0
     dual = chain_generator(chain_graph, DUAL)
     primal = chain_generator(chain_graph, PRIMAL)
-    write_csv(dual, primal, buf)
-    lines = buf.getvalue().splitlines()
+    lines = out.read_text().splitlines()
     assert lines[0] == "variant,edge,E1,E2"
     assert lines[1] == "dual,E1,-1,1"
     assert lines[-1].startswith("mass_rate")

@@ -10,10 +10,10 @@ import pytest
 import scipy.linalg
 
 import graphdiff
-from graphdiff import _stepping, chain, finite_volume, galerkin, graphs
+from graphdiff import _stepping, chain, cli, finite_volume, galerkin, graphs
 from graphdiff.cli import main
 
-from conftest import make_path, traced_peak
+from conftest import make_path, traced_peak, write_config
 
 STAR = {
     "edges": [
@@ -96,13 +96,39 @@ def test_limit_q_reads_the_sparse_generators_only(tmp_path, capsys):
     ids = graph.edge_ids
     want = [
         f"variants differ at ({ids[i]}, {ids[j]}): "
-        f"dual {chain._fmt(dual[i, j])} vs primal {chain._fmt(primal[i, j])}"
+        f"dual {cli._fmt(dual[i, j])} vs primal {cli._fmt(primal[i, j])}"
         for i, j in np.argwhere(dual != primal)
     ]
     want.append(f"entries differing between variants: {len(want)}")
     assert capsys.readouterr().out.splitlines() == want
     lines = out.read_text().splitlines()
-    assert lines[1] == ",".join(["dual", "E0"] + [chain._fmt(x) for x in dual[0]])
+    assert lines[1] == ",".join(["dual", "E0"] + [cli._fmt(x) for x in dual[0]])
+
+
+def test_limit_q_formats_only_the_stored_entries(tmp_path, monkeypatch):
+    # the CSV writes the literal "0" for each structural zero, so it formats
+    # the stored entries of both variants plus the mass_rate row; the
+    # listing on stdout then formats two numbers per differing entry
+    graph = make_path(400, seed=3)
+    config = write_config(graph, tmp_path / "path.json")
+    calls = {"all": 0, "csv": 0}
+    fmt, write_csv = cli._fmt, cli._write_csv
+
+    def counting_fmt(x):
+        calls["all"] += 1
+        return fmt(x)
+
+    def counting_write_csv(*args):
+        before = calls["all"]
+        write_csv(*args)
+        calls["csv"] += calls["all"] - before
+
+    monkeypatch.setattr(cli, "_fmt", counting_fmt)
+    monkeypatch.setattr(cli, "_write_csv", counting_write_csv)
+    assert main(["limit-q", "--graph", config, "--out", str(tmp_path / "q.csv")]) == 0
+    dual, primal = (chain.chain_generator(graph, v).q for v in (chain.DUAL, chain.PRIMAL))
+    assert calls["csv"] <= dual.nnz + primal.nnz + graph.n_edges
+    assert calls["all"] == calls["csv"] + 2 * (dual != primal).nnz
 
 
 def test_limit_q_rejects_invalid(broken_path, capsys):
@@ -189,6 +215,21 @@ def test_sweep_unconverged_solver_exit(star_path, tmp_path, monkeypatch, capsys)
     err = capsys.readouterr().err
     assert "did not converge" in err
     assert "m=64" in err and "3.2e-05" in err and "rtol=1e-08" in err
+
+
+@pytest.mark.parametrize("disc", ["fv", "fem"])
+def test_singular_shifted_matrix_exits_unconverged(star_path, tmp_path, disc, capsys):
+    # at kappa = 1e14 and the default h, M + K/gamma is singular in floating
+    # point: SuperLU's RuntimeError becomes a one-line exit 4, not a crash
+    code = main([
+        "sweep", "--graph", star_path, "--disc", disc, "--kappa", "1e14", "--t", "1",
+        "--out", str(tmp_path / "x.csv"),
+    ])
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: solver did not converge: ")
+    assert "M + K/gamma is singular" in err[0] and "gamma=10" in err[0]
 
 
 def test_bad_kappa_list_is_parse_error(star_path, capsys):

@@ -1,4 +1,3 @@
-import io
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from graphdiff import _stepping, chain, evolution
 from graphdiff.chain import DUAL, chain_generator, propagator
+from graphdiff.cli import main
 from graphdiff.evolution import (
     FEM,
     FV,
@@ -22,6 +22,8 @@ from graphdiff.finite_volume import dual_generator
 from graphdiff.galerkin import assemble_forms, l2_generator
 from graphdiff.graphs import EdgeSpec, MetricGraph, load_graph
 from graphdiff.grids import CELLS, NODES, EdgeGrid, edge_indicator, make_grid
+
+from conftest import write_config
 
 
 def test_norms_basics():
@@ -468,11 +470,13 @@ def test_sweep_rejects_non_finite(star_graph, kappas, ts):
         kappa_sweep(star_graph, grid, kappas, ts, edge_indicator(0))
 
 
-def test_sweep_csv_format(star_graph):
-    res = _run_small_sweep(star_graph)
-    buf = io.StringIO()
-    res.write_csv(buf)
-    lines = buf.getvalue().splitlines()
+def test_sweep_csv_format(star_graph, tmp_path):
+    # the grid and sweep of _run_small_sweep, through the command line
+    out = tmp_path / "sweep.csv"
+    config = write_config(star_graph, tmp_path / "star.json")
+    main(["sweep", "--graph", config, "--kappa", "1,10,100", "--t", "0.5,1",
+          "--h", "0.1", "--out", str(out)])
+    lines = out.read_text().splitlines()
     assert lines[0] == "kappa,t,err_l1,err_l2,err_projected,mass_drift,min_value"
     assert len(lines) == 7
     first = lines[1].split(",")
