@@ -1,15 +1,18 @@
 """Time steppers for linear systems  M u' = -K u.
 
-Three routes:
+Every route takes the pair (M, K) as the discretization assembles it
+and measures in the M inner product.  Three routes:
 
 * ``krylov_apply`` (the one route behind ``evolution.propagate`` and
   both sides of a sweep, the limit chain c' = Q c taken as the pair
-  (I, -Q)): shift-and-invert Arnoldi for a whole list of times.  The
-  positive times are grouped into windows ``t_max <= KRYLOV_WINDOW *
-  t_min``; each window gets one sparse LU of ``M + K/gamma`` with
-  ``gamma = SHIFT_T / sqrt(t_min t_max)`` and one Arnoldi basis on
-  ``S = (M + K/gamma)^-1 M`` in a weighted inner product, which gives
-  ``S V_m = V_m H_m + ...``.  Since ``-M^-1 K = gamma (I - S^-1)``, the
+  (D, -D Q) with D the edge lengths): shift-and-invert Arnoldi for a
+  whole list of times.  The positive times are grouped into windows
+  ``t_max <= KRYLOV_WINDOW * t_min``; each window gets one sparse LU of
+  ``M + K/gamma`` with ``gamma = SHIFT_T / sqrt(t_min t_max)`` and one
+  Arnoldi basis on ``S = (M + K/gamma)^-1 M`` in the M inner product,
+  which gives ``S V_m = V_m H_m + ...``.  A diagonal M = W is factored
+  row-scaled, ``I + W^-1 K/gamma``: the same S with up to 40x less mass
+  drift at kappa = 1e4.  Since ``-M^-1 K = gamma (I - S^-1)``, the
   solution at each time t of the window is ``beta V_m f(H_m) e1`` with
   ``f(theta) = exp(t gamma (1 - 1/theta))``, from one eigendecomposition
   of the m x m ``H_m`` per step (Higham, *Functions of Matrices*, 2008;
@@ -27,8 +30,8 @@ Three routes:
   reference that the tests call on ``DiscreteGenerator.matrix``; it
   refuses more than DENSE_LIMIT unknowns.
 * ``crank_nicolson``: step doubling until the solution stops moving at
-  the requested relative tolerance, an independent reference that the
-  tests call on ``DiscreteGenerator.pair``.
+  the requested relative tolerance in the M norm, an independent
+  reference that the tests call on ``(gen.mass, gen.flux)``.
   The first CN step is split into two backward-Euler half steps, which
   kills the undamped ringing CN otherwise leaves on rough initial data;
   both stages share one factorization since BE at dt/2 and CN at dt use
@@ -37,7 +40,9 @@ Three routes:
 The two step-controlled routes raise ``StepControlError`` with the
 numbers of their last attempt when they cannot reach ``rtol``; the
 Krylov route raises it too when ``M + K/gamma`` is singular in floating
-point, as at kappa = 1e14 on the shipped star.
+point (kappa = 1e14 on the shipped star) or when
+``eps max_i |K_ii / M_ii| / gamma >= 1`` puts M below its rounding
+(kappa = 1e12 there).
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ EIG_CANCEL_MAX = 1e3
 
 class StepControlError(RuntimeError):
     """A step-controlled propagator did not reach its tolerance, or the
-    Krylov route could not factor its shifted matrix."""
+    Krylov route could not factor or resolve its shifted matrix."""
 
 
 def expm_apply(matrix, u0: np.ndarray, t: float) -> np.ndarray:
@@ -103,20 +108,18 @@ def crank_nicolson(
     u0: np.ndarray,
     t: float,
     rtol: float = 1e-8,
-    weights=None,
     start_steps: int = 16,
     max_steps: int = 1 << 21,
 ) -> np.ndarray:
     """Integrate M u' = -K u to time t, doubling the step count until two
-    consecutive refinements agree to ``rtol`` in the weighted 2-norm."""
+    consecutive refinements agree to ``rtol`` in the M norm."""
     if t == 0.0:
         return np.array(u0, dtype=float, copy=True)
     mass = sp.csr_matrix(mass)
     stiff = sp.csr_matrix(stiff)
-    w = np.ones(len(u0)) if weights is None else np.asarray(weights, dtype=float)
 
-    def wnorm(v):
-        return float(np.sqrt(np.sum(w * v * v)))
+    def mnorm(v):
+        return math.sqrt(max(float(v @ (mass @ v)), 0.0))
 
     n = start_steps
     prev = _cn_run(mass, stiff, u0, t, n)
@@ -124,14 +127,14 @@ def crank_nicolson(
     while n <= max_steps:
         n *= 2
         cur = _cn_run(mass, stiff, u0, t, n)
-        scale = max(wnorm(cur), wnorm(u0), 1e-300)
-        gap = wnorm(cur - prev)
+        scale = max(mnorm(cur), mnorm(u0), 1e-300)
+        gap = mnorm(cur - prev)
         if gap <= rtol * scale:
             return cur
         prev = cur
     raise StepControlError(
         f"Crank-Nicolson: no convergence to rtol={rtol:g} after {n} steps "
-        f"at t={t:g} (last weighted gap {gap:.3g})"
+        f"at t={t:g} (last M-norm gap {gap:.3g})"
     )
 
 
@@ -153,45 +156,61 @@ def krylov_apply(
     u0: np.ndarray,
     ts,
     rtol: float = 1e-8,
-    gram=None,
     max_dim: int = 64,
 ) -> np.ndarray:
     """Solve M u' = -K u to every time in ``ts`` by shift-and-invert Arnoldi.
 
     Returns one row per entry of ``ts`` (finite, >= 0), in input order;
-    ``t = 0`` gives ``u0``.  ``gram`` is the inner product matrix
-    (default ``mass``).  Each window of ``time_windows(ts)`` shares one
-    factorization and one basis, which grows until, for every time of the
-    window, the iterates at sizes m - 4 and m agree to ``rtol`` relative
-    to max(|u(t)|, |u0|) in the ``gram`` norm; a basis of ``max_dim``
+    ``t = 0`` gives ``u0``.  Each window of ``time_windows(ts)`` shares
+    one factorization and one basis, which grows until, for every time of
+    the window, the iterates at sizes m - 4 and m agree to ``rtol``
+    relative to max(|u(t)|, |u0|) in the M norm; a basis of ``max_dim``
     vectors without that agreement raises StepControlError naming the
     unconverged times.
     """
-    u0 = np.asarray(u0, dtype=float)
-    ts = [float(t) for t in ts]
     mass = sp.csr_matrix(mass)
     stiff = sp.csr_matrix(stiff)
-    gram = mass if gram is None else sp.csr_matrix(gram)
-    beta = float(np.sqrt(u0 @ (gram @ u0)))
+    n = mass.shape[0]
+    u0 = np.asarray(u0, dtype=float)
+    if u0.shape != (n,):
+        raise ValueError(f"phi0 must have shape ({n},), got {u0.shape}")
+    ts = [float(t) for t in ts]
+    bad = [t for t in ts if not 0 <= t < math.inf]
+    if bad:
+        raise ValueError(f"t must be finite and >= 0, got {bad[0]}")
+    beta = float(np.sqrt(u0 @ (mass @ u0)))
     if beta == 0.0:
-        return np.zeros((len(ts), u0.size))
+        return np.zeros((len(ts), n))
+    left, weights = mass, mass.diagonal()
+    if mass.count_nonzero() == np.count_nonzero(weights):  # diagonal: row-scale
+        left, stiff = sp.identity(n, format="csr"), sp.diags(1.0 / weights) @ stiff
     solved = {0.0: u0}
     for window in time_windows(ts):
-        solved.update(_krylov_window(mass, stiff, gram, u0, beta, window, rtol, max_dim))
+        solved.update(_krylov_window(mass, left, stiff, u0, beta, window, rtol, max_dim))
     return np.array([solved[t] for t in ts])
 
 
-def _krylov_window(mass, stiff, gram, u0, beta, window, rtol, max_dim) -> dict:
-    """{t: u(t)} for the ascending times of one window."""
+def _krylov_window(mass, left, stiff, u0, beta, window, rtol, max_dim) -> dict:
+    """{t: u(t)} for the ascending times of one window, on the basis of
+    (left + stiff/gamma)^-1 left: (M + K/gamma)^-1 M, row-scaled for a
+    diagonal M."""
     gamma = SHIFT_T / math.sqrt(window[0] * window[-1])
+    times = ", ".join(f"{t:g}" for t in window)
     try:
-        solve = splu((mass + stiff / gamma).tocsc()).solve
+        solve = splu((left + stiff / gamma).tocsc()).solve
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        times = ", ".join(f"{t:g}" for t in window)
         raise StepControlError(
             f"Krylov propagator: the shifted matrix M + K/gamma is singular "
             f"({exc}) at gamma={gamma:g} with {u0.size} unknowns, for t={times}"
         ) from exc
+    # max |K_ii / M_ii| / gamma at 1/eps or more: M is lost in the rounding
+    ratio = np.finfo(float).eps * np.abs(stiff.diagonal() / left.diagonal()).max() / gamma
+    if ratio >= 1.0:
+        raise StepControlError(
+            f"Krylov propagator: the mass is below the rounding of M + K/gamma "
+            f"(eps max|K_ii/M_ii| / gamma = {ratio:.3g} >= 1) at gamma={gamma:g}, "
+            f"for t={times}"
+        )
 
     basis = np.empty((max_dim + 1, u0.size))
     hess = np.zeros((max_dim + 1, max_dim))
@@ -200,14 +219,14 @@ def _krylov_window(mass, stiff, gram, u0, beta, window, rtol, max_dim) -> dict:
     estimate = dict.fromkeys(window, np.inf)
     done = {}
     for j in range(max_dim):
-        w = solve(mass @ basis[j])
+        w = solve(left @ basis[j])
         # Gram-Schmidt twice keeps the basis orthonormal to round-off
         for _ in range(2):
-            h = basis[: j + 1] @ (gram @ w)
+            h = basis[: j + 1] @ (mass @ w)
             w -= h @ basis[: j + 1]
             hess[: j + 1, j] += h
         m = j + 1
-        hess[m, j] = np.sqrt(max(float(w @ (gram @ w)), 0.0))
+        hess[m, j] = np.sqrt(max(float(w @ (mass @ w)), 0.0))
         # an invariant subspace makes the current iterates exact
         invariant = hess[m, j] <= 1e-14 * np.abs(hess[:m, j]).max()
         todo = [t for t in window if t not in done]

@@ -261,9 +261,6 @@ def _phi_from_flag(flag):
 
 
 def cmd_resolvent_check(args) -> int:
-    if not args.b > args.a:
-        print(f"need b > a, got ({args.a}, {args.b})", file=sys.stderr)
-        return IOERR
     phi = _phi_from_flag(args.phi)
     table = resolvent.averaging_limit_check(args.a, args.b, phi, args.lambdas)
     _write_csv(args.out, ["lambda", "l1_distance"], table.rows)

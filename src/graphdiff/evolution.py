@@ -4,14 +4,14 @@
 and times, compares each solution against the lifted limit-chain solution
 exp(t Q) P phi0, and reports weighted norms, the mass drift, and the
 minimum value.  Both sides take the same propagator, the limit chain as
-the pair (I, -Q) in the edge-length inner product, and the same
-averaging map P (``EdgeGrid.averaging``).  As kappa grows the error
+the pair (D, -D Q) with D the edge lengths, and the same averaging map
+P (``EdgeGrid.averaging``).  As kappa grows the error
 columns must shrink: that monotone decrease is the headline empirical
 fact this package exists to demonstrate.
 
 ``propagate`` has one route: shift-and-invert Krylov
-(``_stepping.krylov_apply``) on the generator's sparse pair
-``DiscreteGenerator.pair``.  The dense exponential and Crank-Nicolson in
+(``_stepping.krylov_apply``) on the generator's own mass form
+``(gen.mass, gen.flux)``.  The dense exponential and Crank-Nicolson in
 ``_stepping`` are references that the tests call directly.
 """
 
@@ -60,31 +60,16 @@ def norms(values, weights) -> Norms:
 
 def propagate(gen: DiscreteGenerator, phi0, t: float) -> np.ndarray:
     """Advance phi0 by the semigroup of ``gen`` to time t: sparse
-    shift-and-invert Arnoldi on ``gen.pair`` in the ``gen.mass`` inner
-    product, converged to the default ``rtol`` of
-    ``_stepping.krylov_apply``."""
-    return _propagate_times(gen, phi0, [t])[0]
-
-
-def _propagate_times(gen: DiscreteGenerator, phi0, ts) -> np.ndarray:
-    """phi0 advanced to every time in ``ts``, one row per time in input
-    order; one factorization per window of times
-    (``_stepping.time_windows``)."""
-    phi0 = np.asarray(phi0, dtype=float)
-    if phi0.shape != (gen.n,):
-        raise ValueError(f"phi0 must have shape ({gen.n},), got {phi0.shape}")
-    bad = [t for t in ts if not 0 <= t < math.inf]
-    if bad:
-        raise ValueError(f"t must be finite and >= 0, got {bad[0]}")
-    mass, stiff = gen.pair
-    return _stepping.krylov_apply(mass, stiff, phi0, ts, gram=gen.mass)
+    shift-and-invert Arnoldi on ``(gen.mass, gen.flux)``, converged to the
+    default ``rtol`` of ``_stepping.krylov_apply``."""
+    return _stepping.krylov_apply(gen.mass, gen.flux, phi0, [t])[0]
 
 
 def _limit_states(gen_q: chain.GeneratorMatrix, c0, ts) -> np.ndarray:
     """exp(tQ) c0, one row per time in ``ts``: the chain c' = Q c is
-    M c' = -K c with (M, K) = (I, -Q), normed by the edge lengths."""
-    identity, gram = sp.identity(gen_q.n), sp.diags(gen_q.lengths)
-    return _stepping.krylov_apply(identity, -gen_q.q, c0, ts, gram=gram)
+    M c' = -K c with (M, K) = (D, -D Q), D the edge lengths."""
+    lengths = sp.diags(gen_q.lengths)
+    return _stepping.krylov_apply(lengths, -(lengths @ gen_q.q), c0, ts)
 
 
 @dataclass(frozen=True)
@@ -185,7 +170,8 @@ def kappa_sweep(
 
     records = []
     for kappa in kappas:
-        sols = _propagate_times(replace(gen, kappa=kappa), start, ts)
+        flux = replace(gen, kappa=kappa).flux
+        sols = _stepping.krylov_apply(gen.mass, flux, start, ts)
         # the gap between the two chain states, normed like the edges
         gaps = sols @ averaging.T - limits
         for t, sol, lift, gap in zip(ts, sols, lifted, gaps):

@@ -61,7 +61,8 @@ class DiscreteGenerator:
     Only the diffusion form S depends on the speed parameter, so
     ``dataclasses.replace(gen, kappa=k)`` is the same discretization at
     kappa = k.  Finite volumes and finite differences have the diagonal
-    mass diag(weights); P1 Galerkin has the consistent mass matrix.
+    mass diag(weights); P1 Galerkin has the consistent mass matrix.  The
+    steppers of ``_stepping`` take ``(mass, flux)`` as it is.
     """
 
     mass: sp.csr_matrix
@@ -92,15 +93,6 @@ class DiscreteGenerator:
         return -scipy.linalg.solve(
             self.mass.toarray(), self.flux.toarray(), assume_a="pos"
         )
-
-    @property
-    def pair(self):
-        """The sparse pair (M, K) of  M u' = -K u  that the propagators
-        take: (I, -A) for a diagonal mass, since (diag w, K) would drift up
-        to 40x more mass at kappa = 1e4; (M, K) for P1."""
-        if self.diagonal_mass:
-            return sp.eye(self.n, format="csr"), -self.matrix
-        return self.mass, self.flux
 
     def dense(self) -> np.ndarray:
         if sp.issparse(self.matrix):

@@ -15,7 +15,8 @@ A = -M^{-1} (B + C).  B and C come from the same builders as the
 finite-volume matrices (B = kappa S, C = -E^T X^T E on nodes), and
 ``assemble_forms`` returns them as one ``DiscreteGenerator`` that keeps
 S and C apart, so one assembly serves every kappa; the propagator works
-on the sparse pair (M, B + C), and the dense A is formed only when
+on the sparse pair (M, B + C) = ``(gen.mass, gen.flux)`` and factors
+M + K/gamma, and the dense A is formed only when
 ``DiscreteGenerator.matrix`` is read.
 
 The numerical range of A in the M-inner product gives a growth rate: with

@@ -232,6 +232,25 @@ def test_singular_shifted_matrix_exits_unconverged(star_path, tmp_path, disc, ca
     assert "M + K/gamma is singular" in err[0] and "gamma=10" in err[0]
 
 
+@pytest.mark.parametrize("disc,ratio", [("fv", "2.13"), ("fem", "3.2")])
+def test_unresolved_mass_exits_unconverged(star_path, tmp_path, disc, ratio, capsys):
+    # at kappa = 1e12 and the default h, eps max|K_ii/M_ii| / gamma exceeds 1:
+    # the mass is below the rounding of the shifted diagonal, and the sweep
+    # stops with exit 4 instead of writing a CSV of round-off
+    out = tmp_path / "x.csv"
+    code = main([
+        "sweep", "--graph", star_path, "--disc", disc, "--kappa", "1e12", "--t", "1",
+        "--out", str(out),
+    ])
+    assert code == 4
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: solver did not converge: ")
+    assert f"= {ratio} >= 1" in err[0]
+    assert "gamma=10" in err[0] and err[0].endswith("for t=1")
+
+
 def test_bad_kappa_list_is_parse_error(star_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--graph", star_path, "--kappa", "1,zap"])
@@ -402,8 +421,9 @@ def test_resolvent_check_small_lambda_quartic(capsys):
     assert "nonincreasing (5% slack): true" in capsys.readouterr().out
 
 
-def test_resolvent_check_bad_interval():
+def test_resolvent_check_bad_interval(capsys):
     assert main(["resolvent-check", "--a", "2", "--b", "1"]) == 2
+    assert capsys.readouterr().err == "error: need finite b > a, got (2.0, 1.0)\n"
 
 
 def test_duality_check(star_path, tmp_path, capsys):

@@ -18,7 +18,7 @@ from graphdiff.evolution import (
     norms,
     propagate,
 )
-from graphdiff.finite_volume import dual_generator
+from graphdiff.finite_volume import dual_generator, primal_generator
 from graphdiff.galerkin import assemble_forms, l2_generator
 from graphdiff.graphs import EdgeSpec, MetricGraph, load_graph
 from graphdiff.grids import CELLS, NODES, EdgeGrid, edge_indicator, make_grid
@@ -130,7 +130,7 @@ def test_cn_matches_expm_mildly_stiff(star_graph):
     gen = dual_generator(star_graph, grid, kappa=20.0)
     phi0 = grid.sample(edge_indicator(0), CELLS)
     a = _stepping.expm_apply(gen.matrix, phi0, 0.8)
-    b = _stepping.crank_nicolson(*gen.pair, phi0, 0.8, rtol=1e-9, weights=gen.weights)
+    b = _stepping.crank_nicolson(gen.mass, gen.flux, phi0, 0.8, rtol=1e-9)
     assert np.abs(a - b).max() <= 1e-7
 
 
@@ -155,6 +155,11 @@ def _expm_rows(gen, phi0, ts):
     return np.array([_stepping.expm_apply(gen.matrix, phi0, t) for t in ts])
 
 
+def _krylov_rows(gen, phi0, ts, **kw):
+    """The propagator on the generator's own pair, one row per time."""
+    return _stepping.krylov_apply(gen.mass, gen.flux, phi0, ts, **kw)
+
+
 @pytest.mark.parametrize("n,p", [(3, 10.0), (10, 10.0), (20, 5.0)])
 def test_krylov_matches_expm_on_directed_cycles(n, p):
     graph = _directed_cycle(n, p)
@@ -162,7 +167,7 @@ def test_krylov_matches_expm_on_directed_cycles(n, p):
     phi0 = grid.sample(edge_indicator(0), CELLS)
     for kappa in (1.0, 1e3):
         gen = dual_generator(graph, grid, kappa=kappa)
-        got = evolution._propagate_times(gen, phi0, WIDE_TIMES)
+        got = _krylov_rows(gen, phi0, WIDE_TIMES)
         want = _expm_rows(gen, phi0, WIDE_TIMES)
         assert np.abs(got - want).max() <= 1e-8
 
@@ -174,15 +179,16 @@ def test_krylov_matches_expm_fem(star_graph):
     for kappa, bound in ((1.0, 1e-9), (20.0, 1e-9), (1e4, 1e-7)):
         gen = l2_generator(assemble_forms(star_graph, grid, kappa))
         a = _expm_rows(gen, phi0, WIDE_TIMES)
-        b = evolution._propagate_times(gen, phi0, WIDE_TIMES)
+        b = _krylov_rows(gen, phi0, WIDE_TIMES)
         assert np.abs(a - b).max() <= bound
 
 
 def _counting_splu(monkeypatch):
+    """The matrices that ``_stepping`` factors, in call order."""
     calls = []
 
     def splu(matrix):
-        calls.append(matrix.shape)
+        calls.append(matrix)
         return real_splu(matrix)
 
     real_splu = _stepping.splu
@@ -198,8 +204,29 @@ def test_krylov_factors_once_per_window(star_graph, monkeypatch):
     gen = dual_generator(star_graph, grid, kappa=10.0)
     phi0 = grid.sample(edge_indicator(0), CELLS)
     calls = _counting_splu(monkeypatch)
-    evolution._propagate_times(gen, phi0, WIDE_TIMES)
+    _krylov_rows(gen, phi0, WIDE_TIMES)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("build", ["dual", "primal", "p1"])
+def test_krylov_row_scales_a_diagonal_mass_only(star_graph, monkeypatch, build):
+    # FV and FD factor I + W^-1 K / gamma, with W^-1 K formed as
+    # DiscreteGenerator.matrix forms it; P1's consistent mass is factored
+    # as M + K / gamma
+    grid = make_grid(star_graph, 0.1)
+    if build == "p1":
+        gen = assemble_forms(star_graph, grid, 10.0)
+        want = gen.mass + gen.flux / 10.0
+    else:
+        make = dual_generator if build == "dual" else primal_generator
+        gen = make(star_graph, grid, 10.0)
+        scaled = sp.diags(1.0 / gen.weights) @ gen.flux
+        assert (scaled + gen.matrix).count_nonzero() == 0
+        want = sp.identity(gen.n) + scaled / 10.0
+    seen = _counting_splu(monkeypatch)
+    _krylov_rows(gen, np.ones(gen.n), [1.0])
+    assert len(seen) == 1
+    assert np.array_equal(seen[0].toarray(), want.toarray())
 
 
 def test_sweep_factors_once_per_kappa(star_graph, monkeypatch):
@@ -210,7 +237,7 @@ def test_sweep_factors_once_per_kappa(star_graph, monkeypatch):
     kappa_sweep(star_graph, grid, [1.0, 10.0, 100.0], [0.25, 0.5, 1.0, 2.0],
                 edge_indicator(0))
     n = grid.total_cells
-    assert sorted(calls) == [(3, 3)] + [(n, n)] * 3
+    assert sorted(m.shape for m in calls) == [(3, 3)] + [(n, n)] * 3
 
 
 def test_krylov_times_come_back_in_input_order(star_graph):
@@ -218,7 +245,7 @@ def test_krylov_times_come_back_in_input_order(star_graph):
     gen = dual_generator(star_graph, grid, kappa=10.0)
     phi0 = grid.sample(edge_indicator(0), CELLS)
     ts = [2.0, 0.0, 0.25, 2.0, 10.0, 0.1]
-    got = evolution._propagate_times(gen, phi0, ts)
+    got = _krylov_rows(gen, phi0, ts)
     assert got.shape == (len(ts), gen.n)
     assert np.array_equal(got[1], phi0)
     assert np.array_equal(got[0], got[3])
@@ -253,7 +280,7 @@ def _star_window(disc, kappa):
     else:
         gen = assemble_forms(graph, grid, kappa)
         phi0 = grid.sample(edge_indicator(0), NODES)
-    return lambda: evolution._propagate_times(gen, phi0, [0.25, 0.5, 1.0, 2.0])
+    return lambda: _krylov_rows(gen, phi0, [0.25, 0.5, 1.0, 2.0])
 
 
 def _cycle_window(kappa):
@@ -261,7 +288,7 @@ def _cycle_window(kappa):
     grid = make_grid(graph, 1.0 / 50)
     gen = dual_generator(graph, grid, kappa=kappa)
     phi0 = grid.sample(edge_indicator(0), CELLS)
-    return lambda: evolution._propagate_times(gen, phi0, WIDE_TIMES)
+    return lambda: _krylov_rows(gen, phi0, WIDE_TIMES)
 
 
 @pytest.mark.parametrize("case", [
@@ -325,8 +352,8 @@ def test_krylov_basis_grows_as_rtol_tightens(star_graph, monkeypatch):
         want = _expm_rows(gen, phi0, ts)
         sizes, errors = [], []
         for rtol in (1e-6, 1e-8, 1e-10, 1e-11):
-            got, seen = _captured_hessenbergs(monkeypatch, lambda: (
-                _stepping.krylov_apply(*gen.pair, phi0, ts, rtol=rtol, gram=gen.mass)))
+            got, seen = _captured_hessenbergs(
+                monkeypatch, lambda: _krylov_rows(gen, phi0, ts, rtol=rtol))
             sizes.append(max(len(hess) for hess, _ in seen))
             errors.append(np.abs(got - want).max())
         assert sizes == sorted(sizes)
@@ -355,6 +382,17 @@ class TestStepping:
         stiff = sp.csr_matrix(np.array([[3.0]]))
         out = _stepping.krylov_apply(mass, stiff, np.array([2.0]), [1.0])[0]
         assert out[0] == pytest.approx(2.0 * np.exp(-3.0), rel=1e-13)
+
+    @pytest.mark.parametrize("t", [-1.0, np.nan, np.inf])
+    def test_krylov_rejects_bad_times(self, t):
+        eye = sp.eye(2, format="csr")
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
+            _stepping.krylov_apply(eye, eye, np.ones(2), [1.0, t])
+
+    def test_krylov_rejects_wrong_length_start(self):
+        eye = sp.eye(2, format="csr")
+        with pytest.raises(ValueError, match=r"must have shape \(2,\), got \(3,\)"):
+            _stepping.krylov_apply(eye, eye, np.ones(3), [1.0])
 
     def test_krylov_gives_up_when_capped(self):
         n = 40
