@@ -210,16 +210,14 @@ def cmd_limit_q(args) -> int:
 
 
 def _phi0_from_flag(graph, flag):
-    if flag is None or flag.startswith("indicator"):
-        if flag is None or flag == "indicator":
-            edge = 0
-        else:
-            _, _, edge_id = flag.partition(":")
-            try:
-                edge = graph.index_of(edge_id)
-            except KeyError:
-                raise GraphConfigError(f"--phi0 references unknown edge {edge_id!r}")
-        return edge_indicator(edge)
+    if flag is None or flag == "indicator":
+        return edge_indicator(0)
+    if flag.startswith("indicator:"):
+        edge_id = flag[len("indicator:"):]
+        try:
+            return edge_indicator(graph.index_of(edge_id))
+        except KeyError:
+            raise GraphConfigError(f"--phi0 references unknown edge {edge_id!r}")
     if flag == "uniform":
         return lambda i, x: np.ones_like(np.asarray(x, dtype=float))
     raise GraphConfigError(f"unsupported --phi0 value {flag!r}")
@@ -310,19 +308,14 @@ def main(argv=None) -> int:
     except _stepping.StepControlError as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
         return UNCONVERGED
-    except GraphConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return IOERR
     except InvalidGraphError as exc:
         for problem in str(exc).splitlines():
             print(f"problem: {problem}", file=sys.stderr)
         return INVALID
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return IOERR
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        # config and flag errors (GraphConfigError is a ValueError), and
         # flags that parse as numbers but fail the library's preconditions
-        # (decreasing kappa lists, negative times, ...) are user input errors
+        # (decreasing kappa lists, negative times, ...), are user input errors
         print(f"error: {exc}", file=sys.stderr)
         return IOERR
 

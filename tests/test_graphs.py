@@ -28,41 +28,78 @@ def test_edge_accessors():
     assert e.vertex(Side.RIGHT) == "v"
 
 
-def test_graph_index_and_incidence(star_graph):
+def _row(matrix, r):
+    """{column: value} of the stored entries of row r."""
+    stored = slice(matrix.indptr[r], matrix.indptr[r + 1])
+    return dict(zip(matrix.indices[stored].tolist(), matrix.data[stored].tolist()))
+
+
+def _hub(n):
+    # n edges at "hub", even ones arriving with their right end, odd ones
+    # leaving with their left end; each passes all it absorbs at the hub
+    # into the next edge
+    edges = []
+    for k in range(n):
+        common = dict(id=f"E{k}", length=1.0, sigma=1.0 + k % 3)
+        out = {f"E{(k + 1) % n}": 0.5}
+        if k % 2 == 0:
+            edges.append(EdgeSpec(**common, left_vertex=f"v{k}", right_vertex="hub",
+                                  r=0.5, r_to=out))
+        else:
+            edges.append(EdgeSpec(**common, left_vertex="hub", right_vertex=f"v{k}",
+                                  l=0.5, l_to=out))
+    return MetricGraph(tuple(edges))
+
+
+def test_graph_index_and_hub_rows(star_graph):
     g = star_graph
     assert g.n_edges == 3
     assert g.edge_ids == ("E1", "E2", "E3")
     assert g.index_of("E2") == 1
-    hub = g.incidence["hub"]
-    assert (0, Side.RIGHT) in hub and (1, Side.LEFT) in hub and (2, Side.LEFT) in hub
-    assert sorted(j for j, _ in hub if j != 0) == [1, 2]
-    # leaf ends touch nothing else
-    assert g.incidence["a"] == ((0, Side.LEFT),)
+    # E1's right end (row 1) loses sigma_1 r_1 and passes it on into the
+    # left ends of E2 and E3 (columns 2 and 4)
+    x = g.exchange
+    assert _row(x, 1) == {1: -1.0, 2: 0.6, 4: 0.4}
+    # leaf ends touch nothing else: their rows and columns are empty
+    for leaf in (0, 3, 5):
+        assert _row(x, leaf) == {} and leaf not in x.indices
+
+    n = 4000
+    x = _hub(n).exchange
+    assert x.nnz == 2 * n
+    for k in range(n):
+        end, nxt = 2 * k + 1 - k % 2, (k + 1) % n
+        sigma = 1.0 + k % 3
+        assert _row(x, end) == {end: -0.5 * sigma, 2 * nxt + 1 - nxt % 2: 0.5 * sigma}
 
 
-def test_incidence_is_symmetric(star_graph, chain_graph, leaky_star_graph):
-    for g in (star_graph, chain_graph, leaky_star_graph):
-        listed = [ref for refs in g.incidence.values() for ref in refs]
-        assert sorted(listed, key=lambda r: (r[0], r[1].value)) == [
-            (i, side) for i in range(g.n_edges) for side in (Side.LEFT, Side.RIGHT)
-        ]
-        for refs in g.incidence.values():
-            for ref in refs:
-                for j, b in refs:
-                    assert ref in g.incidence[g.edges[j].vertex(b)]
+def test_exchange_couples_endpoints_at_one_vertex(star_graph, chain_graph, leaky_star_graph):
+    def vertex(endpoint):
+        return g.edges[endpoint // 2].vertex(Side(endpoint % 2))
+
+    for g in (star_graph, chain_graph, leaky_star_graph, _hub(7)):
+        x = g.exchange.tocoo()
+        assert x.nnz
+        for r, c, v in zip(x.row, x.col, x.data):
+            assert vertex(r) == vertex(c)
+            assert (v < 0) if r == c else (v > 0)
 
 
 def test_parallel_edges_meet_like_for_like():
-    # two edges strung between the same pair of vertices: each end of one
-    # sees the matching end of the other, and nothing else
+    # two coupled edges strung between the same pair of vertices: each end
+    # of one passes into the matching end of the other, and nowhere else
     g = MetricGraph((
-        EdgeSpec(id="P1", length=1.0, sigma=1.0, left_vertex="u", right_vertex="v"),
-        EdgeSpec(id="P2", length=1.5, sigma=1.0, left_vertex="u", right_vertex="v"),
+        EdgeSpec(id="P1", length=1.0, sigma=1.0, left_vertex="u", right_vertex="v",
+                 l=0.5, r=1.0, l_to={"P2": 0.5}, r_to={"P2": 0.25}),
+        EdgeSpec(id="P2", length=1.5, sigma=2.0, left_vertex="u", right_vertex="v",
+                 l=1.0, r=0.5, l_to={"P1": 1.0}, r_to={"P1": 0.5}),
     ))
-    assert g.incidence == {
-        "u": ((0, Side.LEFT), (1, Side.LEFT)),
-        "v": ((0, Side.RIGHT), (1, Side.RIGHT)),
-    }
+    assert np.array_equal(g.exchange.toarray(), [
+        [-0.5, 0.0, 0.5, 0.0],
+        [0.0, -1.0, 0.0, 0.25],
+        [2.0, 0.0, -2.0, 0.0],
+        [0.0, 1.0, 0.0, -1.0],
+    ])
 
 
 def test_validate_ok_and_conservative(star_graph, leaky_star_graph, chain_graph):

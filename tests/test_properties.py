@@ -190,9 +190,14 @@ def test_parse_graph_round_trips_edge_specs(graph):
 # the exchange-matrix derivations against per-entry loops
 
 def _neighbours(graph, i, side):
-    """(j, s) for every other edge j touching the vertex of (i, side)."""
+    """(j, s) for every other edge j touching the vertex of (i, side),
+    found by a scan over all edges."""
     vertex = graph.edges[i].vertex(side)
-    return [(j, s) for (j, s) in graph.incidence[vertex] if j != i]
+    return [
+        (j, s)
+        for j, other in enumerate(graph.edges) if j != i
+        for s in Side if other.vertex(s) == vertex
+    ]
 
 
 def loop_trace_functionals(graph):
