@@ -10,8 +10,9 @@ and measures in the M inner product.  Three routes:
   ``t_max <= KRYLOV_WINDOW * t_min``; each window gets one sparse LU of
   ``M + K/gamma`` with ``gamma = SHIFT_T / sqrt(t_min t_max)`` and one
   Arnoldi basis on ``S = (M + K/gamma)^-1 M`` in the M inner product,
-  which gives ``S V_m = V_m H_m + ...``.  A diagonal M = W is factored
-  row-scaled, ``I + W^-1 K/gamma``: the same S with up to 40x less mass
+  which gives ``S V_m = V_m H_m + ...``.  A diagonal M = W (``is_diagonal``,
+  the one such test, which ``DiscreteGenerator.matrix`` reads too) is
+  factored row-scaled, ``I + W^-1 K/gamma``: the same S with up to 40x less mass
   drift at kappa = 1e4.  Since ``-M^-1 K = gamma (I - S^-1)``, the
   solution at each time t of the window is ``beta V_m f(H_m) e1`` with
   ``f(theta) = exp(t gamma (1 - 1/theta))``, from one eigendecomposition
@@ -40,9 +41,10 @@ and measures in the M inner product.  Three routes:
 The two step-controlled routes raise ``StepControlError`` with the
 numbers of their last attempt when they cannot reach ``rtol``; the
 Krylov route raises it too when ``M + K/gamma`` is singular in floating
-point (kappa = 1e14 on the shipped star) or when
+point (kappa = 1e14 on the shipped star), when
 ``eps max_i |K_ii / M_ii| / gamma >= 1`` puts M below its rounding
-(kappa = 1e12 there).
+(kappa = 1e12 there), or when t_min t_max over- or underflows and leaves
+no finite positive pole gamma (t = 1e300 or 1e-200).
 """
 
 from __future__ import annotations
@@ -70,6 +72,11 @@ EIG_CANCEL_MAX = 1e3
 class StepControlError(RuntimeError):
     """A step-controlled propagator did not reach its tolerance, or the
     Krylov route could not factor or resolve its shifted matrix."""
+
+
+def is_diagonal(mass) -> bool:
+    """Whether the sparse ``mass`` stores nonzeros on its diagonal only."""
+    return mass.count_nonzero() == np.count_nonzero(mass.diagonal())
 
 
 def expm_apply(matrix, u0: np.ndarray, t: float) -> np.ndarray:
@@ -181,9 +188,9 @@ def krylov_apply(
     beta = float(np.sqrt(u0 @ (mass @ u0)))
     if beta == 0.0:
         return np.zeros((len(ts), n))
-    left, weights = mass, mass.diagonal()
-    if mass.count_nonzero() == np.count_nonzero(weights):  # diagonal: row-scale
-        left, stiff = sp.identity(n, format="csr"), sp.diags(1.0 / weights) @ stiff
+    left = mass
+    if is_diagonal(mass):  # row-scale
+        left, stiff = sp.identity(n, format="csr"), sp.diags(1.0 / mass.diagonal()) @ stiff
     solved = {0.0: u0}
     for window in time_windows(ts):
         solved.update(_krylov_window(mass, left, stiff, u0, beta, window, rtol, max_dim))
@@ -194,8 +201,14 @@ def _krylov_window(mass, left, stiff, u0, beta, window, rtol, max_dim) -> dict:
     """{t: u(t)} for the ascending times of one window, on the basis of
     (left + stiff/gamma)^-1 left: (M + K/gamma)^-1 M, row-scaled for a
     diagonal M."""
-    gamma = SHIFT_T / math.sqrt(window[0] * window[-1])
     times = ", ".join(f"{t:g}" for t in window)
+    root = math.sqrt(window[0] * window[-1])  # over- or underflows at extreme t
+    gamma = SHIFT_T / root if root > 0 else math.inf
+    if not 0 < gamma < math.inf:
+        raise StepControlError(
+            f"Krylov propagator: no finite positive pole gamma={gamma:g} "
+            f"for t={times}"
+        )
     try:
         solve = splu((left + stiff / gamma).tocsc()).solve
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"

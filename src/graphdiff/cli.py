@@ -12,14 +12,16 @@ Exit codes: 0 success, 1 graph validation failure, 2 I/O or parse
 failure, 3 an acceptance criterion (monotone decrease) failed, 4 the
 propagator did not converge to its tolerance (the message carries the
 Krylov basis size, each unconverged time with its last error estimate,
-and ``rtol``) or met a singular shifted matrix.  Non-finite numbers in
-flags, and a ``--levels`` below 1, are parse failures.
+and ``rtol``), met a singular shifted matrix or had no finite pole for
+extreme times, 5 out of memory (the problem is too large for this
+machine).  Non-finite numbers in flags, and a ``--levels`` below 1, are
+parse failures.
 
 This module alone formats output.  Every CSV goes through ``_write_csv``
 and is deterministic: a header row, fixed column order, ``\n`` line ends,
-float cells printed by ``_fmt`` with 17 significant digits (they
-round-trip exactly), text cells as given.  Numbers printed on stdout go
-through the same ``_fmt``.
+numbers printed by ``_fmt`` with 17 significant digits (they round-trip
+exactly).  Each producer formats its own cells, so the writer takes
+str cells only.  Numbers printed on stdout go through the same ``_fmt``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import itertools
 import math
 import sys
 
@@ -38,7 +39,7 @@ from . import _stepping, chain, evolution, finite_volume, resolvent
 from .graphs import GraphConfigError, InvalidGraphError, load_graph, validate
 from .grids import edge_indicator, make_grid
 
-OK, INVALID, IOERR, FAILED, UNCONVERGED = 0, 1, 2, 3, 4
+OK, INVALID, IOERR, FAILED, UNCONVERGED, OUT_OF_MEMORY = 0, 1, 2, 3, 4, 5
 
 
 def _finite_float(text: str) -> float:
@@ -81,17 +82,14 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, header, rows) -> None:
-    """Write ``header`` and then ``rows`` to the ``--out`` stream (stdout
-    for None or '-'): str cells as given, every other cell through
-    ``_fmt``.  ``rows`` may be a generator; it is written as it comes."""
+    """Write ``header`` and then ``rows`` of str cells (numbers already
+    through ``_fmt``) to the ``--out`` stream (stdout for None or '-').
+    ``rows`` may be a generator; it is written as it comes."""
     fh, close = _open_out(path)
     try:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(
-            [cell if isinstance(cell, str) else _fmt(cell) for cell in row]
-            for row in rows
-        )
+        writer.writerows(rows)
     finally:
         if close:
             fh.close()
@@ -174,17 +172,20 @@ def _load_valid(path):
     return graph
 
 
-def _generator_rows(gen):
-    """One CSV row per edge of ``gen.q``: the variant, the edge id, then
-    the literal "0" (which is ``_fmt(0.0)``) except at the stored entries,
-    so only those are formatted."""
-    q = gen.q
-    for i, edge_id in enumerate(gen.edge_ids):
-        row = [gen.variant, edge_id] + ["0"] * gen.n
-        stored = slice(q.indptr[i], q.indptr[i + 1])
-        for j, x in zip(q.indices[stored], q.data[stored]):
-            row[2 + j] = x
-        yield row
+def _limit_q_rows(dual, primal):
+    """One CSV row per edge of each variant's ``q``: the variant, the edge
+    id, then the literal "0" (which is ``_fmt(0.0)``) except at the stored
+    entries, so only those are formatted; last the dual's weighted column
+    sums."""
+    for gen in (dual, primal):
+        q = gen.q
+        for i, edge_id in enumerate(gen.edge_ids):
+            row = [gen.variant, edge_id] + ["0"] * gen.n
+            stored = slice(q.indptr[i], q.indptr[i + 1])
+            for j, x in zip(q.indices[stored], q.data[stored]):
+                row[2 + j] = _fmt(x)
+            yield row
+    yield ["mass_rate", ""] + [_fmt(x) for x in chain.mass_rate(dual)]
 
 
 def cmd_limit_q(args) -> int:
@@ -192,10 +193,7 @@ def cmd_limit_q(args) -> int:
     dual = chain.chain_generator(graph, chain.DUAL)
     primal = chain.chain_generator(graph, chain.PRIMAL)
     ids = dual.edge_ids
-    # both variants, then the dual's weighted column sums
-    mass_rate = ["mass_rate", ""] + list(chain.mass_rate(dual))
-    rows = itertools.chain(_generator_rows(dual), _generator_rows(primal), [mass_rate])
-    _write_csv(args.out, ["variant", "edge"] + list(ids), rows)
+    _write_csv(args.out, ["variant", "edge"] + list(ids), _limit_q_rows(dual, primal))
     differ = dual.q != primal.q
     differ.sort_indices()  # row-major, as the listing has always been
     rows, cols = differ.nonzero()
@@ -237,7 +235,8 @@ def cmd_sweep(args) -> int:
         trace_order=args.trace_order,
     )
     # kappa_sweep orders the records by (kappa, t)
-    _write_csv(args.out, evolution.CSV_COLUMNS, map(dataclasses.astuple, result.records))
+    rows = (map(_fmt, dataclasses.astuple(record)) for record in result.records)
+    _write_csv(args.out, evolution.CSV_COLUMNS, rows)
     for t in result.times():
         errs = result.errors(t)
         print(
@@ -261,7 +260,7 @@ def _phi_from_flag(flag):
 def cmd_resolvent_check(args) -> int:
     phi = _phi_from_flag(args.phi)
     table = resolvent.averaging_limit_check(args.a, args.b, phi, args.lambdas)
-    _write_csv(args.out, ["lambda", "l1_distance"], table.rows)
+    _write_csv(args.out, ["lambda", "l1_distance"], (map(_fmt, row) for row in table.rows))
     dists = table.distances()
     decreasing = table.nonincreasing(slack=0.05)
     vanishing = dists[-1] <= 0.05
@@ -287,10 +286,11 @@ def cmd_duality_check(args) -> int:
         )
         rows.append((h, defect))
     _write_csv(args.out, ["h", "defect", "ratio"], [
-        (h, defect, "" if k == 0 else defect / rows[k - 1][1])
+        [_fmt(h), _fmt(defect), "" if k == 0 else _fmt(defect / rows[k - 1][1])]
         for k, (h, defect) in enumerate(rows)
     ])
-    ok = True
+    # an inf or nan defect fails at any level; inf > 0.75 * inf would not
+    ok = all(math.isfinite(defect) for _, defect in rows)
     floor = 1e-12 * max(1.0, rows[0][1])
     for k in range(1, len(rows)):
         prev, cur = rows[k - 1][1], rows[k][1]
@@ -308,6 +308,9 @@ def main(argv=None) -> int:
     except _stepping.StepControlError as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
         return UNCONVERGED
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return OUT_OF_MEMORY
     except InvalidGraphError as exc:
         for problem in str(exc).splitlines():
             print(f"problem: {problem}", file=sys.stderr)

@@ -29,13 +29,13 @@ other under refinement (the continuum pairing is an exact identity).
 
 All three discretizations (these two and P1 Galerkin in ``galerkin``)
 are ``DiscreteGenerator`` records of the mass form  M u' = -K u  with
-K = kappa S + C, built from two sparse builders: the interior diffusion
-form S = G^T diag(sigma/h) G (G: neighbour differences inside each edge),
-and the endpoint coupling C = -E^T Y T (E: each edge's first and last
-unknown, Y: the graph's exchange matrix X or its transpose, T: the trace
-map).  Only S carries kappa, so one assembly serves every kappa.  Here
-C = -E^T X^T T on cells and C = -E^T X E on nodes, with M = diag(w): the
-forward coupling is the transpose of the adjoint one.
+K = kappa S + C, and all come from one routine, ``_assemble``: the
+diffusion form S = G^T diag(sigma/h) G, the endpoint coupling
+C = -E^T Y T (Y = X or X^T) and M = diag(w) unless a consistent mass is
+given.  Only S carries kappa, so one assembly serves every kappa.  Each
+builder names only its own choices: cells, X^T and the trace order
+here; nodes and X for the forward side (its coupling is the transpose of
+the adjoint one); nodes, X^T and the P1 mass in ``galerkin``.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from numpy.polynomial import Polynomial
 
+from ._stepping import is_diagonal
 from .graphs import MetricGraph, endpoint_conditions
 from .grids import CELLS, NODES, EdgeGrid
 
@@ -80,15 +81,11 @@ class DiscreteGenerator:
         """K = kappa S + C."""
         return self.kappa * self.diffusion + self.coupling
 
-    @property
-    def diagonal_mass(self) -> bool:
-        return sp.triu(self.mass, 1).count_nonzero() == 0
-
     @cached_property
     def matrix(self):
         """A with u' = A u: sparse -W^{-1} K for a diagonal mass, dense
         -M^{-1} K for P1, formed on first read."""
-        if self.diagonal_mass:
+        if is_diagonal(self.mass):
             return -(sp.diags(1.0 / self.weights) @ self.flux).tocsr()
         return -scipy.linalg.solve(
             self.mass.toarray(), self.flux.toarray(), assume_a="pos"
@@ -98,17 +95,6 @@ class DiscreteGenerator:
         if sp.issparse(self.matrix):
             return self.matrix.toarray()
         return np.asarray(self.matrix, dtype=float)
-
-
-def _check_assembly_args(graph, grid, kappa):
-    """Grid and kappa checks; callers build the exchange matrix first, so
-    an invalid graph raises InvalidGraphError before these."""
-    if grid.n_edges != graph.n_edges or not np.allclose(
-        grid.lengths, graph.lengths, rtol=1e-12, atol=0
-    ):
-        raise ValueError("grid does not match the graph's edges")
-    if not 0 < kappa < np.inf:
-        raise ValueError(f"kappa must be positive and finite, got {kappa}")
 
 
 def _differences(grid: EdgeGrid, layout: str):
@@ -125,45 +111,50 @@ def _differences(grid: EdgeGrid, layout: str):
     return diff, np.repeat(np.arange(grid.n_edges), np.diff(off) - 1)
 
 
-def _diffusion_form(graph, grid: EdgeGrid, layout: str) -> sp.csr_matrix:
-    """S = G^T diag(sigma / h) G: the interior flux form at kappa = 1."""
-    diff, edge = _differences(grid, layout)
-    faces = sp.diags(graph.sigmas[edge] / grid.widths[edge])
-    return (diff.T @ faces @ diff).tocsr()
-
-
-def _endpoints(grid: EdgeGrid, layout: str) -> sp.csr_matrix:
-    """E, the (2 n_edges, unknowns) selection of each edge's first and
-    last unknown; row 2*edge + side."""
+def _assemble(
+    graph, grid: EdgeGrid, kappa: float, layout: str, adjoint: bool,
+    trace_order: int = 1, mass=None,
+) -> DiscreteGenerator:
+    """M u' = -(kappa S + C) u on ``layout``, after checking the graph (by
+    building X), the grid against it, ``kappa`` and ``trace_order``, in
+    that order.  S = G^T diag(sigma/h) G (G: neighbour differences inside
+    each edge); C = -E^T Y T with E the selection of each edge's first and
+    last unknown (row 2*edge + side), Y = X^T if ``adjoint`` else X, and
+    T = E for order 1 or the extrapolation 1.5 v0 - 0.5 v1 for order 2;
+    M = diag(w) unless a consistent ``mass`` is given."""
+    exchange = graph.exchange.T if adjoint else graph.exchange
+    if grid.n_edges != graph.n_edges or not np.allclose(
+        grid.lengths, graph.lengths, rtol=1e-12, atol=0
+    ):
+        raise ValueError("grid does not match the graph's edges")
+    if not 0 < kappa < np.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    if trace_order not in (1, 2):
+        raise ValueError(f"trace_order must be 1 or 2, got {trace_order}")
     off = grid.offsets(layout)
     cols = np.column_stack([off[:-1], off[1:] - 1]).ravel()
-    return sp.csr_matrix(
+    ends = sp.csr_matrix(
         (np.ones(cols.size), cols, np.arange(cols.size + 1)),
         shape=(cols.size, int(off[-1])),
     )
-
-
-def _coupling(grid: EdgeGrid, layout: str, exchange, trace) -> sp.csr_matrix:
-    """C = -E^T Y T: the membrane exchange Y (X or X^T) of the endpoint
-    traces T u, scattered onto each edge's first and last unknown.
-    Independent of kappa."""
-    return -(_endpoints(grid, layout).T @ exchange @ trace).tocsr()
-
-
-def _trace_matrix(grid: EdgeGrid, trace_order: int) -> sp.csr_matrix:
-    """(2n_edges, total_cells) map from cell values to endpoint traces;
-    trace index is 2*edge + side."""
-    if trace_order not in (1, 2):
-        raise ValueError(f"trace_order must be 1 or 2, got {trace_order}")
-    ends = _endpoints(grid, CELLS)
-    if trace_order == 1:
-        return ends
-    # the second cell in from each end, for 1.5 v0 - 0.5 v1
-    inner = sp.csr_matrix(
-        (ends.data, ends.indices + np.tile([1, -1], grid.n_edges), ends.indptr),
-        shape=ends.shape,
+    trace = ends
+    if trace_order == 2:
+        # the second cell in from each end
+        inner = sp.csr_matrix(
+            (ends.data, ends.indices + np.tile([1, -1], grid.n_edges), ends.indptr),
+            shape=ends.shape,
+        )
+        trace = (1.5 * ends - 0.5 * inner).tocsr()
+    diff, edge = _differences(grid, layout)
+    faces = sp.diags(graph.sigmas[edge] / grid.widths[edge])
+    weights = grid.weights(layout)
+    return DiscreteGenerator(
+        mass=sp.diags(weights, format="csr") if mass is None else mass,
+        diffusion=(diff.T @ faces @ diff).tocsr(),
+        coupling=-(ends.T @ exchange @ trace).tocsr(),
+        weights=weights,
+        kappa=kappa,
     )
-    return (1.5 * ends - 0.5 * inner).tocsr()
 
 
 def dual_generator(
@@ -171,10 +162,7 @@ def dual_generator(
 ) -> DiscreteGenerator:
     """Finite-volume matrix of the adjoint generator kappa sigma d2/dx2
     with membrane-flux conditions: K = kappa S - E^T X^T T."""
-    exchange = graph.exchange
-    _check_assembly_args(graph, grid, kappa)
-    coupling = _coupling(grid, CELLS, exchange.T, _trace_matrix(grid, trace_order))
-    return _diagonal_generator(graph, grid, CELLS, coupling, kappa)
+    return _assemble(graph, grid, kappa, CELLS, adjoint=True, trace_order=trace_order)
 
 
 def primal_generator(graph: MetricGraph, grid: EdgeGrid, kappa: float) -> DiscreteGenerator:
@@ -182,21 +170,7 @@ def primal_generator(graph: MetricGraph, grid: EdgeGrid, kappa: float) -> Discre
     K = kappa S - E^T X E.  The half-width end weights turn the end rows
     of S into the ghost-node elimination of the transmission condition
     kappa f'(end) = G[i, side](f)."""
-    exchange = graph.exchange
-    _check_assembly_args(graph, grid, kappa)
-    coupling = _coupling(grid, NODES, exchange, _endpoints(grid, NODES))
-    return _diagonal_generator(graph, grid, NODES, coupling, kappa)
-
-
-def _diagonal_generator(graph, grid, layout, coupling, kappa) -> DiscreteGenerator:
-    weights = grid.weights(layout)
-    return DiscreteGenerator(
-        mass=sp.diags(weights, format="csr"),
-        diffusion=_diffusion_form(graph, grid, layout),
-        coupling=coupling,
-        weights=weights,
-        kappa=kappa,
-    )
+    return _assemble(graph, grid, kappa, NODES, adjoint=False)
 
 
 def duality_defect(

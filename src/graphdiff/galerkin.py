@@ -11,12 +11,12 @@ with F the trace functionals, X the exchange matrix of the graph and E
 the selection of endpoint values; c is independent of kappa and couples
 only endpoint values.  With M the (unweighted) mass matrix the semidiscrete
 dynamics are  M u' = -(B + C) u,  i.e. the generator is
-A = -M^{-1} (B + C).  B and C come from the same builders as the
-finite-volume matrices (B = kappa S, C = -E^T X^T E on nodes), and
-``assemble_forms`` returns them as one ``DiscreteGenerator`` that keeps
-S and C apart, so one assembly serves every kappa; the propagator works
-on the sparse pair (M, B + C) = ``(gen.mass, gen.flux)`` and factors
-M + K/gamma, and the dense A is formed only when
+A = -M^{-1} (B + C).  ``assemble_forms`` is the finite-volume module's
+one assembly routine on nodes, with Y = X^T and the P1 mass given
+(B = kappa S, C = -E^T X^T E), so the returned ``DiscreteGenerator``
+keeps S and C apart and one assembly serves every kappa; the propagator
+works on the sparse pair (M, B + C) = ``(gen.mass, gen.flux)`` and
+factors M + K/gamma, and the dense A is formed only when
 ``DiscreteGenerator.matrix`` is read.
 
 The numerical range of A in the M-inner product gives a growth rate: with
@@ -35,39 +35,23 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .finite_volume import (
-    DiscreteGenerator,
-    _check_assembly_args,
-    _coupling,
-    _differences,
-    _diffusion_form,
-    _endpoints,
-)
+from .finite_volume import DiscreteGenerator, _assemble, _differences
 from .graphs import MetricGraph
 from .grids import NODES, EdgeGrid
 
 
 def assemble_forms(graph: MetricGraph, grid: EdgeGrid, kappa: float) -> DiscreteGenerator:
-    """The P1 generator: M, S, C on the per-edge node grid (no cross-edge
-    DOFs), with the trapezoid weights of the nodes.
-
-    S and C = -E^T X^T E are the finite-volume builders on nodes; with
-    P = |G| the element sums, the element mass (h/6)[[2,1],[1,2]]
-    assembles to M = P^T diag(h/6) P + diag(w)/3.
+    """The P1 generator: the one finite-volume assembly on the per-edge
+    node grid (no cross-edge DOFs) with C = -E^T X^T E, the trapezoid
+    weights of the nodes, and the consistent mass: with P = |G| the
+    element sums, the element mass (h/6)[[2,1],[1,2]] assembles to
+    M = P^T diag(h/6) P + diag(w)/3.
     """
-    exchange = graph.exchange
-    _check_assembly_args(graph, grid, kappa)
     diff, edge = _differences(grid, NODES)
     sums = abs(diff)
-    weights = grid.weights(NODES)
-    mass = sums.T @ sp.diags(grid.widths[edge] / 6.0) @ sums + sp.diags(weights / 3.0)
-    return DiscreteGenerator(
-        mass=mass.tocsr(),
-        diffusion=_diffusion_form(graph, grid, NODES),
-        coupling=_coupling(grid, NODES, exchange.T, _endpoints(grid, NODES)),
-        weights=weights,
-        kappa=kappa,
-    )
+    mass = sums.T @ sp.diags(grid.widths[edge] / 6.0) @ sums
+    mass = mass + sp.diags(grid.weights(NODES) / 3.0)
+    return _assemble(graph, grid, kappa, NODES, adjoint=True, mass=mass.tocsr())
 
 
 def l2_generator(gen: DiscreteGenerator) -> DiscreteGenerator:
@@ -95,9 +79,6 @@ def growth_rate(gen: DiscreteGenerator) -> float:
 
 
 def interpolate_to_cells(grid: EdgeGrid, u_nodes: np.ndarray) -> np.ndarray:
-    """Midpoint values of the P1 function: node-pair averages per cell
-    (for comparison against finite-volume cell values)."""
-    u_nodes = np.asarray(u_nodes, dtype=float)
-    # every node but the last of each edge starts a cell
-    left = np.delete(np.arange(grid.total_nodes), grid.node_offsets[1:] - 1)
-    return (u_nodes[left] + u_nodes[left + 1]) / 2.0
+    """Midpoint values of the P1 function: the element sums |G| u / 2, one
+    per cell (for comparison against finite-volume cell values)."""
+    return abs(_differences(grid, NODES)[0]) @ np.asarray(u_nodes, dtype=float) / 2.0

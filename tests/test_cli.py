@@ -256,6 +256,36 @@ def test_unresolved_mass_exits_unconverged(star_path, tmp_path, disc, ratio, cap
     assert "gamma=10" in err[0] and err[0].endswith("for t=1")
 
 
+@pytest.mark.parametrize("t", ["1e300", "1e-200", "1e-320"])
+def test_extreme_time_has_no_pole_and_exits_unconverged(star_path, tmp_path, t, capsys):
+    # t_min * t_max overflows or underflows, so gamma = 10 / sqrt(t_min t_max)
+    # is 0 or infinite: a one-line exit 4 naming gamma and the time
+    code = main([
+        "sweep", "--graph", star_path, "--kappa", "1", "--t", t, "--h", "0.1",
+        "--out", str(tmp_path / "x.csv"),
+    ])
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: solver did not converge: ")
+    assert "gamma=" in err[0] and "for t=" in err[0]
+
+
+def test_out_of_memory_has_its_own_exit_code(star_path, tmp_path, monkeypatch, capsys):
+    # a problem too large for the machine is neither an invalid graph nor
+    # an I/O error; the stand-in raises before anything is allocated
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)")
+
+    monkeypatch.setattr(cli.evolution, "kappa_sweep", too_large)
+    code = main(["sweep", "--graph", star_path, "--out", str(tmp_path / "x.csv")])
+    assert code == cli.OUT_OF_MEMORY == 5
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 7.28 TiB "
+        "for an array with shape (1000000, 1000000)\n"
+    )
+
+
 def test_bad_kappa_list_is_parse_error(star_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--graph", star_path, "--kappa", "1,zap"])
@@ -450,6 +480,21 @@ def test_duality_check_second_order_traces(star_path, tmp_path):
         "--h", "0.1", "--levels", "2", "--out", str(tmp_path / "d.csv"),
     ])
     assert code == 0
+
+
+@pytest.mark.parametrize("levels", ["1", "3"])
+def test_duality_check_fails_on_infinite_defects(star_path, tmp_path, levels, capsys):
+    # at kappa = 1e-300 the fitted slopes overflow and every defect is inf;
+    # inf > 0.75 * inf is false, so the ratio rule alone would pass it
+    out = tmp_path / "d.csv"
+    with np.errstate(all="ignore"):
+        code = main([
+            "duality-check", "--graph", star_path, "--kappa", "1e-300",
+            "--h", "0.1", "--levels", levels, "--out", str(out),
+        ])
+    assert code == 3
+    defects = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
+    assert len(defects) == int(levels) and set(defects) == {"inf"}
 
 
 @pytest.mark.parametrize("levels", ["0", "-2", "two"])

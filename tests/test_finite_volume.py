@@ -101,20 +101,28 @@ def test_grid_graph_mismatch(star_graph, chain_graph):
         dual_generator(star_graph, grid, kappa=1.0)
 
 
-def test_invalid_graph_reported_before_grid_mismatch(star_graph):
-    # validation runs once, inside the exchange matrix, ahead of the grid
-    # and kappa checks of every assembler
+def test_invalid_graph_reported_before_grid_mismatch(star_graph, chain_graph):
+    # validation runs once, inside the exchange matrix, ahead of the grid,
+    # kappa and trace-order checks of every assembler, in that order: each
+    # call below fails every check from its own stage on
     from graphdiff.graphs import EdgeSpec, MetricGraph
     bad = MetricGraph((EdgeSpec(id="L", length=1.0, sigma=1.0,
                                 left_vertex="v", right_vertex="v"),))
     grid = make_grid(star_graph, 0.1)
+    wrong = make_grid(chain_graph, 0.1)
     for assemble in (
-        lambda: dual_generator(bad, grid, kappa=0.0),
-        lambda: primal_generator(bad, grid, kappa=0.0),
-        lambda: assemble_forms(bad, grid, kappa=0.0),
+        lambda graph, grid, kappa, order: dual_generator(graph, grid, kappa, trace_order=order),
+        lambda graph, grid, kappa, order: primal_generator(graph, grid, kappa),
+        lambda graph, grid, kappa, order: assemble_forms(graph, grid, kappa),
     ):
         with pytest.raises(InvalidGraphError):
-            assemble()
+            assemble(bad, grid, 0.0, 3)
+        with pytest.raises(ValueError, match="grid does not match"):
+            assemble(star_graph, wrong, 0.0, 3)
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            assemble(star_graph, grid, 0.0, 3)
+    with pytest.raises(ValueError, match="trace_order must be 1 or 2"):
+        dual_generator(star_graph, grid, 1.0, trace_order=3)
 
 
 def test_kappa_enters_affinely(star_graph):
