@@ -1,50 +1,42 @@
-"""Time steppers for linear systems  M u' = -K u.
+"""The time stepper for linear systems  M u' = -K u.
 
-Every route takes the pair (M, K) as the discretization assembles it
-and measures in the M inner product.  Three routes:
+``krylov_apply`` takes the pair (M, K) as the discretization assembles
+it and measures in the M inner product.  It is the one route behind
+``evolution.propagate`` and both sides of a sweep, the limit chain
+c' = Q c taken as the pair (D, -D Q) with D the edge lengths.
 
-* ``krylov_apply`` (the one route behind ``evolution.propagate`` and
-  both sides of a sweep, the limit chain c' = Q c taken as the pair
-  (D, -D Q) with D the edge lengths): shift-and-invert Arnoldi for a
-  whole list of times.  The positive times are grouped into windows
-  ``t_max <= KRYLOV_WINDOW * t_min``; each window gets one sparse LU of
-  ``M + K/gamma`` with ``gamma = SHIFT_T / sqrt(t_min t_max)`` and one
-  Arnoldi basis on ``S = (M + K/gamma)^-1 M`` in the M inner product,
-  which gives ``S V_m = V_m H_m + ...``.  A diagonal M = W (``is_diagonal``,
-  the one such test, which ``DiscreteGenerator.matrix`` reads too) is
-  factored row-scaled, ``I + W^-1 K/gamma``: the same S with up to 40x less mass
-  drift at kappa = 1e4.  Since ``-M^-1 K = gamma (I - S^-1)``, the
-  solution at each time t of the window is ``beta V_m f(H_m) e1`` with
-  ``f(theta) = exp(t gamma (1 - 1/theta))``, from one eigendecomposition
-  of the m x m ``H_m`` per step (Higham, *Functions of Matrices*, 2008;
-  ``expm`` only for a near-defective ``H_m``).  The rational basis
-  resolves the stiff diffusion modes at any kappa, and unlike a contour
-  quadrature it needs no enclosure of the spectrum, so non-normal
-  membrane couplings with complex eigenvalues are handled the same way.
-  One pole serves a bounded range of times only (van den Eshof &
-  Hochbruck, SIAM J. Sci. Comput. 27, 2006; Moret & Novati, BIT 44,
-  2004): over t in {0.1, 10} a single pole stops at an answer 6e-2 off
-  on a 20-edge directed cycle, hence the windows.  The basis grows
-  until, for every time of the window, iterates m - 4 and m agree to
-  ``rtol``.
-* ``expm_apply``: dense matrix exponential (scaling and squaring), a
-  reference that the tests call on ``DiscreteGenerator.matrix``; it
-  refuses more than DENSE_LIMIT unknowns.
-* ``crank_nicolson``: step doubling until the solution stops moving at
-  the requested relative tolerance in the M norm, an independent
-  reference that the tests call on ``(gen.mass, gen.flux)``.
-  The first CN step is split into two backward-Euler half steps, which
-  kills the undamped ringing CN otherwise leaves on rough initial data;
-  both stages share one factorization since BE at dt/2 and CN at dt use
-  the same left-hand matrix M + (dt/2) K.
+It runs shift-and-invert Arnoldi for a whole list of times.  The
+positive times are grouped into windows ``t_max <= KRYLOV_WINDOW *
+t_min``; each window gets one sparse LU of ``M + K/gamma`` with
+``gamma = SHIFT_T / sqrt(t_min t_max)`` and one Arnoldi basis on
+``S = (M + K/gamma)^-1 M`` in the M inner product, which gives
+``S V_m = V_m H_m + ...``.  A diagonal M = W (``is_diagonal``, the one
+such test, which ``DiscreteGenerator.matrix`` reads too) is factored
+row-scaled, ``I + W^-1 K/gamma``: the same S with up to 40x less mass
+drift at kappa = 1e4.  Since ``-M^-1 K = gamma (I - S^-1)``, the
+solution at each time t of the window is ``beta V_m f(H_m) e1`` with
+``f(theta) = exp(t gamma (1 - 1/theta))``, from one eigendecomposition
+of the m x m ``H_m`` per step (Higham, *Functions of Matrices*, 2008;
+``expm`` only for a near-defective ``H_m``).  The rational basis
+resolves the stiff diffusion modes at any kappa, and unlike a contour
+quadrature it needs no enclosure of the spectrum, so non-normal
+membrane couplings with complex eigenvalues are handled the same way.
+One pole serves a bounded range of times only (van den Eshof &
+Hochbruck, SIAM J. Sci. Comput. 27, 2006; Moret & Novati, BIT 44,
+2004): over t in {0.1, 10} a single pole stops at an answer 6e-2 off on
+a 20-edge directed cycle, hence the windows.  The basis grows until,
+for every time of the window, iterates m - 4 and m agree to ``rtol``.
 
-The two step-controlled routes raise ``StepControlError`` with the
-numbers of their last attempt when they cannot reach ``rtol``; the
-Krylov route raises it too when ``M + K/gamma`` is singular in floating
-point (kappa = 1e14 on the shipped star), when
+It raises ``StepControlError`` with the numbers of its last attempt
+when it cannot reach ``rtol``, when ``M + K/gamma`` is singular in
+floating point (kappa = 1e14 on the shipped star), when
 ``eps max_i |K_ii / M_ii| / gamma >= 1`` puts M below its rounding
 (kappa = 1e12 there), or when t_min t_max over- or underflows and leaves
 no finite positive pole gamma (t = 1e300 or 1e-200).
+
+The references it is checked against, the dense matrix exponential and
+step-doubling Crank-Nicolson, live with the tests in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -55,8 +47,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
-
-DENSE_LIMIT = 4000
 
 # gamma * t for the shift-and-invert pole; iterates at basis sizes
 # m - KRYLOV_LAG and m are compared for the stopping rule
@@ -70,79 +60,13 @@ EIG_CANCEL_MAX = 1e3
 
 
 class StepControlError(RuntimeError):
-    """A step-controlled propagator did not reach its tolerance, or the
-    Krylov route could not factor or resolve its shifted matrix."""
+    """The Krylov propagator did not reach its tolerance, or could not
+    factor or resolve its shifted matrix."""
 
 
 def is_diagonal(mass) -> bool:
     """Whether the sparse ``mass`` stores nonzeros on its diagonal only."""
     return mass.count_nonzero() == np.count_nonzero(mass.diagonal())
-
-
-def expm_apply(matrix, u0: np.ndarray, t: float) -> np.ndarray:
-    """u(t) = expm(t A) u0 with A = ``matrix`` (dense route), for at most
-    DENSE_LIMIT unknowns."""
-    if t == 0.0:
-        return np.array(u0, dtype=float, copy=True)
-    n = matrix.shape[0]
-    if n > DENSE_LIMIT:
-        raise ValueError(
-            f"dense exponential limited to {DENSE_LIMIT} unknowns (got {n}); "
-            "evolution.propagate's sparse Krylov route has no such limit"
-        )
-    if sp.issparse(matrix):
-        matrix = matrix.toarray()
-    return scipy.linalg.expm(t * np.asarray(matrix, dtype=float)) @ u0
-
-
-def _cn_run(mass, stiff, u0, t, n_steps):
-    dt = t / n_steps
-    lhs = (mass + (dt / 2.0) * stiff).tocsc()
-    solver = splu(lhs)
-    u = np.array(u0, dtype=float, copy=True)
-    # two backward-Euler half steps in place of the first CN step
-    u = solver.solve(mass @ u)
-    u = solver.solve(mass @ u)
-    rhs = (mass - (dt / 2.0) * stiff).tocsr()
-    for _ in range(n_steps - 1):
-        u = solver.solve(rhs @ u)
-    return u
-
-
-def crank_nicolson(
-    mass,
-    stiff,
-    u0: np.ndarray,
-    t: float,
-    rtol: float = 1e-8,
-    start_steps: int = 16,
-    max_steps: int = 1 << 21,
-) -> np.ndarray:
-    """Integrate M u' = -K u to time t, doubling the step count until two
-    consecutive refinements agree to ``rtol`` in the M norm."""
-    if t == 0.0:
-        return np.array(u0, dtype=float, copy=True)
-    mass = sp.csr_matrix(mass)
-    stiff = sp.csr_matrix(stiff)
-
-    def mnorm(v):
-        return math.sqrt(max(float(v @ (mass @ v)), 0.0))
-
-    n = start_steps
-    prev = _cn_run(mass, stiff, u0, t, n)
-    gap = np.inf
-    while n <= max_steps:
-        n *= 2
-        cur = _cn_run(mass, stiff, u0, t, n)
-        scale = max(mnorm(cur), mnorm(u0), 1e-300)
-        gap = mnorm(cur - prev)
-        if gap <= rtol * scale:
-            return cur
-        prev = cur
-    raise StepControlError(
-        f"Crank-Nicolson: no convergence to rtol={rtol:g} after {n} steps "
-        f"at t={t:g} (last M-norm gap {gap:.3g})"
-    )
 
 
 def time_windows(ts) -> list:

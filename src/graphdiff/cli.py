@@ -290,7 +290,12 @@ def cmd_duality_check(args) -> int:
         for k, (h, defect) in enumerate(rows)
     ])
     # an inf or nan defect fails at any level; inf > 0.75 * inf would not
-    ok = all(math.isfinite(defect) for _, defect in rows)
+    bad = [(h, defect) for h, defect in rows if not math.isfinite(defect)]
+    if bad:
+        h, defect = bad[0]
+        print(f"non-finite duality defect {defect} at h={h:g} (kappa={args.kappa:g})",
+              file=sys.stderr)
+    ok = not bad
     floor = 1e-12 * max(1.0, rows[0][1])
     for k in range(1, len(rows)):
         prev, cur = rows[k - 1][1], rows[k][1]

@@ -10,29 +10,21 @@ functions over the disjoint edges:
 with F the trace functionals, X the exchange matrix of the graph and E
 the selection of endpoint values; c is independent of kappa and couples
 only endpoint values.  With M the (unweighted) mass matrix the semidiscrete
-dynamics are  M u' = -(B + C) u,  i.e. the generator is
-A = -M^{-1} (B + C).  ``assemble_forms`` is the finite-volume module's
-one assembly routine on nodes, with Y = X^T and the P1 mass given
-(B = kappa S, C = -E^T X^T E), so the returned ``DiscreteGenerator``
-keeps S and C apart and one assembly serves every kappa; the propagator
-works on the sparse pair (M, B + C) = ``(gen.mass, gen.flux)`` and
-factors M + K/gamma, and the dense A is formed only when
-``DiscreteGenerator.matrix`` is read.
+dynamics are  M u' = -(B + C) u.  ``assemble_forms`` is the
+finite-volume module's one assembly routine on nodes, with Y = X^T and
+the P1 mass given (B = kappa S, C = -E^T X^T E), so the returned
+``DiscreteGenerator`` keeps S and C apart and one assembly serves every
+kappa; the propagator works on the sparse pair (M, B + C) =
+``(gen.mass, gen.flux)`` and factors M + K/gamma.  The generator
+-M^{-1} (B + C) is dense, and the package never forms it.
 
-The numerical range of A in the M-inner product gives a growth rate: with
-S the symmetric part of B + C, d/dt ||u||_M^2 = -2 u^T S u, so
-
-    gamma = max eig of (-S, M)    ==>    ||u(t)||_M <= e^{gamma t} ||u(0)||_M
-
-holds exactly for the semidiscrete flow.  Restricted to edge-wise
-constants, -M^{-1} C followed by edge averaging reproduces the limit
-chain generator exactly (endpoint traces of constants are exact).
+Restricted to edge-wise constants, -M^{-1} C followed by edge averaging
+reproduces the limit chain generator exactly (endpoint traces of
+constants are exact).
 """
 
 from __future__ import annotations
 
-import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .finite_volume import DiscreteGenerator, _assemble, _differences
@@ -58,27 +50,3 @@ def l2_generator(gen: DiscreteGenerator) -> DiscreteGenerator:
     """The generator itself: ``assemble_forms`` already returns the pair
     (M, kappa S + C).  Kept as a name for callers that still take it."""
     return gen
-
-
-def l2_norm(gen: DiscreteGenerator, u) -> float:
-    """Exact L2 norm of the P1 function with nodal values u."""
-    u = np.asarray(u, dtype=float)
-    return float(np.sqrt(abs(u @ (gen.mass @ u))))
-
-
-def growth_rate(gen: DiscreteGenerator) -> float:
-    """Largest eigenvalue of (-(symmetric part of K), M): the sharp
-    exponential growth rate of ||u(t)||_M for the semidiscrete flow."""
-    flux = gen.flux.toarray()
-    sym = (flux + flux.T) / 2.0
-    vals = scipy.linalg.eigh(
-        -sym, gen.mass.toarray(), eigvals_only=True,
-        subset_by_index=[gen.n - 1, gen.n - 1],
-    )
-    return float(vals[0])
-
-
-def interpolate_to_cells(grid: EdgeGrid, u_nodes: np.ndarray) -> np.ndarray:
-    """Midpoint values of the P1 function: the element sums |G| u / 2, one
-    per cell (for comparison against finite-volume cell values)."""
-    return abs(_differences(grid, NODES)[0]) @ np.asarray(u_nodes, dtype=float) / 2.0

@@ -32,8 +32,8 @@ With D_s = diag(+1 left, -1 right):
   transmission conditions.
 
 Both are sparse like X.  ``trace_functionals`` and
-``primal_condition_table`` give them as dense (n, 2, n, 2) tables, for
-inspection only: the program itself never forms a dense table.
+``primal_condition_table`` give them as dense (n, 2, n, 2) arrays, which
+the tests read; the program itself never forms a dense table.
 """
 
 from __future__ import annotations
@@ -249,15 +249,6 @@ def require_valid(graph: MetricGraph) -> ValidationReport:
     return report
 
 
-@dataclass(frozen=True)
-class TraceFunctionalTable:
-    """Linear functionals over endpoint values, as a dense table:
-    ``coeffs[i, side, j, s]`` is the weight the functional attached to
-    endpoint (i, side) puts on the value at endpoint (j, s)."""
-
-    coeffs: np.ndarray
-
-
 def endpoint_conditions(graph: MetricGraph, flow: sp.csr_matrix) -> sp.csr_matrix:
     """-D_s Sigma^-1 flow over endpoints, index 2*edge + side, for flow
     X (forward) or X^T (adjoint); each stored entry c of row (i, side)
@@ -269,16 +260,11 @@ def endpoint_conditions(graph: MetricGraph, flow: sp.csr_matrix) -> sp.csr_matri
     return conditions
 
 
-def _endpoint_table(graph: MetricGraph, flow: sp.csr_matrix) -> TraceFunctionalTable:
-    """``endpoint_conditions`` as a dense (n, 2, n, 2) table."""
-    n = graph.n_edges
-    coeffs = endpoint_conditions(graph, flow).toarray()
-    return TraceFunctionalTable(coeffs=coeffs.reshape(n, 2, n, 2))
-
-
-def trace_functionals(graph: MetricGraph) -> TraceFunctionalTable:
+def trace_functionals(graph: MetricGraph) -> np.ndarray:
     """Adjoint-side flux functionals F = -D_s Sigma^-1 X^T over endpoint
-    values.  With kappa the speed parameter,
+    values, as a dense (n, 2, n, 2) array: entry [i, side, j, s] is the
+    weight F[i, side] puts on the value at endpoint (j, s).  With kappa the
+    speed parameter,
 
         kappa * phi'(left of i)  = F[i, LEFT](phi)
         kappa * phi'(right of i) = F[i, RIGHT](phi)
@@ -290,12 +276,13 @@ def trace_functionals(graph: MetricGraph) -> TraceFunctionalTable:
     c_{ji} is j's pass-through coefficient into i through j's touching
     membrane; phi(.) is evaluated at j's touching endpoint.
     """
-    return _endpoint_table(graph, graph.exchange.T)
+    n = graph.n_edges
+    return endpoint_conditions(graph, graph.exchange.T).toarray().reshape(n, 2, n, 2)
 
 
-def primal_condition_table(graph: MetricGraph) -> TraceFunctionalTable:
+def primal_condition_table(graph: MetricGraph) -> np.ndarray:
     """Forward-side transmission conditions G = -D_s Sigma^-1 X as endpoint
-    functionals:
+    functionals, laid out like ``trace_functionals``:
 
         kappa * f'(left of i)  = G[i, LEFT](f)  = l_i f(L_i) - sum_j l_ij f(.)
         kappa * f'(right of i) = G[i, RIGHT](f) = sum_j r_ij f(.) - r_i f(R_i)
@@ -303,7 +290,8 @@ def primal_condition_table(graph: MetricGraph) -> TraceFunctionalTable:
     Here l_ij / r_ij are edge i's own pass-through coefficients and f(.) is
     evaluated at neighbour j's endpoint sitting at the shared vertex.
     """
-    return _endpoint_table(graph, graph.exchange)
+    n = graph.n_edges
+    return endpoint_conditions(graph, graph.exchange).toarray().reshape(n, 2, n, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -63,14 +63,6 @@ class EdgeGrid:
     def node_offsets(self) -> np.ndarray:
         return np.concatenate([[0], np.cumsum(self.cells + 1)])
 
-    @property
-    def total_cells(self) -> int:
-        return int(self.cell_offsets[-1])
-
-    @property
-    def total_nodes(self) -> int:
-        return int(self.node_offsets[-1])
-
     def offsets(self, layout: str) -> np.ndarray:
         """Where each edge's block starts in the packed array, then the
         total size."""

@@ -483,18 +483,23 @@ def test_duality_check_second_order_traces(star_path, tmp_path):
 
 
 @pytest.mark.parametrize("levels", ["1", "3"])
-def test_duality_check_fails_on_infinite_defects(star_path, tmp_path, levels, capsys):
+def test_duality_check_fails_on_infinite_defects(star_path, tmp_path, levels, capsys,
+                                                 recwarn):
     # at kappa = 1e-300 the fitted slopes overflow and every defect is inf;
-    # inf > 0.75 * inf is false, so the ratio rule alone would pass it
+    # inf > 0.75 * inf is false, so the ratio rule alone would pass it.  The
+    # overflow is reported as one stderr line, not as numpy's RuntimeWarning
     out = tmp_path / "d.csv"
-    with np.errstate(all="ignore"):
-        code = main([
-            "duality-check", "--graph", star_path, "--kappa", "1e-300",
-            "--h", "0.1", "--levels", levels, "--out", str(out),
-        ])
+    code = main([
+        "duality-check", "--graph", star_path, "--kappa", "1e-300",
+        "--h", "0.1", "--levels", levels, "--out", str(out),
+    ])
     assert code == 3
     defects = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
     assert len(defects) == int(levels) and set(defects) == {"inf"}
+    assert capsys.readouterr().err == (
+        "non-finite duality defect inf at h=0.1 (kappa=1e-300)\n"
+    )
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("levels", ["0", "-2", "two"])

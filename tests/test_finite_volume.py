@@ -46,7 +46,7 @@ def test_sealed_edge_has_exact_cosine_eigenvectors(sealed_edge):
 
 def test_metzler_structure_first_order_traces(star_graph):
     grid = make_grid(star_graph, 0.1)
-    a = dual_generator(star_graph, grid, kappa=7.0, trace_order=1).dense()
+    a = dual_generator(star_graph, grid, kappa=7.0, trace_order=1).matrix.toarray()
     off = a - np.diag(np.diag(a))
     assert off.min() >= 0.0
     assert np.diag(a).max() < 0.0
@@ -54,7 +54,7 @@ def test_metzler_structure_first_order_traces(star_graph):
 
 def test_second_order_traces_break_metzler(star_graph):
     grid = make_grid(star_graph, 0.1)
-    a = dual_generator(star_graph, grid, kappa=7.0, trace_order=2).dense()
+    a = dual_generator(star_graph, grid, kappa=7.0, trace_order=2).matrix.toarray()
     off = a - np.diag(np.diag(a))
     assert off.min() < 0.0   # the extrapolation weight is signed
 
@@ -63,7 +63,7 @@ def test_second_order_traces_break_metzler(star_graph):
 def test_conservative_columns_vanish(star_graph, order):
     grid = make_grid(star_graph, 0.05)
     gen = dual_generator(star_graph, grid, kappa=3.0, trace_order=order)
-    assert np.abs(gen.weights @ gen.dense()).max() <= 1e-12 * gen.kappa / 0.05
+    assert np.abs(gen.weights @ gen.matrix.toarray()).max() <= 1e-12 * gen.kappa / 0.05
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -72,7 +72,7 @@ def test_leak_rate_identity(leaky_star_graph, order):
     # imbalance sigma_j (passed - total) regardless of the trace order
     grid = make_grid(leaky_star_graph, 0.05)
     gen = dual_generator(leaky_star_graph, grid, kappa=3.0, trace_order=order)
-    col = gen.weights @ gen.dense()
+    col = gen.weights @ gen.matrix.toarray()
     for j, e in enumerate(leaky_star_graph.edges):
         passed = sum(e.l_to.values()) + sum(e.r_to.values())
         expected = e.sigma * (passed - e.l - e.r)
@@ -129,9 +129,9 @@ def test_kappa_enters_affinely(star_graph):
     # interior diffusion scales with kappa, membrane exchange does not:
     # A(kappa) = kappa * D + E, so increments in kappa are proportional
     grid = make_grid(star_graph, 0.1)
-    a1 = dual_generator(star_graph, grid, kappa=1.0).dense()
-    a2 = dual_generator(star_graph, grid, kappa=2.0).dense()
-    a9 = dual_generator(star_graph, grid, kappa=9.0).dense()
+    a1 = dual_generator(star_graph, grid, kappa=1.0).matrix.toarray()
+    a2 = dual_generator(star_graph, grid, kappa=2.0).matrix.toarray()
+    a9 = dual_generator(star_graph, grid, kappa=9.0).matrix.toarray()
     assert_allclose(a9, a1 + 8.0 * (a2 - a1), rtol=1e-12)
     assert np.abs(a2 - a1).max() > 0.0
 
@@ -142,7 +142,7 @@ def test_kappa_enters_affinely(star_graph):
 def test_forward_interior_matches_classical_stencil(chain_graph):
     grid = make_grid(chain_graph, 0.25)
     gen = primal_generator(chain_graph, grid, kappa=2.0)
-    a = gen.dense()
+    a = gen.matrix.toarray()
     blk = grid.block(0, NODES)
     h = grid.widths[0]
     row = a[blk.start + 2]
@@ -160,12 +160,12 @@ def test_forward_conditions_annihilate_constants(star_graph, sealed_edge,
     # absorbs the transmission rows cancel exactly, sealed ends trivially so
     for g in (star_graph, sealed_edge):
         gen = primal_generator(g, make_grid(g, 0.05), kappa=3.0)
-        assert np.abs(gen.dense() @ np.ones(gen.n)).max() <= 1e-12
+        assert np.abs(gen.matrix.toarray() @ np.ones(gen.n)).max() <= 1e-12
     # a leaking membrane keeps some of what it absorbs, so constants are
     # no longer in the kernel
     gen = primal_generator(leaky_star_graph, make_grid(leaky_star_graph, 0.05),
                            kappa=3.0)
-    assert np.abs(gen.dense() @ np.ones(gen.n)).max() > 1e-3
+    assert np.abs(gen.matrix.toarray() @ np.ones(gen.n)).max() > 1e-3
 
 
 def test_forward_truncation_error_on_fitted_corpus(star_graph):
@@ -219,7 +219,7 @@ def _loop_flux(graph, grid, kappa, layout, table, traces):
             k[a + 1, a] -= kappa * d
         for side, row, sign in ((Side.LEFT, off[i], -1.0),
                                 (Side.RIGHT, off[i + 1] - 1, 1.0)):
-            func = table.coeffs[i, side.value]
+            func = table[i, side.value]
             for j, s in zip(*np.nonzero(func)):
                 for col, weight in traces(j, s):
                     k[row, col] -= sign * e.sigma * func[j, s] * weight
@@ -259,7 +259,7 @@ def test_builders_match_loop_reference(star_graph, leaky_star_graph, chain_graph
             assert_allclose(flux.toarray(), want, rtol=0,
                             atol=tol * np.abs(want).max())
         # P1 mass from the element matrices (h/6) [[2, 1], [1, 2]]
-        mass = np.zeros((grid.total_nodes,) * 2)
+        mass = np.zeros((grid.size(NODES),) * 2)
         for i in range(g.n_edges):
             h = grid.widths[i]
             for a in range(grid.node_offsets[i], grid.node_offsets[i + 1] - 1):
@@ -281,7 +281,7 @@ def test_fitted_slopes_meet_conditions(star_graph):
     ):
         ends = np.array([[p(0.0), p(star_graph.lengths[i])]
                          for i, p in enumerate(polys)])
-        targets = np.einsum("isjt,jt->is", table.coeffs, ends)
+        targets = np.einsum("isjt,jt->is", table, ends)
         for i, p in enumerate(polys):
             dp = p.deriv()
             assert kappa * dp(0.0) == pytest.approx(targets[i, 0], abs=1e-12)
@@ -304,7 +304,7 @@ def test_fits_form_no_dense_table_on_a_long_path():
         assert traced_peak(lambda: fitted.extend(fit(graph, 2.0, raw))) <= 2e6
         ends = np.array([[p(0.0), p(1.0)] for p in fitted])
         slopes = np.array([[p.deriv()(0.0), p.deriv()(1.0)] for p in fitted])
-        want = np.einsum("isjt,jt->is", table(graph).coeffs, ends)
+        want = np.einsum("isjt,jt->is", table(graph), ends)
         assert_allclose(2.0 * slopes, want, rtol=0, atol=1e-12)
 
 

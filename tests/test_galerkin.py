@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
-from graphdiff import _stepping
 from graphdiff.chain import DUAL, PiecewiseConstant, chain_generator, project_averages
-from graphdiff.galerkin import (
-    assemble_forms,
+from graphdiff.galerkin import assemble_forms, l2_generator
+from graphdiff.grids import NODES, EdgeGrid, make_grid
+
+from reference import (
+    crank_nicolson,
+    dense_generator,
     growth_rate,
     interpolate_to_cells,
-    l2_generator,
     l2_norm,
 )
-from graphdiff.grids import NODES, EdgeGrid, make_grid
 
 
 def test_mass_matrix_integrates_one(chain_graph):
@@ -82,9 +84,9 @@ def test_conservative_chain_preserves_mass(chain_graph):
     u0 = rng.uniform(0.0, 1.0, system.n)
     ones = np.ones(system.n)
     m0 = ones @ (system.mass @ u0)
-    gen = l2_generator(system)
+    a = dense_generator(l2_generator(system))
     for t in (0.3, 1.0):
-        ut = _stepping.expm_apply(gen.matrix, u0, t)
+        ut = scipy.linalg.expm(t * a) @ u0
         assert np.isrealobj(ut)
         assert ones @ (system.mass @ ut) == pytest.approx(m0, abs=1e-8)
 
@@ -96,7 +98,7 @@ def test_sealed_edge_cosine_decay_matches_continuum(sealed_edge):
     grid = EdgeGrid(lengths=(1.0,), cells=(m,))
     system = assemble_forms(sealed_edge, grid, kappa=1.0)
     u0 = np.cos(np.pi * np.arange(m + 1) / m)
-    ut = _stepping.expm_apply(l2_generator(system).matrix, u0, 0.1)
+    ut = scipy.linalg.expm(0.1 * dense_generator(l2_generator(system))) @ u0
     assert np.abs(ut - np.exp(-np.pi**2 * 0.1) * u0).max() <= 1e-6
 
 
@@ -120,7 +122,14 @@ def test_generator_matches_forms(star_graph):
     gen = l2_generator(system)
     assert gen is system
     flux = (system.kappa * system.diffusion + system.coupling).toarray()
-    assert_allclose(system.mass.toarray() @ gen.matrix, -flux, atol=1e-10)
+    assert_allclose(system.mass.toarray() @ dense_generator(gen), -flux, atol=1e-10)
+
+
+def test_generator_matrix_refuses_the_consistent_mass(star_graph):
+    # -M^-1 K is dense for the P1 mass; the package forms it nowhere
+    system = assemble_forms(star_graph, make_grid(star_graph, 0.2), kappa=3.0)
+    with pytest.raises(ValueError, match="diagonal mass only"):
+        system.matrix
 
 
 def test_evolve_methods_agree(star_graph):
@@ -129,8 +138,8 @@ def test_evolve_methods_agree(star_graph):
     rng = np.random.default_rng(2)
     u0 = rng.uniform(0.0, 1.0, system.n)
     gen = l2_generator(system)
-    a = _stepping.expm_apply(gen.matrix, u0, 0.5)
-    b = _stepping.crank_nicolson(gen.mass, gen.flux, u0, 0.5, rtol=1e-10)
+    a = scipy.linalg.expm(0.5 * dense_generator(gen)) @ u0
+    b = crank_nicolson(gen.mass, gen.flux, u0, 0.5, rtol=1e-10)
     assert l2_norm(system, a - b) <= 1e-7 * l2_norm(system, u0)
 
 
@@ -139,13 +148,13 @@ def test_growth_bound_is_sharp_semidiscretely(star_graph):
     system = assemble_forms(star_graph, grid, kappa=5.0)
     gamma = growth_rate(system)
     assert np.isfinite(gamma)
-    gen = l2_generator(system)
+    a = dense_generator(l2_generator(system))
     rng = np.random.default_rng(9)
     for _ in range(5):
         u0 = rng.normal(size=system.n)
         n0 = l2_norm(system, u0)
         for t in (0.1, 0.7, 2.0):
-            nt = l2_norm(system, _stepping.expm_apply(gen.matrix, u0, t))
+            nt = l2_norm(system, scipy.linalg.expm(t * a) @ u0)
             assert nt <= np.exp(gamma * t) * n0 * (1.0 + 1e-9)
 
 

@@ -199,18 +199,18 @@ def _two_edge(sigma1):
 
 def test_adjoint_trace_functional_equal_sigma():
     tab = trace_functionals(_two_edge(1.0))
-    co = tab.coeffs[0, Side.RIGHT.value]
+    co = tab[0, Side.RIGHT.value]
     expected = np.zeros((2, 2))
     expected[0, 1] = -1.0   # minus the trace on E1's own right end
     expected[1, 0] = 1.0    # plus the trace on E2's left end
     assert_allclose(co, expected)
     # left end of E1 is impermeable: the functional vanishes
-    assert_allclose(tab.coeffs[0, Side.LEFT.value], 0.0)
+    assert_allclose(tab[0, Side.LEFT.value], 0.0)
 
 
 def test_adjoint_trace_functional_weighted_sigma():
     tab = trace_functionals(_two_edge(2.0))
-    co = tab.coeffs[0, Side.RIGHT.value]
+    co = tab[0, Side.RIGHT.value]
     assert co[0, 1] == -1.0
     assert co[1, 0] == pytest.approx(0.5)   # sigma_2 / sigma_1
 
@@ -218,7 +218,7 @@ def test_adjoint_trace_functional_weighted_sigma():
 def test_forward_table_ignores_sigma():
     for s in (1.0, 2.0):
         tab = primal_condition_table(_two_edge(s))
-        co = tab.coeffs[0, Side.RIGHT.value]
+        co = tab[0, Side.RIGHT.value]
         assert co[0, 1] == -1.0
         assert co[1, 0] == 1.0
 
@@ -230,7 +230,7 @@ def test_star_functionals_balance_when_conservative(star_graph):
     total = np.zeros((3, 2))
     for i in range(3):
         total += star_graph.edges[i].sigma * (
-            tab.coeffs[i, Side.LEFT.value] - tab.coeffs[i, Side.RIGHT.value]
+            tab[i, Side.LEFT.value] - tab[i, Side.RIGHT.value]
         )
     assert_allclose(total, 0.0, atol=1e-15)
 
@@ -243,7 +243,7 @@ def test_conservative_coupling_bookkeeping(star_graph):
     cross = 0.0
     for i in range(star_graph.n_edges):
         for side in (Side.LEFT, Side.RIGHT):
-            co = tab.coeffs[i, side.value].copy()
+            co = tab[i, side.value].copy()
             co[i, side.value] = 0.0
             cross += star_graph.edges[i].sigma * np.abs(co).sum()
     absorbed = sum(e.sigma * (e.l + e.r) for e in star_graph.edges)

@@ -12,8 +12,8 @@ def grid():
 
 
 def test_sizes_and_blocks(grid):
-    assert grid.total_cells == 9
-    assert grid.total_nodes == 4 + 1 + 5 + 1
+    assert grid.size(CELLS) == 9
+    assert grid.size(NODES) == 4 + 1 + 5 + 1
     assert grid.block(0, CELLS) == slice(0, 4)
     assert grid.block(1, CELLS) == slice(4, 9)
     assert grid.block(1, NODES) == slice(5, 11)
@@ -56,14 +56,14 @@ def test_make_grid_uneven_lengths(chain_graph):
 
 def test_sample_and_indicator(grid):
     f = grid.sample(edge_indicator(1), CELLS)
-    assert f.shape == (grid.total_cells,)
+    assert f.shape == (grid.size(CELLS),)
     assert_allclose(f[grid.block(0, CELLS)], 0.0)
     assert_allclose(f[grid.block(1, CELLS)], 1.0)
 
 
 def test_lift_constants_round_trip(grid):
     lifted = PiecewiseConstant([2.0, -3.0], grid.lengths).lift(grid, NODES)
-    assert lifted.shape == (grid.total_nodes,)
+    assert lifted.shape == (grid.size(NODES),)
     assert_allclose(lifted[grid.block(0, NODES)], 2.0)
     assert_allclose(lifted[grid.block(1, NODES)], -3.0)
 
