@@ -9,7 +9,7 @@ the continuous-time Markov chain that the dynamics collapse to when
 diffusion is fast compared to the membranes.
 """
 
-from .chain import DUAL, chain_generator, propagator
+from .chain import DUAL, chain_generator
 from .evolution import FEM, FV, kappa_sweep
 from .finite_volume import (
     dual_generator,
@@ -19,7 +19,7 @@ from .finite_volume import (
 )
 from .graphs import load_graph, validate
 from .grids import make_grid
-from .resolvent import averaging_limit_check, resolvent_apply, resolvent_image_series
+from .resolvent import averaging_limit_check, resolvent_apply
 
 __version__ = "0.1.0"
 
@@ -34,9 +34,7 @@ __all__ = [
     "kappa_sweep",
     "load_graph",
     "make_grid",
-    "propagator",
     "resolvent_apply",
-    "resolvent_image_series",
     "validate",
     "with_dual_conditions",
     "with_primal_conditions",

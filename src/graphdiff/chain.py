@@ -21,9 +21,11 @@ satisfies the weighted column identity
 which is <= 0 and vanishes exactly for conservative graphs; lengths act
 as the stationary reference weights.
 
-Q is kept sparse, like X: an edge only exchanges with the edges it meets
-at a vertex.  The dense n_edges x n_edges view is formed only by the
-``expm`` reference ``propagator``.
+``chain_generator`` returns Q itself, a scipy.sparse csr matrix, kept
+sparse like X: an edge only exchanges with the edges it meets at a
+vertex.  Its rows and columns follow ``graph.edge_ids``.  The dense
+n_edges x n_edges view is formed only by the ``expm`` reference
+``propagator``.
 """
 
 from __future__ import annotations
@@ -64,60 +66,41 @@ class PiecewiseConstant:
         return np.repeat(self.values, np.diff(grid.offsets(layout)))
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    """Limit generator with its variant tag and edge metadata; ``q`` is
-    sparse, row i holding entries only for the edges that i meets."""
-
-    q: sp.csr_matrix
-    variant: str
-    edge_ids: tuple
-    lengths: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.q.shape[0]
-
-
 def project_averages(grid: EdgeGrid, layout: str, values) -> np.ndarray:
     """Average of a packed grid function over each edge: the projection
     onto edge-wise constants."""
     return grid.averaging(layout) @ np.asarray(values, dtype=float)
 
 
-def chain_generator(graph: MetricGraph, variant: str = DUAL) -> GeneratorMatrix:
-    """Build the limit generator matrix for a valid graph."""
+def chain_generator(graph: MetricGraph, variant: str = DUAL) -> sp.csr_matrix:
+    """The limit generator Q of a valid graph, sparse; row i holds entries
+    only for the edges that edge i meets."""
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
     exchange = graph.exchange
     flow = (exchange.T if variant == DUAL else exchange).tocoo()
-    d = graph.lengths
     # R flow R^T: endpoint 2*edge + side belongs to row/column edge; an
     # entry sums at most two endpoint pairs, so the order cannot matter
     q = sp.csr_matrix(
         (flow.data, (flow.row // 2, flow.col // 2)),
         shape=(graph.n_edges, graph.n_edges),
     )
-    q.data /= np.repeat(d, np.diff(q.indptr))
-    return GeneratorMatrix(
-        q=q, variant=variant, edge_ids=graph.edge_ids, lengths=d.copy()
-    )
+    q.data /= np.repeat(graph.lengths, np.diff(q.indptr))
+    return q
 
 
-def propagator(gen: GeneratorMatrix, t: float) -> np.ndarray:
+def propagator(q: sp.csr_matrix, t: float) -> np.ndarray:
     """exp(t Q) by scaling and squaring: the dense reference for the
     sweep's sparse Krylov limit chain."""
     if not 0 <= t < np.inf:
         raise ValueError(f"t must be finite and >= 0, got {t}")
     if t == 0:
-        return np.eye(gen.n)
-    return scipy.linalg.expm(t * gen.q.toarray())
+        return np.eye(q.shape[0])
+    return scipy.linalg.expm(t * q.toarray())
 
 
-def mass_rate(gen: GeneratorMatrix) -> np.ndarray:
-    """Weighted column sums d^T Q: rate of total-mass change per unit of
-    density sitting on each edge.  Zero iff the graph is conservative."""
-    if gen.variant != DUAL:
-        raise ValueError("mass_rate applies to the dual variant only")
-    return gen.q.T @ gen.lengths
-
+def mass_rate(graph: MetricGraph) -> np.ndarray:
+    """Weighted column sums d^T Q of the dual generator: rate of
+    total-mass change per unit of density sitting on each edge.  Zero iff
+    the graph is conservative."""
+    return chain_generator(graph, DUAL).T @ graph.lengths

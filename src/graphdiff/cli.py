@@ -14,8 +14,8 @@ propagator did not converge to its tolerance (the message carries the
 Krylov basis size, each unconverged time with its last error estimate,
 and ``rtol``), met a singular shifted matrix or had no finite pole for
 extreme times, 5 out of memory (the problem is too large for this
-machine).  Non-finite numbers in flags, and a ``--levels`` below 1, are
-parse failures.
+machine, or its grid too large to index).  Non-finite numbers in flags,
+and a ``--levels`` below 1, are parse failures.
 
 This module alone formats output.  Every CSV goes through ``_write_csv``
 and is deterministic: a header row, fixed column order, ``\n`` line ends,
@@ -172,32 +172,31 @@ def _load_valid(path):
     return graph
 
 
-def _limit_q_rows(dual, primal):
-    """One CSV row per edge of each variant's ``q``: the variant, the edge
-    id, then the literal "0" (which is ``_fmt(0.0)``) except at the stored
+def _limit_q_rows(graph, qs):
+    """One CSV row per edge of each variant's Q: the variant, the edge id,
+    then the literal "0" (which is ``_fmt(0.0)``) except at the stored
     entries, so only those are formatted; last the dual's weighted column
     sums."""
-    for gen in (dual, primal):
-        q = gen.q
-        for i, edge_id in enumerate(gen.edge_ids):
-            row = [gen.variant, edge_id] + ["0"] * gen.n
+    for variant, q in qs.items():
+        for i, edge_id in enumerate(graph.edge_ids):
+            row = [variant, edge_id] + ["0"] * graph.n_edges
             stored = slice(q.indptr[i], q.indptr[i + 1])
             for j, x in zip(q.indices[stored], q.data[stored]):
                 row[2 + j] = _fmt(x)
             yield row
-    yield ["mass_rate", ""] + [_fmt(x) for x in chain.mass_rate(dual)]
+    yield ["mass_rate", ""] + [_fmt(x) for x in chain.mass_rate(graph)]
 
 
 def cmd_limit_q(args) -> int:
     graph = _load_valid(args.graph)
-    dual = chain.chain_generator(graph, chain.DUAL)
-    primal = chain.chain_generator(graph, chain.PRIMAL)
-    ids = dual.edge_ids
-    _write_csv(args.out, ["variant", "edge"] + list(ids), _limit_q_rows(dual, primal))
-    differ = dual.q != primal.q
+    qs = {variant: chain.chain_generator(graph, variant)
+          for variant in (chain.DUAL, chain.PRIMAL)}
+    ids = graph.edge_ids
+    _write_csv(args.out, ["variant", "edge"] + list(ids), _limit_q_rows(graph, qs))
+    differ = qs[chain.DUAL] != qs[chain.PRIMAL]
     differ.sort_indices()  # row-major, as the listing has always been
     rows, cols = differ.nonzero()
-    dq, pq = (np.asarray(q[rows, cols]).ravel() for q in (dual.q, primal.q))
+    dq, pq = (np.asarray(q[rows, cols]).ravel() for q in qs.values())
     for i, j, a, b in zip(rows, cols, dq, pq):
         print(
             f"variants differ at ({ids[i]}, {ids[j]}): "
@@ -259,8 +258,14 @@ def _phi_from_flag(flag):
 
 def cmd_resolvent_check(args) -> int:
     phi = _phi_from_flag(args.phi)
-    table = resolvent.averaging_limit_check(args.a, args.b, phi, args.lambdas)
+    # extreme flags overflow; a non-finite distance is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = resolvent.averaging_limit_check(args.a, args.b, phi, args.lambdas)
     _write_csv(args.out, ["lambda", "l1_distance"], (map(_fmt, row) for row in table.rows))
+    bad = [(lam, dist) for lam, dist in table.rows if not math.isfinite(dist)]
+    if bad:
+        lam, dist = bad[0]
+        print(f"non-finite l1 distance {dist} at lambda={lam:g}", file=sys.stderr)
     dists = table.distances()
     decreasing = table.nonincreasing(slack=0.05)
     vanishing = dists[-1] <= 0.05
@@ -274,17 +279,20 @@ def cmd_duality_check(args) -> int:
     graph = _load_valid(args.graph)
     rng = np.random.default_rng(args.seed)
     raw = [Polynomial(rng.uniform(-1.0, 1.0, size=4)) for _ in range(graph.n_edges)]
-    f_polys = finite_volume.with_primal_conditions(graph, args.kappa, raw)
     raw2 = [Polynomial(rng.uniform(-1.0, 1.0, size=4)) for _ in range(graph.n_edges)]
-    phi_polys = finite_volume.with_dual_conditions(graph, args.kappa, raw2)
     rows = []
-    for level in range(args.levels):
-        h = args.h / 2**level
-        grid = make_grid(graph, h)
-        defect = finite_volume.duality_defect(
-            graph, grid, args.kappa, f_polys, phi_polys, trace_order=args.trace_order
-        )
-        rows.append((h, defect))
+    # a tiny kappa overflows the fitted slopes; a non-finite defect is
+    # reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_polys = finite_volume.with_primal_conditions(graph, args.kappa, raw)
+        phi_polys = finite_volume.with_dual_conditions(graph, args.kappa, raw2)
+        for level in range(args.levels):
+            h = args.h / 2**level
+            grid = make_grid(graph, h)
+            defect = finite_volume.duality_defect(
+                graph, grid, args.kappa, f_polys, phi_polys, trace_order=args.trace_order
+            )
+            rows.append((h, defect))
     _write_csv(args.out, ["h", "defect", "ratio"], [
         [_fmt(h), _fmt(defect), "" if k == 0 else _fmt(defect / rows[k - 1][1])]
         for k, (h, defect) in enumerate(rows)

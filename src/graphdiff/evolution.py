@@ -63,11 +63,11 @@ def propagate(gen: DiscreteGenerator, phi0, t: float) -> np.ndarray:
     return _stepping.krylov_apply(gen.mass, gen.flux, phi0, [t])[0]
 
 
-def _limit_states(gen_q: chain.GeneratorMatrix, c0, ts) -> np.ndarray:
+def _limit_states(graph: MetricGraph, q: sp.csr_matrix, c0, ts) -> np.ndarray:
     """exp(tQ) c0, one row per time in ``ts``: the chain c' = Q c is
     M c' = -K c with (M, K) = (D, -D Q), D the edge lengths."""
-    lengths = sp.diags(gen_q.lengths)
-    return _stepping.krylov_apply(lengths, -(lengths @ gen_q.q), c0, ts)
+    lengths = sp.diags(graph.lengths)
+    return _stepping.krylov_apply(lengths, -(lengths @ q), c0, ts)
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def kappa_sweep(
     call, which factors once per window of times.  The limit chain
     c' = Q c is propagated the same way, in one call for all times.
     """
-    gen_q = chain.chain_generator(graph, chain.DUAL)
+    q = chain.chain_generator(graph, chain.DUAL)
     if discretization not in _DISCRETIZATIONS:
         raise ValueError(
             f"discretization must be one of {_DISCRETIZATIONS}, got {discretization!r}"
@@ -162,12 +162,12 @@ def kappa_sweep(
         gen = galerkin.assemble_forms(graph, grid, kappas[0])
 
     start = grid.sample(phi0, layout)
-    weights = gen.weights
+    weights = grid.weights(layout)
     averaging = grid.averaging(layout)
     mass0 = float(np.sum(weights * start))
 
     # the limit-chain states exp(tQ) P phi0, one row per t, and their lifts
-    limits = _limit_states(gen_q, averaging @ start, ts)
+    limits = _limit_states(graph, q, averaging @ start, ts)
     lifted = np.repeat(limits, np.diff(grid.offsets(layout)), axis=1)
 
     records = []

@@ -54,21 +54,20 @@ from .grids import CELLS, NODES, EdgeGrid
 
 @dataclass(frozen=True)
 class DiscreteGenerator:
-    """A generator in mass form  M u' = -(kappa S + C) u,  with the
-    quadrature weights that make <w, u> the discrete integral over the
-    graph.
+    """A generator in mass form  M u' = -(kappa S + C) u.
 
     Only the diffusion form S depends on the speed parameter, so
     ``dataclasses.replace(gen, kappa=k)`` is the same discretization at
     kappa = k.  Finite volumes and finite differences have the diagonal
-    mass diag(weights); P1 Galerkin has the consistent mass matrix.  The
-    stepper ``_stepping.krylov_apply`` takes ``(mass, flux)`` as it is.
+    mass diag(w), w the layout's quadrature weights (``EdgeGrid.weights``,
+    which make <w, u> the discrete integral over the graph); P1 Galerkin
+    has the consistent mass matrix.  The stepper
+    ``_stepping.krylov_apply`` takes ``(mass, flux)`` as it is.
     """
 
     mass: sp.csr_matrix
     diffusion: sp.csr_matrix
     coupling: sp.csr_matrix
-    weights: np.ndarray
     kappa: float
 
     @property
@@ -89,7 +88,7 @@ class DiscreteGenerator:
             raise ValueError(
                 "the generator matrix -M^-1 K is formed for a diagonal mass only"
             )
-        return -(sp.diags(1.0 / self.weights) @ self.flux).tocsr()
+        return -(sp.diags(1.0 / self.mass.diagonal()) @ self.flux).tocsr()
 
 
 def _differences(grid: EdgeGrid, layout: str):
@@ -142,12 +141,10 @@ def _assemble(
         trace = (1.5 * ends - 0.5 * inner).tocsr()
     diff, edge = _differences(grid, layout)
     faces = sp.diags(graph.sigmas[edge] / grid.widths[edge])
-    weights = grid.weights(layout)
     return DiscreteGenerator(
-        mass=sp.diags(weights, format="csr") if mass is None else mass,
+        mass=sp.diags(grid.weights(layout), format="csr") if mass is None else mass,
         diffusion=(diff.T @ faces @ diff).tocsr(),
         coupling=-(ends.T @ exchange @ trace).tocsr(),
-        weights=weights,
         kappa=kappa,
     )
 
@@ -181,7 +178,8 @@ def duality_defect(
     ``f`` and ``phi`` are continuum functions given as one callable (a
     polynomial, say) per edge, such as ``with_primal_conditions`` and
     ``with_dual_conditions`` return; f is sampled on the forward node
-    grid, phi on the adjoint cell grid.
+    grid, phi on the adjoint cell grid.  A tiny kappa overflows the
+    fitted slopes, and the defect is then inf or nan.
     """
     forward = primal_generator(graph, grid, kappa)
     adjoint = dual_generator(graph, grid, kappa, trace_order=trace_order)
@@ -189,10 +187,8 @@ def duality_defect(
     phi_nodes = grid.sample(lambda i, x: phi[i](x), NODES)
     f_cells = grid.sample(lambda i, x: f[i](x), CELLS)
     phi_cells = grid.sample(lambda i, x: phi[i](x), CELLS)
-    # a tiny kappa overflows the fitted slopes; the caller sees inf or nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        pair_forward = float(np.sum(forward.weights * phi_nodes * (forward.matrix @ f_nodes)))
-        pair_adjoint = float(np.sum(adjoint.weights * (adjoint.matrix @ phi_cells) * f_cells))
+    pair_forward = float(np.sum(grid.weights(NODES) * phi_nodes * (forward.matrix @ f_nodes)))
+    pair_adjoint = float(np.sum(grid.weights(CELLS) * (adjoint.matrix @ phi_cells) * f_cells))
     return abs(pair_forward - pair_adjoint)
 
 

@@ -34,9 +34,9 @@ from .grids import NODES, EdgeGrid
 
 def assemble_forms(graph: MetricGraph, grid: EdgeGrid, kappa: float) -> DiscreteGenerator:
     """The P1 generator: the one finite-volume assembly on the per-edge
-    node grid (no cross-edge DOFs) with C = -E^T X^T E, the trapezoid
-    weights of the nodes, and the consistent mass: with P = |G| the
-    element sums, the element mass (h/6)[[2,1],[1,2]] assembles to
+    node grid (no cross-edge DOFs) with C = -E^T X^T E and the
+    consistent mass: with P = |G| the element sums and w the trapezoid
+    weights, the element mass (h/6)[[2,1],[1,2]] assembles to
     M = P^T diag(h/6) P + diag(w)/3.
     """
     diff, edge = _differences(grid, NODES)

@@ -25,6 +25,8 @@ import scipy.sparse as sp
 CELLS = "cells"
 NODES = "nodes"
 _LAYOUTS = (CELLS, NODES)
+# the most points a packed float grid function can hold
+_MAX_POINTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
 @dataclass(frozen=True)
@@ -119,15 +121,23 @@ def _check_layout(layout: str):
 
 
 def make_grid(graph, target_width: float) -> EdgeGrid:
-    """Grid with cell width <= target_width on every edge (>= 2 cells)."""
+    """Grid with cell width <= target_width on every edge (>= 2 cells).
+    MemoryError if a packed grid function would not fit in one float
+    array."""
     if not target_width > 0:
         raise ValueError("target_width must be positive")
-    lengths = graph.lengths
-    # the -1e-9 guard keeps e.g. ceil(1.0 / 0.005) from rounding to 201
-    cells = np.maximum(
-        2, [math.ceil(d / target_width - 1e-9) for d in lengths]
-    )
-    return EdgeGrid(lengths=lengths, cells=np.asarray(cells, dtype=int))
+    cells, nodes = [], 0
+    for edge_id, d in zip(graph.edge_ids, graph.lengths.tolist()):
+        # the -1e-9 guard keeps e.g. ceil(1.0 / 0.005) from rounding to 201
+        count = d / target_width - 1e-9
+        if not nodes + count + 1 < _MAX_POINTS:
+            raise MemoryError(
+                f"edge {edge_id!r} of length {d:g} needs {count:.3g} cells of "
+                f"width {target_width:g}: the grid is too large to index"
+            )
+        cells.append(max(2, math.ceil(count)))
+        nodes += cells[-1] + 1
+    return EdgeGrid(lengths=graph.lengths, cells=np.asarray(cells, dtype=int))
 
 
 def edge_indicator(edge: int):

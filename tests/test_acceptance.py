@@ -16,7 +16,9 @@ from numpy.testing import assert_allclose
 
 import graphdiff as gd
 from graphdiff import evolution, galerkin
+from graphdiff.chain import propagator
 from graphdiff.grids import CELLS, NODES, EdgeGrid, edge_indicator, make_grid
+from graphdiff.resolvent import resolvent_image_series
 
 from conftest import make_star
 from reference import crank_nicolson, dense_generator, growth_rate, interpolate_to_cells, l2_norm
@@ -103,7 +105,7 @@ def test_criterion_2_image_series_crosscheck():
     for lam in (0.25, 1.0, 4.0, 100.0):
         for phi in sources:
             direct = gd.resolvent_apply(0.0, 1.0, lam, phi, x)
-            series = gd.resolvent_image_series(0.0, 1.0, lam, phi, x, tolerance=1e-12)
+            series = resolvent_image_series(0.0, 1.0, lam, phi, x, tolerance=1e-12)
             worst = max(worst, float(np.abs(direct - series).max()))
     assert worst <= 1e-10
     print(f"criterion 2: PASS (worst deviation {worst:.2e})")
@@ -137,7 +139,7 @@ def test_criterion_4_markov_property(star, leaky_star):
     phi0 = grid.sample(edge_indicator(0), CELLS)
 
     gen = gd.dual_generator(star, grid, kappa, trace_order=1)
-    w = gen.weights
+    w = grid.weights(CELLS)
     mass0 = w @ phi0
     worst_drift, worst_min = 0.0, 0.0
     for t in np.linspace(0.0, 2.0, 9):
@@ -151,7 +153,7 @@ def test_criterion_4_markov_property(star, leaky_star):
     # boundary functional w^T A u
     leaky = gd.dual_generator(leaky_star, grid, kappa, trace_order=1)
     a = leaky.matrix.toarray()
-    w = leaky.weights
+    w = grid.weights(CELLS)
     masses = [w @ evolution.propagate(leaky, phi0, float(t))
               for t in np.linspace(0.0, 2.0, 9)]
     assert all(b < a_ for a_, b in zip(masses, masses[1:]))
@@ -175,8 +177,8 @@ def test_criterion_4_markov_property(star, leaky_star):
 def test_criterion_5_limit_chain_structure(star, leaky_star, chain_graph):
     worst = 0.0
     for g in (star, leaky_star, chain_graph):
-        gen = gd.chain_generator(g, gd.DUAL)
-        col = gen.lengths @ gen.q
+        q = gd.chain_generator(g, gd.DUAL)
+        col = g.lengths @ q
         expected = np.array([
             e.sigma * (sum(e.l_to.values()) + sum(e.r_to.values()) - e.l - e.r)
             for e in g.edges
@@ -185,12 +187,12 @@ def test_criterion_5_limit_chain_structure(star, leaky_star, chain_graph):
     assert worst <= 1e-14
 
     for g, conservative in ((star, True), (leaky_star, False)):
-        gen = gd.chain_generator(g, gd.DUAL)
+        q = gd.chain_generator(g, gd.DUAL)
         for t in (0.1, 1.0, 5.0):
-            p = gd.propagator(gen, t)
+            p = propagator(q, t)
             assert p.min() >= -1e-12
             if conservative:
-                assert_allclose(gen.lengths @ p, gen.lengths, atol=1e-10)
+                assert_allclose(g.lengths @ p, g.lengths, atol=1e-10)
     print(f"criterion 5: PASS (column identity gap {worst:.1e})")
 
 

@@ -41,17 +41,17 @@ def _chain(sigma1=1.0):
 
 def test_two_edge_generator_frozen_values():
     q = chain_generator(_chain(), DUAL)
-    assert_allclose(q.q.toarray(), [[-1.0, 1.0], [0.5, -0.5]])
+    assert_allclose(q.toarray(), [[-1.0, 1.0], [0.5, -0.5]])
     # equal sigma: the two variants coincide
     qp = chain_generator(_chain(), PRIMAL)
-    assert_allclose(qp.q.toarray(), q.q.toarray())
+    assert_allclose(qp.toarray(), q.toarray())
 
 
 def test_two_edge_generator_sigma_weighting():
     qd = chain_generator(_chain(sigma1=2.0), DUAL)
     qp = chain_generator(_chain(sigma1=2.0), PRIMAL)
-    assert_allclose(qd.q.toarray(), [[-2.0, 1.0], [1.0, -0.5]])
-    assert_allclose(qp.q.toarray(), [[-2.0, 2.0], [0.5, -0.5]])
+    assert_allclose(qd.toarray(), [[-2.0, 1.0], [1.0, -0.5]])
+    assert_allclose(qp.toarray(), [[-2.0, 2.0], [0.5, -0.5]])
 
 
 def test_rejects_invalid_graph():
@@ -68,7 +68,7 @@ def test_unknown_variant(chain_graph):
 
 
 def test_star_generator_row_structure(star_graph):
-    q = chain_generator(star_graph, DUAL).q.toarray()
+    q = chain_generator(star_graph, DUAL).toarray()
     sig = star_graph.sigmas
     # diagonal carries the total permeability of each edge
     assert q[0, 0] == pytest.approx(-sig[0] * 1.0)
@@ -80,24 +80,18 @@ def test_star_generator_row_structure(star_graph):
 def test_weighted_column_identity(star_graph, leaky_star_graph):
     # against each source edge j:  sum_i d_i q_ij = sigma_j (passed - total)
     for g in (star_graph, leaky_star_graph):
-        gen = chain_generator(g, DUAL)
-        col = gen.lengths @ gen.q
+        col = g.lengths @ chain_generator(g, DUAL)
         expected = np.empty(3)
         for j, e in enumerate(g.edges):
             passed = sum(e.l_to.values()) + sum(e.r_to.values())
             expected[j] = e.sigma * (passed - e.l - e.r)
         assert_allclose(col, expected, atol=1e-14)
-        assert_allclose(mass_rate(gen), col, atol=1e-14)
-
-
-def test_mass_rate_requires_dual(star_graph):
-    with pytest.raises(ValueError):
-        mass_rate(chain_generator(star_graph, PRIMAL))
+        assert_allclose(mass_rate(g), col, atol=1e-14)
 
 
 def test_conservative_columns_vanish(star_graph):
-    gen = chain_generator(star_graph, DUAL)
-    assert_allclose(gen.lengths @ gen.q, 0.0, atol=1e-14)
+    q = chain_generator(star_graph, DUAL)
+    assert_allclose(star_graph.lengths @ q, 0.0, atol=1e-14)
 
 
 def test_chain_generator_stays_sparse_on_a_long_path():
@@ -105,16 +99,16 @@ def test_chain_generator_stays_sparse_on_a_long_path():
     # diagonal and the two neighbours of each edge
     graph = make_path(1000)
     graph.exchange   # built and validated once, outside the measurement
-    gens = {}
+    qs = {}
 
     def build():
         for variant in (DUAL, PRIMAL):
-            gens[variant] = chain_generator(graph, variant)
+            qs[variant] = chain_generator(graph, variant)
 
     assert traced_peak(build) <= 2e6
-    for gen in gens.values():
-        assert gen.q.nnz == 3 * 1000 - 2
-    assert_allclose(mass_rate(gens[DUAL]), 0.0, atol=1e-14)
+    for q in qs.values():
+        assert q.nnz == 3 * 1000 - 2
+    assert_allclose(mass_rate(graph), 0.0, atol=1e-14)
 
 
 def test_mass_rate_matches_the_dense_column_sums():
@@ -122,42 +116,43 @@ def test_mass_rate_matches_the_dense_column_sums():
     # within an ulp of the dense sums on a long conservative path
     configs = Path(__file__).resolve().parents[1] / "configs"
     for name in ("star.json", "chain.json"):
-        gen = chain_generator(load_graph(configs / name), DUAL)
-        assert np.array_equal(mass_rate(gen), gen.lengths @ gen.q.toarray())
-    gen = chain_generator(make_path(1000, seed=3), DUAL)
-    assert np.abs(mass_rate(gen) - gen.lengths @ gen.q.toarray()).max() <= 4.5e-16
+        g = load_graph(configs / name)
+        assert np.array_equal(mass_rate(g), g.lengths @ chain_generator(g, DUAL).toarray())
+    g = make_path(1000, seed=3)
+    dense = g.lengths @ chain_generator(g, DUAL).toarray()
+    assert np.abs(mass_rate(g) - dense).max() <= 4.5e-16
 
 
 class TestPropagator:
     def test_matches_series_oracle(self, star_graph):
-        gen = chain_generator(star_graph, DUAL)
+        q = chain_generator(star_graph, DUAL)
         for t in (0.1, 0.5, 2.0):
-            assert_allclose(propagator(gen, t), expm_taylor(t * gen.q.toarray()),
+            assert_allclose(propagator(q, t), expm_taylor(t * q.toarray()),
                             rtol=1e-13, atol=1e-15)
 
     def test_zero_time_is_identity(self, star_graph):
-        gen = chain_generator(star_graph, DUAL)
-        assert_allclose(propagator(gen, 0.0), np.eye(3))
+        q = chain_generator(star_graph, DUAL)
+        assert_allclose(propagator(q, 0.0), np.eye(3))
 
     def test_negative_time_rejected(self, star_graph):
-        gen = chain_generator(star_graph, DUAL)
+        q = chain_generator(star_graph, DUAL)
         with pytest.raises(ValueError):
-            propagator(gen, -0.5)
+            propagator(q, -0.5)
         for t in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
-                propagator(gen, t)
+                propagator(q, t)
 
     def test_positivity_and_mass(self, star_graph, leaky_star_graph):
         for g, conserves in ((star_graph, True), (leaky_star_graph, False)):
-            gen = chain_generator(g, DUAL)
+            q = chain_generator(g, DUAL)
             for t in (0.25, 1.0, 4.0):
-                p = propagator(gen, t)
+                p = propagator(q, t)
                 assert p.min() >= -1e-12
-                masses = gen.lengths @ p   # weighted column sums evolve mass
+                masses = g.lengths @ p   # weighted column sums evolve mass
                 if conserves:
-                    assert_allclose(masses, gen.lengths, atol=1e-10)
+                    assert_allclose(masses, g.lengths, atol=1e-10)
                 else:
-                    assert np.all(masses <= gen.lengths + 1e-12)
+                    assert np.all(masses <= g.lengths + 1e-12)
 
 
 def test_project_averages_inverts_lift():
@@ -196,7 +191,7 @@ def test_csv_round_trip(chain_graph, tmp_path):
     assert lines[0] == "variant,edge,E1,E2"
     assert lines[1] == "dual,E1,-1,1"
     assert lines[-1].startswith("mass_rate")
-    assert (dual.q != primal.q).nnz == 0
+    assert (dual != primal).nnz == 0
     sig_chain = MetricGraph((
         EdgeSpec(id="E1", length=1.0, sigma=2.0, left_vertex="a", right_vertex="b",
                  r=1.0, r_to={"E2": 1.0}),
@@ -206,4 +201,4 @@ def test_csv_round_trip(chain_graph, tmp_path):
     dual = chain_generator(sig_chain, DUAL)
     primal = chain_generator(sig_chain, PRIMAL)
     # the off-diagonal pair differs once sigma does
-    assert (dual.q != primal.q).nnz == 2
+    assert (dual != primal).nnz == 2

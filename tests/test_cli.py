@@ -91,7 +91,7 @@ def test_limit_q_reads_the_sparse_generators_only(tmp_path, capsys):
     out = tmp_path / "q.csv"
     peak = traced_peak(lambda: main(["limit-q", "--graph", str(path), "--out", str(out)]))
     assert peak <= 1.5e6
-    dual, primal = (chain.chain_generator(graph, v).q.toarray()
+    dual, primal = (chain.chain_generator(graph, v).toarray()
                     for v in (chain.DUAL, chain.PRIMAL))
     ids = graph.edge_ids
     want = [
@@ -126,7 +126,7 @@ def test_limit_q_formats_only_the_stored_entries(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_fmt", counting_fmt)
     monkeypatch.setattr(cli, "_write_csv", counting_write_csv)
     assert main(["limit-q", "--graph", config, "--out", str(tmp_path / "q.csv")]) == 0
-    dual, primal = (chain.chain_generator(graph, v).q for v in (chain.DUAL, chain.PRIMAL))
+    dual, primal = (chain.chain_generator(graph, v) for v in (chain.DUAL, chain.PRIMAL))
     assert calls["csv"] <= dual.nnz + primal.nnz + graph.n_edges
     assert calls["all"] == calls["csv"] + 2 * (dual != primal).nnz
 
@@ -283,6 +283,25 @@ def test_out_of_memory_has_its_own_exit_code(star_path, tmp_path, monkeypatch, c
     assert capsys.readouterr().err == (
         "error: out of memory: Unable to allocate 7.28 TiB "
         "for an array with shape (1000000, 1000000)\n"
+    )
+
+
+@pytest.mark.parametrize("command, h, length, count", [
+    ("sweep", "1e-300", 1.0, "1e+300"),
+    ("duality-check", "1e-300", 1.0, "1e+300"),
+    ("sweep", "0.5", 1e308, "inf"),
+])
+def test_grid_too_large_to_index_exits_out_of_memory(
+        tmp_path, capsys, command, h, length, count):
+    cfg = json.loads(json.dumps(STAR))
+    cfg["edges"][0]["length"] = length
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(cfg))
+    code = main([command, "--graph", str(path), "--h", h, "--out", str(tmp_path / "x.csv")])
+    assert code == cli.OUT_OF_MEMORY
+    assert capsys.readouterr().err == (
+        f"error: out of memory: edge 'E1' of length {length:g} needs {count} cells "
+        f"of width {float(h):g}: the grid is too large to index\n"
     )
 
 
@@ -456,6 +475,22 @@ def test_resolvent_check_small_lambda_quartic(capsys):
     assert "nonincreasing (5% slack): true" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags, value, lam", [
+    (["--lambdas", "1e-320"], "inf", "9.99989e-321"),
+    (["--b", "1e300"], "inf", "0.1"),
+    (["--phi", "poly:1e308,1e308"], "inf", "0.1"),
+    (["--a", "1e308", "--b", "1.7e308"], "nan", "0.1"),
+])
+def test_resolvent_check_reports_a_non_finite_distance_in_one_line(
+        tmp_path, capsys, flags, value, lam):
+    # the overflow is one stderr line naming the first non-finite distance,
+    # not numpy's RuntimeWarnings; the table and the exit code stand
+    out = tmp_path / "r.csv"
+    assert main(["resolvent-check", *flags, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"non-finite l1 distance {value} at lambda={lam}\n"
+    assert out.read_text().splitlines()[1].endswith(f",{value}")
+
+
 def test_resolvent_check_bad_interval(capsys):
     assert main(["resolvent-check", "--a", "2", "--b", "1"]) == 2
     assert capsys.readouterr().err == "error: need finite b > a, got (2.0, 1.0)\n"
@@ -482,22 +517,28 @@ def test_duality_check_second_order_traces(star_path, tmp_path):
     assert code == 0
 
 
-@pytest.mark.parametrize("levels", ["1", "3"])
-def test_duality_check_fails_on_infinite_defects(star_path, tmp_path, levels, capsys,
-                                                 recwarn):
-    # at kappa = 1e-300 the fitted slopes overflow and every defect is inf;
-    # inf > 0.75 * inf is false, so the ratio rule alone would pass it.  The
-    # overflow is reported as one stderr line, not as numpy's RuntimeWarning
+@pytest.mark.parametrize("levels, kappa, defect", [
+    pytest.param("1", "1e-300", "inf", id="1"),
+    pytest.param("3", "1e-300", "inf", id="3"),
+    pytest.param("1", "1e-320", "nan", id="1-nan"),
+    pytest.param("3", "1e-320", "nan", id="3-nan"),
+])
+def test_duality_check_fails_on_infinite_defects(star_path, tmp_path, levels, kappa,
+                                                 defect, capsys, recwarn):
+    # at kappa = 1e-300 the fitted slopes overflow and every defect is inf
+    # (at 1e-320, nan); inf > 0.75 * inf is false, so the ratio rule alone
+    # would pass it.  The overflow is reported as one stderr line, not as
+    # numpy's RuntimeWarning
     out = tmp_path / "d.csv"
     code = main([
-        "duality-check", "--graph", star_path, "--kappa", "1e-300",
+        "duality-check", "--graph", star_path, "--kappa", kappa,
         "--h", "0.1", "--levels", levels, "--out", str(out),
     ])
     assert code == 3
     defects = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
-    assert len(defects) == int(levels) and set(defects) == {"inf"}
+    assert len(defects) == int(levels) and set(defects) == {defect}
     assert capsys.readouterr().err == (
-        "non-finite duality defect inf at h=0.1 (kappa=1e-300)\n"
+        f"non-finite duality defect {defect} at h=0.1 (kappa={float(kappa):g})\n"
     )
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
@@ -524,3 +565,57 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+# Runs each command in one child interpreter under the policy that ships:
+# numpy's default errstate ("warn") and Python's warning filters.  Each
+# command gets a fresh warnings registry, as a fresh process would.
+_RUN_TABLE = """
+import contextlib, io, json, sys, traceback, warnings
+from graphdiff.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception:
+            traceback.print_exc()
+            code = None
+    results.append([code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_extreme_flags_print_one_stderr_line_under_the_shipped_warning_policy(
+        star_path, tmp_path):
+    # the suite's own errstate raises on overflow, so only a child with
+    # the shipped settings can show a raw RuntimeWarning on stderr
+    cfg = json.loads(json.dumps(STAR))
+    cfg["edges"][0]["length"] = 1e308
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(cfg))
+    table = [
+        (["sweep", "--graph", star_path, "--h", "1e-300"], 5),
+        (["duality-check", "--graph", star_path, "--h", "1e-300"], 5),
+        (["sweep", "--graph", str(huge), "--h", "0.5"], 5),
+        (["resolvent-check", "--lambdas", "1e-320"], 3),
+        (["resolvent-check", "--b", "1e300"], 3),
+        (["resolvent-check", "--phi", "poly:1e308,1e308"], 3),
+        (["resolvent-check", "--a", "1e308", "--b", "1.7e308"], 3),
+        (["duality-check", "--graph", star_path, "--kappa", "1e-320"], 3),
+        (["duality-check", "--graph", star_path, "--kappa", "1e-300"], 3),
+        (["sweep", "--graph", star_path, "--t", "1e300"], 4),
+    ]
+    argvs = [argv + ["--out", str(tmp_path / f"{k}.csv")] for k, (argv, _) in enumerate(table)]
+    src = str(Path(graphdiff.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_TABLE, json.dumps(argvs)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    for (argv, code), (got, err) in zip(table, json.loads(done.stdout)):
+        assert got == code, (argv, err)
+        assert len(err.splitlines()) == 1, (argv, err)
+        assert "Traceback" not in err and "Warning" not in err, (argv, err)

@@ -63,7 +63,8 @@ def test_second_order_traces_break_metzler(star_graph):
 def test_conservative_columns_vanish(star_graph, order):
     grid = make_grid(star_graph, 0.05)
     gen = dual_generator(star_graph, grid, kappa=3.0, trace_order=order)
-    assert np.abs(gen.weights @ gen.matrix.toarray()).max() <= 1e-12 * gen.kappa / 0.05
+    w = grid.weights(CELLS)
+    assert np.abs(w @ gen.matrix.toarray()).max() <= 1e-12 * gen.kappa / 0.05
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -72,7 +73,7 @@ def test_leak_rate_identity(leaky_star_graph, order):
     # imbalance sigma_j (passed - total) regardless of the trace order
     grid = make_grid(leaky_star_graph, 0.05)
     gen = dual_generator(leaky_star_graph, grid, kappa=3.0, trace_order=order)
-    col = gen.weights @ gen.matrix.toarray()
+    col = grid.weights(CELLS) @ gen.matrix.toarray()
     for j, e in enumerate(leaky_star_graph.edges):
         passed = sum(e.l_to.values()) + sum(e.r_to.values())
         expected = e.sigma * (passed - e.l - e.r)

@@ -108,7 +108,7 @@ def test_constant_lift_reproduces_chain_generator(star_graph):
     # constant is that constant, so no discretization error enters
     grid = make_grid(star_graph, 0.25)
     system = assemble_forms(star_graph, grid, kappa=2.0)
-    q = chain_generator(star_graph, DUAL).q
+    q = chain_generator(star_graph, DUAL)
     mass = system.mass.toarray()
     for v in np.eye(3):
         lifted = PiecewiseConstant(v, grid.lengths).lift(grid, NODES)

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from graphdiff.chain import PiecewiseConstant
+from graphdiff.graphs import EdgeSpec, MetricGraph
 from graphdiff.grids import CELLS, NODES, EdgeGrid, edge_indicator, make_grid
 
 
@@ -52,6 +53,25 @@ def test_make_grid_uneven_lengths(chain_graph):
     g = make_grid(chain_graph, 0.3)
     # ceil(1/0.3) = 4, ceil(2/0.3) = 7
     assert list(g.cells) == [4, 7]
+
+
+@pytest.mark.parametrize("length, width, message", [
+    (1.0, 1e-300, "edge 'E1' of length 1 needs 1e+300 cells of width 1e-300"),
+    (1e308, 0.5, "edge 'E1' of length 1e+308 needs inf cells of width 0.5"),
+    # each edge's cells fit in one array, the three together do not
+    (1.0, 1e-18, "edge 'E2' of length 1 needs 1e+18 cells of width 1e-18"),
+])
+def test_make_grid_too_large_to_index_is_out_of_memory(length, width, message):
+    # a cell count beyond one float array's reach is a grid the machine
+    # cannot hold, not an OverflowError from the integer conversion
+    graph = MetricGraph(tuple(
+        EdgeSpec(id=f"E{k + 1}", length=length, sigma=1.0,
+                 left_vertex=f"v{k}", right_vertex=f"v{k + 1}")
+        for k in range(3)
+    ))
+    with pytest.raises(MemoryError) as exc:
+        make_grid(graph, width)
+    assert str(exc.value) == f"{message}: the grid is too large to index"
 
 
 def test_sample_and_indicator(grid):
