@@ -25,11 +25,11 @@ One pole serves a bounded range of times only (van den Eshof &
 Hochbruck, SIAM J. Sci. Comput. 27, 2006; Moret & Novati, BIT 44,
 2004): over t in {0.1, 10} a single pole stops at an answer 6e-2 off on
 a 20-edge directed cycle, hence the windows.  The basis grows until,
-for every time of the window, iterates m - 4 and m agree to ``rtol``.
+for every time of the window, iterates m - 4 and m agree to KRYLOV_RTOL.
 
 It raises ``StepControlError`` with the numbers of its last attempt
-when it cannot reach ``rtol``, when ``M + K/gamma`` is singular in
-floating point (kappa = 1e14 on the shipped star), when
+when KRYLOV_MAX_DIM vectors do not reach KRYLOV_RTOL, when ``M + K/gamma``
+is singular in floating point (kappa = 1e14 on the shipped star), when
 ``eps max_i |K_ii / M_ii| / gamma >= 1`` puts M below its rounding
 (kappa = 1e12 there), or when t_min t_max over- or underflows and leaves
 no finite positive pole gamma (t = 1e300 or 1e-200).
@@ -57,6 +57,9 @@ KRYLOV_WINDOW = 8.0
 # ||V^-1 e1||_1 beyond which the Arnoldi matrix's eigenbasis is too
 # ill-conditioned for its exponential (round-off about eps times this)
 EIG_CANCEL_MAX = 1e3
+# the stopping rule's relative tolerance; a window fails at this basis size
+KRYLOV_RTOL = 1e-8
+KRYLOV_MAX_DIM = 64
 
 
 class StepControlError(RuntimeError):
@@ -81,23 +84,16 @@ def time_windows(ts) -> list:
     return windows
 
 
-def krylov_apply(
-    mass,
-    stiff,
-    u0: np.ndarray,
-    ts,
-    rtol: float = 1e-8,
-    max_dim: int = 64,
-) -> np.ndarray:
+def krylov_apply(mass, stiff, u0: np.ndarray, ts) -> np.ndarray:
     """Solve M u' = -K u to every time in ``ts`` by shift-and-invert Arnoldi.
 
     Returns one row per entry of ``ts`` (finite, >= 0), in input order;
     ``t = 0`` gives ``u0``.  Each window of ``time_windows(ts)`` shares
     one factorization and one basis, which grows until, for every time of
-    the window, the iterates at sizes m - 4 and m agree to ``rtol``
-    relative to max(|u(t)|, |u0|) in the M norm; a basis of ``max_dim``
-    vectors without that agreement raises StepControlError naming the
-    unconverged times.
+    the window, the iterates at sizes m - 4 and m agree to KRYLOV_RTOL
+    relative to max(|u(t)|, |u0|) in the M norm; a basis of
+    KRYLOV_MAX_DIM vectors without that agreement raises StepControlError
+    naming the unconverged times.
     """
     mass = sp.csr_matrix(mass)
     stiff = sp.csr_matrix(stiff)
@@ -117,11 +113,11 @@ def krylov_apply(
         left, stiff = sp.identity(n, format="csr"), sp.diags(1.0 / mass.diagonal()) @ stiff
     solved = {0.0: u0}
     for window in time_windows(ts):
-        solved.update(_krylov_window(mass, left, stiff, u0, beta, window, rtol, max_dim))
+        solved.update(_krylov_window(mass, left, stiff, u0, beta, window))
     return np.array([solved[t] for t in ts])
 
 
-def _krylov_window(mass, left, stiff, u0, beta, window, rtol, max_dim) -> dict:
+def _krylov_window(mass, left, stiff, u0, beta, window) -> dict:
     """{t: u(t)} for the ascending times of one window, on the basis of
     (left + stiff/gamma)^-1 left: (M + K/gamma)^-1 M, row-scaled for a
     diagonal M."""
@@ -149,13 +145,13 @@ def _krylov_window(mass, left, stiff, u0, beta, window, rtol, max_dim) -> dict:
             f"for t={times}"
         )
 
-    basis = np.empty((max_dim + 1, u0.size))
-    hess = np.zeros((max_dim + 1, max_dim))
+    basis = np.empty((KRYLOV_MAX_DIM + 1, u0.size))
+    hess = np.zeros((KRYLOV_MAX_DIM + 1, KRYLOV_MAX_DIM))
     basis[0] = u0 / beta
     coeffs = {t: [] for t in window}
     estimate = dict.fromkeys(window, np.inf)
     done = {}
-    for j in range(max_dim):
+    for j in range(KRYLOV_MAX_DIM):
         w = solve(left @ basis[j])
         # Gram-Schmidt twice keeps the basis orthonormal to round-off
         for _ in range(2):
@@ -177,7 +173,7 @@ def _krylov_window(mass, left, stiff, u0, beta, window, rtol, max_dim) -> dict:
                 diff = y.copy()
                 diff[: prev.size] -= prev
                 estimate[t] = float(np.linalg.norm(diff))
-                if estimate[t] <= rtol * max(float(np.linalg.norm(y)), beta):
+                if estimate[t] <= KRYLOV_RTOL * max(float(np.linalg.norm(y)), beta):
                     done[t] = y @ basis[:m]
         if len(done) == len(window):
             return done
@@ -186,8 +182,8 @@ def _krylov_window(mass, left, stiff, u0, beta, window, rtol, max_dim) -> dict:
         f"t={t:g} (last estimate {estimate[t]:.3g})" for t in window if t not in done
     )
     raise StepControlError(
-        f"Krylov propagator: no convergence to rtol={rtol:g} with m={max_dim} "
-        f"basis vectors at {unconverged}"
+        f"Krylov propagator: no convergence to rtol={KRYLOV_RTOL:g} "
+        f"with m={KRYLOV_MAX_DIM} basis vectors at {unconverged}"
     )
 
 

@@ -21,7 +21,9 @@ This module alone formats output.  Every CSV goes through ``_write_csv``
 and is deterministic: a header row, fixed column order, ``\n`` line ends,
 numbers printed by ``_fmt`` with 17 significant digits (they round-trip
 exactly).  Each producer formats its own cells, so the writer takes
-str cells only.  Numbers printed on stdout go through the same ``_fmt``.
+str cells only.  A command's summary lines go through the same ``_fmt``
+and are printed by ``_summary``: on stdout, or on stderr when the CSV
+takes stdout, so that stdout is then CSV only.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import math
 import sys
 
@@ -38,6 +41,7 @@ from numpy.polynomial import Polynomial
 from . import _stepping, chain, evolution, finite_volume, resolvent
 from .graphs import GraphConfigError, InvalidGraphError, load_graph, validate
 from .grids import edge_indicator, make_grid
+from .resolvent import AVERAGING_SLACK, FINAL_DISTANCE_MAX
 
 OK, INVALID, IOERR, FAILED, UNCONVERGED, OUT_OF_MEMORY = 0, 1, 2, 3, 4, 5
 
@@ -79,6 +83,12 @@ def _open_out(path):
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
+
+
+def _summary(path):
+    """``print`` for the summary of a command whose CSV goes to ``path``."""
+    stream = sys.stderr if path is None or path == "-" else sys.stdout
+    return functools.partial(print, file=stream)
 
 
 def _write_csv(path, header, rows) -> None:
@@ -193,16 +203,17 @@ def cmd_limit_q(args) -> int:
           for variant in (chain.DUAL, chain.PRIMAL)}
     ids = graph.edge_ids
     _write_csv(args.out, ["variant", "edge"] + list(ids), _limit_q_rows(graph, qs))
+    say = _summary(args.out)
     differ = qs[chain.DUAL] != qs[chain.PRIMAL]
     differ.sort_indices()  # row-major, as the listing has always been
     rows, cols = differ.nonzero()
     dq, pq = (np.asarray(q[rows, cols]).ravel() for q in qs.values())
     for i, j, a, b in zip(rows, cols, dq, pq):
-        print(
+        say(
             f"variants differ at ({ids[i]}, {ids[j]}): "
             f"dual {_fmt(a)} vs primal {_fmt(b)}"
         )
-    print(f"entries differing between variants: {len(rows)}")
+    say(f"entries differing between variants: {len(rows)}")
     return OK
 
 
@@ -236,9 +247,10 @@ def cmd_sweep(args) -> int:
     # kappa_sweep orders the records by (kappa, t)
     rows = (map(_fmt, dataclasses.astuple(record)) for record in result.records)
     _write_csv(args.out, evolution.CSV_COLUMNS, rows)
+    say = _summary(args.out)
     for t in result.times():
         errs = result.errors(t)
-        print(
+        say(
             f"t={_fmt(t)}: err {' -> '.join(_fmt(e) for e in errs)}"
             f" ({'nonincreasing' if result.nonincreasing_at(t) else 'NOT nonincreasing'})"
         )
@@ -266,12 +278,13 @@ def cmd_resolvent_check(args) -> int:
     if bad:
         lam, dist = bad[0]
         print(f"non-finite l1 distance {dist} at lambda={lam:g}", file=sys.stderr)
-    dists = table.distances()
-    decreasing = table.nonincreasing(slack=0.05)
-    vanishing = dists[-1] <= 0.05
-    print(f"average: {_fmt(table.average)}")
-    print(f"distances nonincreasing (5% slack): {str(decreasing).lower()}")
-    print(f"final distance {_fmt(dists[-1])} <= 0.05: {str(vanishing).lower()}")
+    final = table.distances()[-1]
+    decreasing = table.nonincreasing()
+    vanishing = final <= FINAL_DISTANCE_MAX
+    say = _summary(args.out)
+    say(f"average: {_fmt(table.average)}")
+    say(f"distances nonincreasing ({AVERAGING_SLACK:.0%} slack): {str(decreasing).lower()}")
+    say(f"final distance {_fmt(final)} <= {FINAL_DISTANCE_MAX:g}: {str(vanishing).lower()}")
     return OK if (decreasing and vanishing) else FAILED
 
 
@@ -305,11 +318,12 @@ def cmd_duality_check(args) -> int:
               file=sys.stderr)
     ok = not bad
     floor = 1e-12 * max(1.0, rows[0][1])
+    say = _summary(args.out)
     for k in range(1, len(rows)):
         prev, cur = rows[k - 1][1], rows[k][1]
         if cur > floor and cur > 0.75 * prev:
             ok = False
-        print(f"h={_fmt(rows[k][0])}: defect {_fmt(cur)} (ratio {_fmt(cur / prev) if prev else 'n/a'})")
+        say(f"h={_fmt(rows[k][0])}: defect {_fmt(cur)} (ratio {_fmt(cur / prev) if prev else 'n/a'})")
     return OK if ok else FAILED
 
 

@@ -33,7 +33,7 @@ Norms = namedtuple("Norms", ["l1", "l2", "min", "mass"])
 
 FV = "fv"
 FEM = "fem"
-_DISCRETIZATIONS = (FV, FEM)
+OWN_NORM = {FV: "l1", FEM: "l2"}  # each discretization's own norm, a Norms field
 
 # relative slack of the monotone-decrease check, for round-off only
 NONINCREASING_SLACK = 1e-12
@@ -58,8 +58,8 @@ def norms(values, weights) -> Norms:
 
 def propagate(gen: DiscreteGenerator, phi0, t: float) -> np.ndarray:
     """Advance phi0 by the semigroup of ``gen`` to time t: sparse
-    shift-and-invert Arnoldi on ``(gen.mass, gen.flux)``, converged to the
-    default ``rtol`` of ``_stepping.krylov_apply``."""
+    shift-and-invert Arnoldi on ``(gen.mass, gen.flux)``, converged to
+    ``_stepping.KRYLOV_RTOL``."""
     return _stepping.krylov_apply(gen.mass, gen.flux, phi0, [t])[0]
 
 
@@ -92,8 +92,8 @@ class SweepResult:
 
     def errors(self, t: float, metric: str = None) -> np.ndarray:
         """Error column at fixed t, kappa-ordered.  Default metric is the
-        discretization's own norm (L1 for fv, L2 for fem)."""
-        metric = metric or ("err_l1" if self.discretization == FV else "err_l2")
+        discretization's own norm (``OWN_NORM``)."""
+        metric = metric or f"err_{OWN_NORM[self.discretization]}"
         rows = sorted(
             (r for r in self.records if r.t == t), key=lambda r: r.kappa
         )
@@ -102,15 +102,15 @@ class SweepResult:
     def times(self):
         return sorted({r.t for r in self.records})
 
-    def nonincreasing_at(self, t: float, metric: str = None) -> bool:
-        """Does the error at time t shrink (weakly) along kappa, up to
-        NONINCREASING_SLACK relative?"""
-        e = self.errors(t, metric)
+    def nonincreasing_at(self, t: float) -> bool:
+        """Does the error at time t, in the discretization's own norm,
+        shrink (weakly) along kappa, up to NONINCREASING_SLACK relative?"""
+        e = self.errors(t)
         return bool(np.all(e[1:] <= e[:-1] + NONINCREASING_SLACK * (1.0 + e[:-1])))
 
-    def errors_nonincreasing(self, metric: str = None) -> bool:
+    def errors_nonincreasing(self) -> bool:
         """Does the error shrink (weakly) along kappa for every t?"""
-        return all(self.nonincreasing_at(t, metric) for t in self.times())
+        return all(self.nonincreasing_at(t) for t in self.times())
 
 
 def kappa_sweep(
@@ -128,7 +128,8 @@ def kappa_sweep(
     ``phi0`` is a per-edge callable ``(edge, x) -> values`` (see
     ``grids.edge_indicator``); it is sampled on the discretization's own
     grid.  Kappa values must be finite, positive and strictly increasing,
-    times finite and nonnegative; ``trace_order`` 2 applies to fv only.
+    times finite, nonnegative and distinct (in any order); ``trace_order``
+    2 applies to fv only.
     An invalid graph raises InvalidGraphError first.  The generator is
     assembled once, at the first kappa, and ``dataclasses.replace`` gives
     it every other kappa; each kappa is propagated to all times in one
@@ -136,9 +137,9 @@ def kappa_sweep(
     c' = Q c is propagated the same way, in one call for all times.
     """
     q = chain.chain_generator(graph, chain.DUAL)
-    if discretization not in _DISCRETIZATIONS:
+    if discretization not in OWN_NORM:
         raise ValueError(
-            f"discretization must be one of {_DISCRETIZATIONS}, got {discretization!r}"
+            f"discretization must be one of {tuple(OWN_NORM)}, got {discretization!r}"
         )
     if discretization == FEM and trace_order != 1:
         raise ValueError(f"fem takes trace_order 1 only, got {trace_order}")
@@ -150,6 +151,8 @@ def kappa_sweep(
         raise ValueError("kappa list must be strictly increasing")
     if not ts or not all(0 <= t < math.inf for t in ts):
         raise ValueError(f"t list must be nonempty, nonnegative and finite, got {ts}")
+    if len(set(ts)) < len(ts):
+        raise ValueError(f"t list must not repeat a time, got {ts}")
 
     # assembled once: every other kappa only rescales the diffusion form
     if discretization == FV:
@@ -185,7 +188,7 @@ def kappa_sweep(
                     t=t,
                     err_l1=err.l1,
                     err_l2=err.l2,
-                    err_projected=perr.l1 if discretization == FV else perr.l2,
+                    err_projected=getattr(perr, OWN_NORM[discretization]),
                     mass_drift=float(np.sum(weights * sol)) - mass0,
                     min_value=float(np.min(sol)),
                 )

@@ -48,6 +48,9 @@ from numpy.polynomial import Polynomial
 
 # points of the trapezoid rule behind the averaging distances
 EVAL_NODES = 2001
+# the averaging check: relative slack between successive distances, bound on the last
+AVERAGING_SLACK = 0.05
+FINAL_DISTANCE_MAX = 0.05
 
 # for z <= 1 the moment series is truncated after this many terms; the
 # first omitted term is below e / 20! ~ 1e-18 of the sum
@@ -198,9 +201,11 @@ class AveragingTable:
     def distances(self) -> np.ndarray:
         return np.array([d for (_, d) in self.rows])
 
-    def nonincreasing(self, slack: float = 0.05) -> bool:
+    def nonincreasing(self) -> bool:
         d = self.distances()
-        return bool(np.all(d[1:] <= d[:-1] * (1.0 + slack) + 1e-15))
+        if not np.isfinite(d).all():  # inf <= inf * (1 + slack) would hold
+            return False
+        return bool(np.all(d[1:] <= d[:-1] * (1.0 + AVERAGING_SLACK) + 1e-15))
 
 
 def averaging_limit_check(a, b, phi, lams) -> AveragingTable:

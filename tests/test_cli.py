@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -340,19 +342,52 @@ def test_non_finite_polynomial_source_is_usage_error(capsys):
 
 @pytest.mark.parametrize("disc", ["fv", "fem"])
 def test_sweep_csv_is_deterministic(star_path, tmp_path, disc):
-    # unsorted times with a duplicate: rows still come out sorted by
-    # (kappa, t), and two runs write the same bytes
+    # unsorted times: rows still come out sorted by (kappa, t), and two
+    # runs write the same bytes
     outs = [tmp_path / f"run{k}.csv" for k in range(2)]
     for out in outs:
         code = main([
             "sweep", "--graph", star_path, "--disc", disc, "--h", "0.05",
-            "--kappa", "1,100", "--t", "2,0.25,0,2,0.5", "--out", str(out),
+            "--kappa", "1,100", "--t", "2,0.25,0,0.5", "--out", str(out),
         ])
         assert code == 0
     first, second = (out.read_bytes() for out in outs)
     assert first == second
     rows = [line.split(",")[:2] for line in first.decode().splitlines()[1:]]
-    assert rows == [[k, t] for k in ("1", "100") for t in ("0", "0.25", "0.5", "2", "2")]
+    assert rows == [[k, t] for k in ("1", "100") for t in ("0", "0.25", "0.5", "2")]
+
+
+def test_repeated_time_is_clean_error(star_path, tmp_path, capsys):
+    # a repeated time would write two identical rows that read as two
+    # kappas in the summary; like a decreasing kappa list it is an input
+    # error
+    out = tmp_path / "x.csv"
+    code = main(["sweep", "--graph", star_path, "--kappa", "1", "--t", "0,0,1",
+                 "--h", "0.1", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: t list must not repeat a time, got [0.0, 0.0, 1.0]\n"
+    )
+
+
+@pytest.mark.parametrize("out", [["--out", "-"], []], ids=["dash", "omitted"])
+@pytest.mark.parametrize("argv, summary", [
+    (["sweep", "--kappa", "1,10", "--t", "0.5,1", "--h", "0.1"], "t=0.5: err "),
+    (["sweep", "--disc", "fem", "--kappa", "1,10", "--t", "0.5", "--h", "0.1"], "t=0.5: err "),
+    (["limit-q"], "entries differing between variants: "),
+    (["duality-check", "--h", "0.1", "--levels", "2"], "h=0.050000000000000003: defect "),
+    (["resolvent-check"], "average: 0.5"),
+], ids=["sweep-fv", "sweep-fem", "limit-q", "duality-check", "resolvent-check"])
+def test_stdout_is_pure_csv_when_the_csv_goes_there(star_path, capsys, argv, summary, out):
+    # the summary lines move to stderr, so stdout parses as one table
+    if argv[0] != "resolvent-check":
+        argv = argv[:1] + ["--graph", star_path] + argv[1:]
+    assert main(argv + out) == 0
+    captured = capsys.readouterr()
+    header, *rows = csv.reader(io.StringIO(captured.out, newline=""))
+    assert rows and all(len(row) == len(header) for row in rows)
+    assert summary in captured.err
 
 
 def _counting(counts, key, fn):
@@ -459,9 +494,9 @@ def test_decreasing_kappa_list_is_clean_error(star_path, tmp_path, capsys):
 
 def test_resolvent_check_defaults(capsys):
     assert main(["resolvent-check"]) == 0
-    out = capsys.readouterr().out
-    assert "lambda,l1_distance" in out
-    assert "average: 0.5" in out
+    captured = capsys.readouterr()
+    assert captured.out.startswith("lambda,l1_distance\n")
+    assert "average: 0.5" in captured.err
 
 
 def test_resolvent_check_failure_exit(capsys):
@@ -472,7 +507,7 @@ def test_resolvent_check_failure_exit(capsys):
 def test_resolvent_check_small_lambda_quartic(capsys):
     assert main(["resolvent-check", "--phi", "poly:0.3,-0.5,0.7,0.2,-0.9",
                  "--lambdas", "1e-3,1e-5,1e-6,1e-8"]) == 0
-    assert "nonincreasing (5% slack): true" in capsys.readouterr().out
+    assert "nonincreasing (5% slack): true" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, value, lam", [
@@ -484,10 +519,13 @@ def test_resolvent_check_small_lambda_quartic(capsys):
 def test_resolvent_check_reports_a_non_finite_distance_in_one_line(
         tmp_path, capsys, flags, value, lam):
     # the overflow is one stderr line naming the first non-finite distance,
-    # not numpy's RuntimeWarnings; the table and the exit code stand
+    # not numpy's RuntimeWarnings; the table and the exit code stand, and
+    # a table without a finite distance is not called nonincreasing
     out = tmp_path / "r.csv"
     assert main(["resolvent-check", *flags, "--out", str(out)]) == 3
-    assert capsys.readouterr().err == f"non-finite l1 distance {value} at lambda={lam}\n"
+    captured = capsys.readouterr()
+    assert captured.err == f"non-finite l1 distance {value} at lambda={lam}\n"
+    assert "distances nonincreasing (5% slack): false\n" in captured.out
     assert out.read_text().splitlines()[1].endswith(f",{value}")
 
 

@@ -370,8 +370,9 @@ def test_krylov_basis_grows_as_rtol_tightens(star_graph, monkeypatch):
         want = _expm_rows(gen, phi0, ts)
         sizes, errors = [], []
         for rtol in (1e-6, 1e-8, 1e-10, 1e-11):
+            monkeypatch.setattr(_stepping, "KRYLOV_RTOL", rtol)
             got, seen = _captured_hessenbergs(
-                monkeypatch, lambda: _krylov_rows(gen, phi0, ts, rtol=rtol))
+                monkeypatch, lambda: _krylov_rows(gen, phi0, ts))
             sizes.append(max(len(hess) for hess, _ in seen))
             errors.append(np.abs(got - want).max())
         assert sizes == sorted(sizes)
@@ -407,22 +408,20 @@ class TestStepping:
         with pytest.raises(ValueError, match=r"must have shape \(2,\), got \(3,\)"):
             _stepping.krylov_apply(eye, eye, np.ones(3), [1.0])
 
-    def test_krylov_gives_up_when_capped(self):
+    def test_krylov_gives_up_when_capped(self, monkeypatch):
         n = 40
         stiff = sp.diags(np.arange(1.0, n + 1))
+        monkeypatch.setattr(_stepping, "KRYLOV_MAX_DIM", 6)
         with pytest.raises(_stepping.StepControlError, match="m=6"):
-            _stepping.krylov_apply(
-                sp.eye(n, format="csr"), stiff, np.ones(n), [1.0], max_dim=6
-            )
+            _stepping.krylov_apply(sp.eye(n, format="csr"), stiff, np.ones(n), [1.0])
 
-    def test_capped_krylov_window_names_unconverged_time(self):
+    def test_capped_krylov_window_names_unconverged_time(self, monkeypatch):
         # t = 0.05 converges at m = 13, t = 0.4 of the same window does not
         n = 40
         stiff = sp.diags(np.arange(1.0, n + 1))
+        monkeypatch.setattr(_stepping, "KRYLOV_MAX_DIM", 13)
         with pytest.raises(_stepping.StepControlError) as exc:
-            _stepping.krylov_apply(
-                sp.eye(n, format="csr"), stiff, np.ones(n), [0.05, 0.4], max_dim=13
-            )
+            _stepping.krylov_apply(sp.eye(n, format="csr"), stiff, np.ones(n), [0.05, 0.4])
         assert "m=13" in str(exc.value)
         assert "t=0.4 " in str(exc.value)
         assert "t=0.05" not in str(exc.value)
@@ -502,6 +501,8 @@ def test_sweep_validates_arguments(star_graph):
         kappa_sweep(star_graph, grid, [1.0], [], ind)
     with pytest.raises(ValueError):
         kappa_sweep(star_graph, grid, [1.0], [-2.0], ind)
+    with pytest.raises(ValueError, match="must not repeat a time"):
+        kappa_sweep(star_graph, grid, [1.0], [1.0, 0.0, 1.0], ind)
     with pytest.raises(ValueError):
         kappa_sweep(star_graph, grid, [1.0], [1.0], ind, discretization="fdtd")
     with pytest.raises(ValueError, match="trace_order"):
