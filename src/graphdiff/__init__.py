@@ -7,19 +7,27 @@ volume) and forward (node-centered differences, P1 Galerkin)
 discretizations, the interval Neumann resolvent in closed form, and
 the continuous-time Markov chain that the dynamics collapse to when
 diffusion is fast compared to the membranes.
+
+The names that need scipy are imported on first use (PEP 562), so that
+``import graphdiff`` loads numpy only.
 """
 
-from .chain import DUAL, chain_generator
-from .evolution import FEM, FV, kappa_sweep
-from .finite_volume import (
-    dual_generator,
-    duality_defect,
-    with_dual_conditions,
-    with_primal_conditions,
-)
+import importlib
+
 from .graphs import load_graph, validate
-from .grids import make_grid
+from .grids import FEM, FV, make_grid
 from .resolvent import averaging_limit_check, resolvent_apply
+
+# public name -> the module that defines it, imported on first access
+_SOLVER_NAMES = {
+    "DUAL": "chain",
+    "chain_generator": "chain",
+    "kappa_sweep": "evolution",
+    "dual_generator": "finite_volume",
+    "duality_defect": "finite_volume",
+    "with_dual_conditions": "finite_volume",
+    "with_primal_conditions": "finite_volume",
+}
 
 __version__ = "0.1.0"
 
@@ -39,3 +47,13 @@ __all__ = [
     "with_dual_conditions",
     "with_primal_conditions",
 ]
+
+
+def __getattr__(name):
+    if name not in _SOLVER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_SOLVER_NAMES[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SOLVER_NAMES))

@@ -10,11 +10,13 @@ positive times are grouped into windows ``t_max <= KRYLOV_WINDOW *
 t_min``; each window gets one sparse LU of ``M + K/gamma`` with
 ``gamma = SHIFT_T / sqrt(t_min t_max)`` and one Arnoldi basis on
 ``S = (M + K/gamma)^-1 M`` in the M inner product, which gives
-``S V_m = V_m H_m + ...``.  A diagonal M = W (``is_diagonal``, the one
-such test, which ``DiscreteGenerator.matrix`` reads too) is factored
-row-scaled, ``I + W^-1 K/gamma``: the same S with up to 40x less mass
-drift at kappa = 1e4.  Since ``-M^-1 K = gamma (I - S^-1)``, the
-solution at each time t of the window is ``beta V_m f(H_m) e1`` with
+``S V_m = V_m H_m + ...``.  A diagonal M = W is factored row-scaled,
+``I + W^-1 K/gamma``: the same S with up to 40x less mass drift at
+kappa = 1e4.  The one test for it, ``is_diagonal``, lives in
+``finite_volume`` beside ``DiscreteGenerator.matrix``, which reads it
+too, so that building a generator loads no solver.  Since
+``-M^-1 K = gamma (I - S^-1)``, the solution at each time t of the
+window is ``beta V_m f(H_m) e1`` with
 ``f(theta) = exp(t gamma (1 - 1/theta))``, from one eigendecomposition
 of the m x m ``H_m`` per step (Higham, *Functions of Matrices*, 2008;
 ``expm`` only for a near-defective ``H_m``).  The rational basis
@@ -48,6 +50,8 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from .finite_volume import is_diagonal
+
 # gamma * t for the shift-and-invert pole; iterates at basis sizes
 # m - KRYLOV_LAG and m are compared for the stopping rule
 SHIFT_T = 10.0
@@ -65,11 +69,6 @@ KRYLOV_MAX_DIM = 64
 class StepControlError(RuntimeError):
     """The Krylov propagator did not reach its tolerance, or could not
     factor or resolve its shifted matrix."""
-
-
-def is_diagonal(mass) -> bool:
-    """Whether the sparse ``mass`` stores nonzeros on its diagonal only."""
-    return mass.count_nonzero() == np.count_nonzero(mass.diagonal())
 
 
 def time_windows(ts) -> list:

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .graphs import MetricGraph
@@ -96,6 +95,8 @@ def propagator(q: sp.csr_matrix, t: float) -> np.ndarray:
         raise ValueError(f"t must be finite and >= 0, got {t}")
     if t == 0:
         return np.eye(q.shape[0])
+    import scipy.linalg
+
     return scipy.linalg.expm(t * q.toarray())
 
 

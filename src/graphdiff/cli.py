@@ -24,6 +24,11 @@ exactly).  Each producer formats its own cells, so the writer takes
 str cells only.  A command's summary lines go through the same ``_fmt``
 and are printed by ``_summary``: on stdout, or on stderr when the CSV
 takes stdout, so that stdout is then CSV only.
+
+Each command imports the modules it computes with, so a process loads
+what its command uses: ``validate`` and ``resolvent-check`` no scipy,
+``limit-q`` and ``duality-check`` ``scipy.sparse`` only, and ``sweep``
+the sparse solver too.
 """
 
 from __future__ import annotations
@@ -38,9 +43,9 @@ import sys
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from . import _stepping, chain, evolution, finite_volume, resolvent
+from . import resolvent
 from .graphs import GraphConfigError, InvalidGraphError, load_graph, validate
-from .grids import edge_indicator, make_grid
+from .grids import FEM, FV, edge_indicator, make_grid
 from .resolvent import AVERAGING_SLACK, FINAL_DISTANCE_MAX
 
 OK, INVALID, IOERR, FAILED, UNCONVERGED, OUT_OF_MEMORY = 0, 1, 2, 3, 4, 5
@@ -127,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=_float_list, default=[1.0, 10.0, 100.0, 1000.0, 10000.0])
     p.add_argument("--t", type=_float_list, default=[0.25, 0.5, 1.0, 2.0])
     p.add_argument("--h", type=_finite_float, default=0.005, help="target cell width")
-    p.add_argument("--disc", choices=[evolution.FV, evolution.FEM], default=evolution.FV)
+    p.add_argument("--disc", choices=[FV, FEM], default=FV)
     p.add_argument("--trace-order", type=int, choices=[1, 2], default=1)
     p.add_argument(
         "--phi0",
@@ -182,11 +187,11 @@ def _load_valid(path):
     return graph
 
 
-def _limit_q_rows(graph, qs):
+def _limit_q_rows(graph, qs, mass_rate):
     """One CSV row per edge of each variant's Q: the variant, the edge id,
     then the literal "0" (which is ``_fmt(0.0)``) except at the stored
-    entries, so only those are formatted; last the dual's weighted column
-    sums."""
+    entries, so only those are formatted; last ``mass_rate``, the dual's
+    weighted column sums."""
     for variant, q in qs.items():
         for i, edge_id in enumerate(graph.edge_ids):
             row = [variant, edge_id] + ["0"] * graph.n_edges
@@ -194,15 +199,18 @@ def _limit_q_rows(graph, qs):
             for j, x in zip(q.indices[stored], q.data[stored]):
                 row[2 + j] = _fmt(x)
             yield row
-    yield ["mass_rate", ""] + [_fmt(x) for x in chain.mass_rate(graph)]
+    yield ["mass_rate", ""] + [_fmt(x) for x in mass_rate]
 
 
 def cmd_limit_q(args) -> int:
     graph = _load_valid(args.graph)
+    from . import chain
+
     qs = {variant: chain.chain_generator(graph, variant)
           for variant in (chain.DUAL, chain.PRIMAL)}
     ids = graph.edge_ids
-    _write_csv(args.out, ["variant", "edge"] + list(ids), _limit_q_rows(graph, qs))
+    _write_csv(args.out, ["variant", "edge"] + list(ids),
+               _limit_q_rows(graph, qs, chain.mass_rate(graph)))
     say = _summary(args.out)
     differ = qs[chain.DUAL] != qs[chain.PRIMAL]
     differ.sort_indices()  # row-major, as the listing has always been
@@ -235,15 +243,21 @@ def cmd_sweep(args) -> int:
     graph = _load_valid(args.graph)
     phi0 = _phi0_from_flag(graph, args.phi0)
     grid = make_grid(graph, args.h)
-    result = evolution.kappa_sweep(
-        graph,
-        grid,
-        args.kappa,
-        args.t,
-        phi0,
-        discretization=args.disc,
-        trace_order=args.trace_order,
-    )
+    from . import _stepping, evolution
+
+    try:
+        result = evolution.kappa_sweep(
+            graph,
+            grid,
+            args.kappa,
+            args.t,
+            phi0,
+            discretization=args.disc,
+            trace_order=args.trace_order,
+        )
+    except _stepping.StepControlError as exc:
+        print(f"error: solver did not converge: {exc}", file=sys.stderr)
+        return UNCONVERGED
     # kappa_sweep orders the records by (kappa, t)
     rows = (map(_fmt, dataclasses.astuple(record)) for record in result.records)
     _write_csv(args.out, evolution.CSV_COLUMNS, rows)
@@ -290,6 +304,8 @@ def cmd_resolvent_check(args) -> int:
 
 def cmd_duality_check(args) -> int:
     graph = _load_valid(args.graph)
+    from . import finite_volume
+
     rng = np.random.default_rng(args.seed)
     raw = [Polynomial(rng.uniform(-1.0, 1.0, size=4)) for _ in range(graph.n_edges)]
     raw2 = [Polynomial(rng.uniform(-1.0, 1.0, size=4)) for _ in range(graph.n_edges)]
@@ -332,9 +348,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _stepping.StepControlError as exc:
-        print(f"error: solver did not converge: {exc}", file=sys.stderr)
-        return UNCONVERGED
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return OUT_OF_MEMORY

@@ -27,12 +27,10 @@ import scipy.sparse as sp
 from . import _stepping, chain, finite_volume, galerkin
 from .finite_volume import DiscreteGenerator
 from .graphs import MetricGraph
-from .grids import CELLS, NODES, EdgeGrid
+from .grids import CELLS, FEM, FV, NODES, EdgeGrid
 
 Norms = namedtuple("Norms", ["l1", "l2", "min", "mass"])
 
-FV = "fv"
-FEM = "fem"
 OWN_NORM = {FV: "l1", FEM: "l2"}  # each discretization's own norm, a Norms field
 
 # relative slack of the monotone-decrease check, for round-off only

@@ -47,9 +47,13 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial import Polynomial
 
-from ._stepping import is_diagonal
 from .graphs import MetricGraph, endpoint_conditions
 from .grids import CELLS, NODES, EdgeGrid
+
+
+def is_diagonal(mass) -> bool:
+    """Whether the sparse ``mass`` stores nonzeros on its diagonal only."""
+    return mass.count_nonzero() == np.count_nonzero(mass.diagonal())
 
 
 @dataclass(frozen=True)

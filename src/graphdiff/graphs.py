@@ -42,9 +42,14 @@ import json
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+# the builders of sparse matrices import scipy.sparse themselves, so that
+# loading and validating a graph loads numpy only
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # slack for comparing permeability sums against their totals
 SUM_TOL = 1e-12
@@ -145,6 +150,8 @@ class MetricGraph:
         Loops are forbidden, so that endpoint is unique.
         """
         require_valid(self)
+        import scipy.sparse as sp
+
         rows, cols, vals = [], [], []
         for i, e in enumerate(self.edges):
             for side in Side:
@@ -253,6 +260,8 @@ def endpoint_conditions(graph: MetricGraph, flow: sp.csr_matrix) -> sp.csr_matri
     """-D_s Sigma^-1 flow over endpoints, index 2*edge + side, for flow
     X (forward) or X^T (adjoint); each stored entry c of row (i, side)
     becomes (c * sign) / sigma_i."""
+    import scipy.sparse as sp
+
     conditions = sp.csr_matrix(flow, copy=True)
     rows = np.repeat(np.arange(flow.shape[0]), np.diff(conditions.indptr))
     signs = np.where(rows % 2, 1.0, -1.0)

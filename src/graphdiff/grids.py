@@ -18,13 +18,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+# the builders of sparse matrices import scipy.sparse themselves, so that
+# building and sampling a grid loads numpy only
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 CELLS = "cells"
 NODES = "nodes"
 _LAYOUTS = (CELLS, NODES)
+# the sweep's discretizations: finite volumes on cells, P1 elements on nodes
+FV = "fv"
+FEM = "fem"
 # the most points a packed float grid function can hold
 _MAX_POINTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
@@ -82,6 +90,8 @@ class EdgeGrid:
     def averaging(self, layout: str) -> sp.csr_matrix:
         """P, the (n_edges, size) map from packed values to edge averages:
         row i holds edge i's quadrature weights divided by its length."""
+        import scipy.sparse as sp
+
         off = self.offsets(layout)
         values = self.weights(layout) / np.repeat(self.lengths, np.diff(off))
         shape = (self.n_edges, off[-1])

@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 import graphdiff
-from graphdiff import _stepping, chain, cli, finite_volume, galerkin, graphs
+from graphdiff import _stepping, chain, cli, evolution, finite_volume, galerkin, graphs
 from graphdiff.cli import main
 
 from conftest import make_path, traced_peak, write_config
@@ -279,7 +279,7 @@ def test_out_of_memory_has_its_own_exit_code(star_path, tmp_path, monkeypatch, c
     def too_large(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)")
 
-    monkeypatch.setattr(cli.evolution, "kappa_sweep", too_large)
+    monkeypatch.setattr(evolution, "kappa_sweep", too_large)
     code = main(["sweep", "--graph", star_path, "--out", str(tmp_path / "x.csv")])
     assert code == cli.OUT_OF_MEMORY == 5
     assert capsys.readouterr().err == (

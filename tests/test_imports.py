@@ -1,0 +1,125 @@
+"""What each command loads: a ``graphdiff`` process imports scipy only
+for the commands that build sparse matrices, and the sparse solver only
+for ``sweep``.  Every check runs in a fresh interpreter and reads
+``sys.modules``; this one has long since imported everything."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import graphdiff
+
+ROOT = Path(__file__).resolve().parents[1]
+STAR = str(ROOT / "configs" / "star.json")
+SOLVER = {"scipy.sparse.linalg", "scipy.linalg"}
+
+# runs one CLI command, then prints its exit code and the scipy modules loaded
+_RUN_CLI = """
+import contextlib, io, json, sys
+from graphdiff.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, [m for m in sys.modules if m.split(".")[0] == "scipy"]]))
+"""
+
+# the set-up probe of the benchmark, in-process, its own output swallowed
+_RUN_PROBE = """
+import contextlib, io, json, runpy, sys
+probe = runpy.run_path(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = probe["main"](sys.argv[2:])
+print(json.dumps([code, [m for m in sys.modules if m.split(".")[0] == "scipy"]]))
+"""
+
+
+def _fresh(script, *args):
+    """Run ``script`` in a new interpreter; the pair it prints as JSON,
+    the second item (module names) as a set."""
+    src = str(Path(graphdiff.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    first, modules = json.loads(done.stdout)
+    return first, set(modules)
+
+
+@pytest.fixture
+def invalid_path(tmp_path):
+    cfg = json.loads(Path(STAR).read_text())
+    cfg["edges"][0]["sigma"] = -1.0
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--graph", STAR],
+    ["duality-check", "--graph", STAR, "--levels", "2"],
+    ["resolvent-check"],
+])
+def test_benchmark_setup_probe_loads_no_scipy(argv):
+    code, modules = _fresh(_RUN_PROBE, str(ROOT / "bench" / "probe.py"), *argv)
+    assert code == 0
+    assert modules == set()
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["validate", "--graph", STAR], 0),
+    (["resolvent-check", "--lambdas", "1e-1,1e-2"], 0),
+])
+def test_commands_without_sparse_matrices_load_no_scipy(argv, exit_code):
+    assert _fresh(_RUN_CLI, *argv) == (exit_code, set())
+
+
+@pytest.mark.parametrize("command", ["validate", "limit-q", "sweep", "duality-check"])
+def test_invalid_config_exits_before_scipy(command, invalid_path):
+    assert _fresh(_RUN_CLI, command, "--graph", invalid_path) == (1, set())
+
+
+def test_bad_flag_exits_before_scipy():
+    assert _fresh(_RUN_CLI, "sweep", "--graph", STAR, "--disc", "fd") == (2, set())
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit-q", "--graph", STAR],
+    ["duality-check", "--graph", STAR, "--levels", "2"],
+])
+def test_sparse_commands_load_no_solver(argv, tmp_path):
+    code, modules = _fresh(_RUN_CLI, *argv, "--out", str(tmp_path / "out.csv"))
+    assert code == 0
+    assert "scipy.sparse" in modules
+    assert not modules & SOLVER
+
+
+def test_sweep_loads_the_solver(tmp_path):
+    # the check above would pass on any command that never ran
+    code, modules = _fresh(
+        _RUN_CLI, "sweep", "--graph", STAR, "--kappa", "1,10", "--t", "1", "--h", "0.1",
+        "--out", str(tmp_path / "out.csv"),
+    )
+    assert code == 0
+    assert SOLVER <= modules
+
+
+def test_every_public_name_resolves_and_is_listed():
+    script = """
+import json, sys
+import graphdiff
+before = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+listed = set(dir(graphdiff))
+missing = [name for name in graphdiff.__all__
+           if name not in listed or getattr(graphdiff, name, None) is None]
+print(json.dumps([missing, before]))
+"""
+    assert _fresh(script) == ([], set())
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        graphdiff.nope
