@@ -307,39 +307,39 @@ def cmd_duality_check(args) -> int:
     from . import finite_volume
 
     rng = np.random.default_rng(args.seed)
-    raw = [Polynomial(rng.uniform(-1.0, 1.0, size=4)) for _ in range(graph.n_edges)]
-    raw2 = [Polynomial(rng.uniform(-1.0, 1.0, size=4)) for _ in range(graph.n_edges)]
-    rows = []
-    # a tiny kappa overflows the fitted slopes; a non-finite defect is
-    # reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_polys = finite_volume.with_primal_conditions(graph, args.kappa, raw)
-        phi_polys = finite_volume.with_dual_conditions(graph, args.kappa, raw2)
-        for level in range(args.levels):
-            h = args.h / 2**level
-            grid = make_grid(graph, h)
-            defect = finite_volume.duality_defect(
-                graph, grid, args.kappa, f_polys, phi_polys, trace_order=args.trace_order
+    raw = rng.uniform(-1.0, 1.0, size=(graph.n_edges, 4))
+    raw2 = rng.uniform(-1.0, 1.0, size=(graph.n_edges, 4))
+    hs = [args.h / 2**level for level in range(args.levels)]
+    # a tiny kappa overflows the fitted slopes, and a defect that
+    # underflows to 0 makes the next ratio x/0: a non-finite defect is
+    # reported below, a ratio is printed as the nan or inf it is
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f = finite_volume.with_primal_conditions(graph, args.kappa, raw)
+        phi = finite_volume.with_dual_conditions(graph, args.kappa, raw2)
+        defects = [
+            finite_volume.duality_defect(
+                graph, make_grid(graph, h), args.kappa, f, phi, trace_order=args.trace_order
             )
-            rows.append((h, defect))
+            for h in hs
+        ]
+        ratios = np.divide(defects[1:], defects[:-1])
     _write_csv(args.out, ["h", "defect", "ratio"], [
-        [_fmt(h), _fmt(defect), "" if k == 0 else _fmt(defect / rows[k - 1][1])]
-        for k, (h, defect) in enumerate(rows)
+        [_fmt(h), _fmt(defect), "" if k == 0 else _fmt(ratios[k - 1])]
+        for k, (h, defect) in enumerate(zip(hs, defects))
     ])
     # an inf or nan defect fails at any level; inf > 0.75 * inf would not
-    bad = [(h, defect) for h, defect in rows if not math.isfinite(defect)]
+    bad = [(h, defect) for h, defect in zip(hs, defects) if not math.isfinite(defect)]
     if bad:
         h, defect = bad[0]
         print(f"non-finite duality defect {defect} at h={h:g} (kappa={args.kappa:g})",
               file=sys.stderr)
     ok = not bad
-    floor = 1e-12 * max(1.0, rows[0][1])
+    floor = 1e-12 * max(1.0, defects[0])
     say = _summary(args.out)
-    for k in range(1, len(rows)):
-        prev, cur = rows[k - 1][1], rows[k][1]
+    for h, prev, cur, ratio in zip(hs[1:], defects, defects[1:], ratios):
         if cur > floor and cur > 0.75 * prev:
             ok = False
-        say(f"h={_fmt(rows[k][0])}: defect {_fmt(cur)} (ratio {_fmt(cur / prev) if prev else 'n/a'})")
+        say(f"h={_fmt(h)}: defect {_fmt(cur)} (ratio {_fmt(ratio)})")
     return OK if ok else FAILED
 
 

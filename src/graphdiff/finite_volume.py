@@ -26,6 +26,10 @@ values), second order.
 ``duality_defect`` pairs the two: for f satisfying the forward conditions
 and phi the adjoint ones, <phi, A f> and <A* phi, f> must approach each
 other under refinement (the continuum pairing is an exact identity).
+Its test functions are cubics on each edge, held as one (n_edges, 4)
+array of ascending coefficients; ``with_primal_conditions`` and
+``with_dual_conditions`` fit such an array to the conditions in one
+array operation.
 
 All three discretizations (these two and P1 Galerkin in ``galerkin``)
 are ``DiscreteGenerator`` records of the mass form  M u' = -K u  with
@@ -45,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyder, polyval
 
 from .graphs import MetricGraph, endpoint_conditions
 from .grids import CELLS, NODES, EdgeGrid
@@ -170,27 +174,25 @@ def primal_generator(graph: MetricGraph, grid: EdgeGrid, kappa: float) -> Discre
 
 
 def duality_defect(
-    graph: MetricGraph,
-    grid: EdgeGrid,
-    kappa: float,
-    f,
-    phi,
-    trace_order: int = 1,
+    graph: MetricGraph, grid: EdgeGrid, kappa: float, f, phi, trace_order: int = 1
 ) -> float:
     """| <phi, A f>_nodes - <A* phi, f>_cells | on matched grids.
 
-    ``f`` and ``phi`` are continuum functions given as one callable (a
-    polynomial, say) per edge, such as ``with_primal_conditions`` and
-    ``with_dual_conditions`` return; f is sampled on the forward node
-    grid, phi on the adjoint cell grid.  A tiny kappa overflows the
-    fitted slopes, and the defect is then inf or nan.
+    ``f`` and ``phi`` are cubics given as (n_edges, 4) arrays of
+    ascending coefficients, one row per edge, such as
+    ``with_primal_conditions`` and ``with_dual_conditions`` return; f is
+    sampled on the forward node grid, phi on the adjoint cell grid.  A
+    tiny kappa overflows the fitted slopes, and the defect is then inf or
+    nan.
     """
     forward = primal_generator(graph, grid, kappa)
     adjoint = dual_generator(graph, grid, kappa, trace_order=trace_order)
-    f_nodes = grid.sample(lambda i, x: f[i](x), NODES)
-    phi_nodes = grid.sample(lambda i, x: phi[i](x), NODES)
-    f_cells = grid.sample(lambda i, x: f[i](x), CELLS)
-    phi_cells = grid.sample(lambda i, x: phi[i](x), CELLS)
+
+    def sample(coefs, layout):
+        return grid.sample(lambda i, x: polyval(x, coefs[i]), layout)
+
+    f_nodes, phi_nodes = sample(f, NODES), sample(phi, NODES)
+    f_cells, phi_cells = sample(f, CELLS), sample(phi, CELLS)
     pair_forward = float(np.sum(grid.weights(NODES) * phi_nodes * (forward.matrix @ f_nodes)))
     pair_adjoint = float(np.sum(grid.weights(CELLS) * (adjoint.matrix @ phi_cells) * f_cells))
     return abs(pair_forward - pair_adjoint)
@@ -199,47 +201,39 @@ def duality_defect(
 # ---------------------------------------------------------------------------
 # smooth test functions satisfying the transmission conditions
 
-def _bump_left(d: float) -> Polynomial:
-    # value 0 at both ends, slope 1 at 0, slope 0 at d
-    return Polynomial([0.0, 1.0, -2.0 / d, 1.0 / d**2])
-
-
-def _bump_right(d: float) -> Polynomial:
-    # value 0 at both ends, slope 0 at 0, slope 1 at d
-    return Polynomial([0.0, 0.0, -1.0 / d, 1.0 / d**2])
-
-
-def _fit_conditions(graph, kappa, polys, conditions: sp.csr_matrix):
-    """Add cubic bump corrections so the endpoint slopes meet
-    ``conditions`` (``graphs.endpoint_conditions``); endpoint values are
-    untouched, so the slope targets can be read off the uncorrected
-    polynomials."""
-    if len(polys) != graph.n_edges:
-        raise ValueError("need one polynomial per edge")
+def _fit_conditions(graph, kappa, coefs, conditions: sp.csr_matrix) -> np.ndarray:
+    """Add cubic bump corrections to each edge's row of ``coefs`` so the
+    endpoint slopes meet ``conditions`` (``graphs.endpoint_conditions``);
+    endpoint values are untouched, so the slope targets can be read off
+    the uncorrected cubics."""
+    coefs = np.asarray(coefs, dtype=float)
+    if coefs.shape != (graph.n_edges, 4):
+        raise ValueError(
+            f"need cubic coefficients of shape ({graph.n_edges}, 4), got {coefs.shape}"
+        )
     if not 0 < kappa < np.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
     d = graph.lengths
-    ends = np.empty((graph.n_edges, 2))
-    for i, p in enumerate(polys):
-        ends[i, 0] = p(0.0)
-        ends[i, 1] = p(d[i])
+    at_ends = np.stack([np.zeros_like(d), d])
+    ends = polyval(at_ends, coefs.T, tensor=False).T
+    slopes = polyval(at_ends, polyder(coefs, axis=1).T, tensor=False).T
     # required slopes at (edge, side)
     targets = (conditions @ ends.ravel()).reshape(-1, 2) / kappa
-    out = []
-    for i, p in enumerate(polys):
-        dp = p.deriv()
-        alpha = targets[i, 0] - dp(0.0)
-        beta = targets[i, 1] - dp(d[i])
-        out.append(p + alpha * _bump_left(d[i]) + beta * _bump_right(d[i]))
-    return out
+    alpha, beta = (targets - slopes).T
+    # value 0 at both ends; slopes (1, 0) and (0, 1) at (0, d)
+    zero, one = np.zeros_like(d), np.ones_like(d)
+    bump_left = np.column_stack([zero, one, -2.0 / d, 1.0 / d**2])
+    bump_right = np.column_stack([zero, zero, -1.0 / d, 1.0 / d**2])
+    return coefs + alpha[:, None] * bump_left + beta[:, None] * bump_right
 
 
-def with_primal_conditions(graph: MetricGraph, kappa: float, polys):
-    """Per-edge polynomials obeying the forward transmission conditions."""
-    return _fit_conditions(graph, kappa, polys, endpoint_conditions(graph, graph.exchange))
+def with_primal_conditions(graph: MetricGraph, kappa: float, coefs) -> np.ndarray:
+    """The (n_edges, 4) cubic coefficients ``coefs``, corrected to obey the
+    forward transmission conditions."""
+    return _fit_conditions(graph, kappa, coefs, endpoint_conditions(graph, graph.exchange))
 
 
-def with_dual_conditions(graph: MetricGraph, kappa: float, polys):
-    """Per-edge polynomials obeying the adjoint flux conditions."""
-    return _fit_conditions(graph, kappa, polys, endpoint_conditions(graph, graph.exchange.T))
-
+def with_dual_conditions(graph: MetricGraph, kappa: float, coefs) -> np.ndarray:
+    """The (n_edges, 4) cubic coefficients ``coefs``, corrected to obey the
+    adjoint flux conditions."""
+    return _fit_conditions(graph, kappa, coefs, endpoint_conditions(graph, graph.exchange.T))

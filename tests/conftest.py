@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyder, polyval
 
 from graphdiff.graphs import EdgeSpec, MetricGraph
 
@@ -57,6 +58,12 @@ def write_config(graph, path):
     path as a string, ready for ``--graph``."""
     path.write_text(json.dumps({"edges": [dataclasses.asdict(e) for e in graph.edges]}))
     return str(path)
+
+
+def end_values(coefs, lengths, m=0):
+    """The m-th derivative of each edge's cubic (one row of ascending
+    coefficients per edge) at its two ends, (n_edges, 2)."""
+    return np.array([polyval([0.0, d], polyder(c, m)) for c, d in zip(coefs, lengths)])
 
 
 def traced_peak(fn):

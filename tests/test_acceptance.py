@@ -227,12 +227,8 @@ def test_criterion_8_duality_defect_refinement(star):
     rng = np.random.default_rng(41)
     worst_ratio = 0.0
     for draw in range(3):
-        f = gd.with_primal_conditions(
-            star, kappa, [Polynomial(rng.uniform(-1, 1, 4)) for _ in range(3)]
-        )
-        phi = gd.with_dual_conditions(
-            star, kappa, [Polynomial(rng.uniform(-1, 1, 4)) for _ in range(3)]
-        )
+        f = gd.with_primal_conditions(star, kappa, rng.uniform(-1, 1, (3, 4)))
+        phi = gd.with_dual_conditions(star, kappa, rng.uniform(-1, 1, (3, 4)))
         order = 2 if draw == 2 else 1
         defects = [
             gd.duality_defect(star, make_grid(star, h), kappa, f, phi,

@@ -581,6 +581,21 @@ def test_duality_check_fails_on_infinite_defects(star_path, tmp_path, levels, ka
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_duality_check_zero_defects_print_nan_ratios(sealed_edge, tmp_path, capsys):
+    # on a sealed edge at kappa = 4e-324 both defects underflow to 0; the
+    # ratio 0/0 is printed as nan in the CSV and the summary, and 0 passes
+    out = tmp_path / "d.csv"
+    code = main([
+        "duality-check", "--graph", write_config(sealed_edge, tmp_path / "sealed.json"),
+        "--kappa", "4e-324", "--levels", "2", "--out", str(out),
+    ])
+    assert code == 0
+    assert out.read_text().splitlines() == [
+        "h,defect,ratio", "0.040000000000000001,0,", "0.02,0,nan",
+    ]
+    assert capsys.readouterr() == ("h=0.02: defect 0 (ratio nan)\n", "")
+
+
 @pytest.mark.parametrize("levels", ["0", "-2", "two"])
 def test_duality_check_levels_must_be_positive(star_path, levels, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,11 @@
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyder, polyval
 from numpy.testing import assert_allclose
 
 from graphdiff.finite_volume import (
@@ -24,7 +25,7 @@ from graphdiff.graphs import (
 )
 from graphdiff.grids import CELLS, NODES, EdgeGrid, make_grid
 
-from conftest import make_path, traced_peak
+from conftest import end_values, make_path, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +176,14 @@ def test_forward_truncation_error_on_fitted_corpus(star_graph):
     # the interior and at least like h on the boundary rows
     kappa = 2.0
     rng = np.random.default_rng(5)
-    raw = [Polynomial(rng.uniform(-1.0, 1.0, size=4)) for _ in range(3)]
-    polys = with_primal_conditions(star_graph, kappa, raw)
+    coefs = with_primal_conditions(star_graph, kappa, rng.uniform(-1.0, 1.0, (3, 4)))
     errs = []
     for m in (40, 80):
         grid = make_grid(star_graph, 1.0 / m)
         gen = primal_generator(star_graph, grid, kappa)
-        f = grid.sample(lambda i, x: polys[i](x), NODES)
+        f = grid.sample(lambda i, x: polyval(x, coefs[i]), NODES)
         exact = grid.sample(
-            lambda i, x: star_graph.edges[i].sigma * polys[i].deriv(2)(x), NODES
+            lambda i, x: star_graph.edges[i].sigma * polyval(x, polyder(coefs[i], 2)), NODES
         )
         errs.append(np.abs(gen.matrix @ f - kappa * exact).max())
     assert errs[0] / errs[1] >= 1.9
@@ -270,26 +270,25 @@ def test_builders_match_loop_reference(star_graph, leaky_star_graph, chain_graph
 
 
 # ---------------------------------------------------------------------------
-# fitted polynomial corpus
+# fitted cubics: (n_edges, 4) arrays of ascending coefficients
 
 def test_fitted_slopes_meet_conditions(star_graph):
     kappa = 3.0
     rng = np.random.default_rng(17)
-    raw = [Polynomial(rng.uniform(-1.0, 1.0, size=4)) for _ in range(3)]
-    for polys, table in (
+    raw = rng.uniform(-1.0, 1.0, (3, 4))
+    d = star_graph.lengths
+    for coefs, table in (
         (with_primal_conditions(star_graph, kappa, raw), primal_condition_table(star_graph)),
         (with_dual_conditions(star_graph, kappa, raw), trace_functionals(star_graph)),
     ):
-        ends = np.array([[p(0.0), p(star_graph.lengths[i])]
-                         for i, p in enumerate(polys)])
-        targets = np.einsum("isjt,jt->is", table, ends)
-        for i, p in enumerate(polys):
-            dp = p.deriv()
-            assert kappa * dp(0.0) == pytest.approx(targets[i, 0], abs=1e-12)
-            assert kappa * dp(star_graph.lengths[i]) == pytest.approx(targets[i, 1], abs=1e-12)
+        targets = np.einsum("isjt,jt->is", table, end_values(coefs, d))
+        slopes = end_values(coefs, d, 1)
+        for i in range(3):
+            assert kappa * slopes[i, 0] == pytest.approx(targets[i, 0], abs=1e-12)
+            assert kappa * slopes[i, 1] == pytest.approx(targets[i, 1], abs=1e-12)
         # the correction never moves endpoint values
-        for p, q in zip(raw, polys):
-            assert p(0.0) == pytest.approx(q(0.0))
+        for p, q in zip(end_values(raw, d), end_values(coefs, d)):
+            assert p[0] == pytest.approx(q[0])
 
 
 def test_fits_form_no_dense_table_on_a_long_path():
@@ -298,25 +297,26 @@ def test_fits_form_no_dense_table_on_a_long_path():
     graph = make_path(1000)
     graph.exchange   # built and validated once, outside the measurement
     rng = np.random.default_rng(29)
-    raw = [Polynomial(rng.uniform(-1.0, 1.0, size=4)) for _ in range(graph.n_edges)]
+    raw = rng.uniform(-1.0, 1.0, (graph.n_edges, 4))
     for fit, table in ((with_primal_conditions, primal_condition_table),
                        (with_dual_conditions, trace_functionals)):
         fitted = []
-        assert traced_peak(lambda: fitted.extend(fit(graph, 2.0, raw))) <= 2e6
-        ends = np.array([[p(0.0), p(1.0)] for p in fitted])
-        slopes = np.array([[p.deriv()(0.0), p.deriv()(1.0)] for p in fitted])
+        assert traced_peak(lambda: fitted.append(fit(graph, 2.0, raw))) <= 2e6
+        ends = end_values(fitted[0], graph.lengths)
+        slopes = end_values(fitted[0], graph.lengths, 1)
         want = np.einsum("isjt,jt->is", table(graph), ends)
         assert_allclose(2.0 * slopes, want, rtol=0, atol=1e-12)
 
 
 def test_fitting_validates_inputs(star_graph):
+    for shape in ((1, 4), (3, 3), (3, 4, 1)):
+        with pytest.raises(ValueError, match=rf"\(3, 4\), got {re.escape(str(shape))}"):
+            with_primal_conditions(star_graph, 1.0, np.ones(shape))
     with pytest.raises(ValueError):
-        with_primal_conditions(star_graph, 1.0, [Polynomial([1.0])])
-    with pytest.raises(ValueError):
-        with_primal_conditions(star_graph, -1.0, [Polynomial([1.0])] * 3)
+        with_primal_conditions(star_graph, -1.0, np.ones((3, 4)))
     for fit in (with_primal_conditions, with_dual_conditions):
         with pytest.raises(ValueError, match="finite"):
-            fit(star_graph, np.inf, [Polynomial([1.0])] * 3)
+            fit(star_graph, np.inf, np.ones((3, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +326,8 @@ def test_fitting_validates_inputs(star_graph):
 def test_duality_defect_shrinks(star_graph, order):
     kappa = 1.5
     rng = np.random.default_rng(23)
-    f = with_primal_conditions(
-        star_graph, kappa, [Polynomial(rng.uniform(-1, 1, 4)) for _ in range(3)]
-    )
-    phi = with_dual_conditions(
-        star_graph, kappa, [Polynomial(rng.uniform(-1, 1, 4)) for _ in range(3)]
-    )
+    f = with_primal_conditions(star_graph, kappa, rng.uniform(-1, 1, (3, 4)))
+    phi = with_dual_conditions(star_graph, kappa, rng.uniform(-1, 1, (3, 4)))
     defects = [
         duality_defect(star_graph, make_grid(star_graph, h), kappa, f, phi,
                        trace_order=order)

@@ -18,16 +18,22 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_star
+from conftest import end_values, make_star
 from reference import dense_generator
 from graphdiff import evolution
 from graphdiff.chain import DUAL, PRIMAL, chain_generator, mass_rate, propagator
-from graphdiff.finite_volume import dual_generator, primal_generator
+from graphdiff.finite_volume import (
+    dual_generator,
+    primal_generator,
+    with_dual_conditions,
+    with_primal_conditions,
+)
 from graphdiff.galerkin import assemble_forms, l2_generator
 from graphdiff.graphs import (
     EdgeSpec,
     MetricGraph,
     Side,
+    endpoint_conditions,
     load_graph,
     parse_graph,
     primal_condition_table,
@@ -141,6 +147,23 @@ def test_mass_times_matrix_is_minus_flux(graph, kappa):
         product = gen.mass @ a
         assert np.abs(product + flux).max() <= 1e-13 * np.abs(flux).max()
 
+
+@FEW
+@given(valid_graphs(), KAPPAS, st.integers(0, 2**32 - 1))
+def test_fits_meet_the_endpoint_conditions(graph, kappa, seed):
+    # forward fits obey kappa f'(end) = (conditions(X) @ ends), adjoint
+    # fits the same with X^T, and neither moves an endpoint value.  A
+    # fitted slope carries the round-off of the raw one, so it is checked
+    # against the target over kappa
+    raw = np.random.default_rng(seed).uniform(-1.0, 1.0, (graph.n_edges, 4))
+    for fit, flow in ((with_primal_conditions, graph.exchange),
+                      (with_dual_conditions, graph.exchange.T)):
+        coefs = fit(graph, kappa, raw)
+        ends = end_values(coefs, graph.lengths)
+        scale = np.abs(ends).max()
+        assert np.abs(ends - end_values(raw, graph.lengths)).max() <= 1e-12 * scale
+        want = (endpoint_conditions(graph, flow) @ ends.ravel()).reshape(-1, 2)
+        assert np.abs(end_values(coefs, graph.lengths, 1) - want / kappa).max() <= 1e-12 * scale
 
 
 @FEW
