@@ -27,8 +27,10 @@ takes stdout, so that stdout is then CSV only.
 
 Each command imports the modules it computes with, so a process loads
 what its command uses: ``validate`` and ``resolvent-check`` no scipy,
-``limit-q`` and ``duality-check`` ``scipy.sparse`` only, and ``sweep``
-the sparse solver too.
+and ``limit-q``, ``duality-check`` and ``sweep`` ``scipy.sparse`` only
+(the sweep factors its shifted matrices in numpy, and loads
+``scipy.sparse.linalg`` only for a matrix that needs SuperLU: more than
+``_stepping.WOODBURY_MAX_ROWS`` rows outside the band, or pivoting).
 """
 
 from __future__ import annotations

@@ -10,16 +10,17 @@ columns must shrink: that monotone decrease is the headline empirical
 fact this package exists to demonstrate.
 
 ``propagate`` has one route: shift-and-invert Krylov
-(``_stepping.krylov_apply``) on the generator's own mass form
-``(gen.mass, gen.flux)``.  The dense exponential and Crank-Nicolson
-that the tests check it against live in ``tests/reference.py``.
+(``_stepping.krylov_apply``) on the generator's own mass form, the mass
+``gen.mass`` and the stiffness as its two terms kappa S and C.  The
+dense exponential and Crank-Nicolson that the tests check it against
+live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,16 +57,17 @@ def norms(values, weights) -> Norms:
 
 def propagate(gen: DiscreteGenerator, phi0, t: float) -> np.ndarray:
     """Advance phi0 by the semigroup of ``gen`` to time t: sparse
-    shift-and-invert Arnoldi on ``(gen.mass, gen.flux)``, converged to
-    ``_stepping.KRYLOV_RTOL``."""
-    return _stepping.krylov_apply(gen.mass, gen.flux, phi0, [t])[0]
+    shift-and-invert Arnoldi on ``gen.mass`` and the terms
+    ``(kappa S, C)``, converged to ``_stepping.KRYLOV_RTOL``."""
+    terms = (gen.kappa * gen.diffusion, gen.coupling)
+    return _stepping.krylov_apply(gen.mass, terms, phi0, [t])[0]
 
 
 def _limit_states(graph: MetricGraph, q: sp.csr_matrix, c0, ts) -> np.ndarray:
     """exp(tQ) c0, one row per time in ``ts``: the chain c' = Q c is
     M c' = -K c with (M, K) = (D, -D Q), D the edge lengths."""
     lengths = sp.diags(graph.lengths)
-    return _stepping.krylov_apply(lengths, -(lengths @ q), c0, ts)
+    return _stepping.krylov_apply(lengths, [-(lengths @ q)], c0, ts)
 
 
 @dataclass(frozen=True)
@@ -129,10 +131,11 @@ def kappa_sweep(
     times finite, nonnegative and distinct (in any order); ``trace_order``
     2 applies to fv only.
     An invalid graph raises InvalidGraphError first.  The generator is
-    assembled once, at the first kappa, and ``dataclasses.replace`` gives
-    it every other kappa; each kappa is propagated to all times in one
-    call, which factors once per window of times.  The limit chain
-    c' = Q c is propagated the same way, in one call for all times.
+    assembled once, at the first kappa; every other kappa only rescales
+    its diffusion form S in the terms (kappa S, C), and each kappa is
+    propagated to all times in one call, which factors once per window
+    of times.  The limit chain c' = Q c is propagated the same way, in
+    one call for all times.
     """
     q = chain.chain_generator(graph, chain.DUAL)
     if discretization not in OWN_NORM:
@@ -173,8 +176,8 @@ def kappa_sweep(
 
     records = []
     for kappa in kappas:
-        flux = replace(gen, kappa=kappa).flux
-        sols = _stepping.krylov_apply(gen.mass, flux, start, ts)
+        terms = (kappa * gen.diffusion, gen.coupling)
+        sols = _stepping.krylov_apply(gen.mass, terms, start, ts)
         # the gap between the two chain states, normed like the edges
         gaps = sols @ averaging.T - limits
         for t, sol, lift, gap in zip(ts, sols, lifted, gaps):

@@ -70,7 +70,8 @@ class DiscreteGenerator:
     mass diag(w), w the layout's quadrature weights (``EdgeGrid.weights``,
     which make <w, u> the discrete integral over the graph); P1 Galerkin
     has the consistent mass matrix.  The stepper
-    ``_stepping.krylov_apply`` takes ``(mass, flux)`` as it is.
+    ``_stepping.krylov_apply`` takes ``mass`` and the two terms
+    ``(kappa * diffusion, coupling)`` of ``flux`` as they are.
     """
 
     mass: sp.csr_matrix

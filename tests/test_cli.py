@@ -413,6 +413,31 @@ def test_sweep_assembles_once(star_path, tmp_path, monkeypatch, disc, module, as
     assert counts == {"validate": 1, "assemble": 1}
 
 
+LONG_TIMES = "0,0.1,0.25,0.5,1,2,10"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("h", ["0.005", "0.0005"])
+@pytest.mark.parametrize("disc", ["fv", "fem"])
+@pytest.mark.parametrize("config", ["star.json", "chain.json"])
+def test_long_time_sweep_follows_one_over_kappa(config, disc, h, tmp_path):
+    # at t = 10 the error still falls tenfold from kappa = 1e3 to 1e4, and
+    # no row drifts by more than 1e-9 of the start's mass: the refined
+    # shifted solves keep their round-off below the 1/kappa law
+    path = CONFIGS / config
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--graph", str(path), "--disc", disc, "--h", h,
+                 "--t", LONG_TIMES, "--out", str(out)])
+    assert code == 0
+    rows = list(csv.DictReader(out.open(newline="")))
+    metric = f"err_{evolution.OWN_NORM[disc]}"
+    err = {float(r["kappa"]): float(r[metric]) for r in rows if float(r["t"]) == 10.0}
+    assert err[1e4] <= 0.15 * err[1e3]
+    # the default start is the first edge's indicator
+    mass = graphs.load_graph(path).lengths[0]
+    assert max(abs(float(r["mass_drift"])) for r in rows) <= 1e-9 * mass
+
+
 @pytest.mark.parametrize("disc", ["fv", "fem"])
 def test_star_sweeps_take_one_eigendecomposition_per_krylov_step(
         star_path, tmp_path, monkeypatch, disc):
@@ -431,8 +456,8 @@ def test_star_sweeps_take_one_eigendecomposition_per_krylov_step(
     assert eigs["eig"] <= 62
     for phi0 in ("indicator", "uniform"):
         code = main(["sweep", "--graph", star_path, "--disc", disc, "--phi0", phi0,
-                     "--t", "0,0.1,0.25,0.5,1,2,10", "--out", out])
-        assert code in (0, 3)
+                     "--t", LONG_TIMES, "--out", out])
+        assert code == 0
 
 
 def test_duality_check_shares_one_exchange_matrix(star_path, tmp_path, monkeypatch):

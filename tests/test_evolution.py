@@ -158,9 +158,11 @@ def _expm_rows(gen, phi0, ts):
     return np.array([scipy.linalg.expm(t * a) @ phi0 for t in ts])
 
 
-def _krylov_rows(gen, phi0, ts, **kw):
-    """The propagator on the generator's own pair, one row per time."""
-    return _stepping.krylov_apply(gen.mass, gen.flux, phi0, ts, **kw)
+def _krylov_rows(gen, phi0, ts):
+    """The propagator on the generator's own mass and terms (kappa S, C),
+    as ``propagate`` takes them, one row per time."""
+    terms = (gen.kappa * gen.diffusion, gen.coupling)
+    return _stepping.krylov_apply(gen.mass, terms, phi0, ts)
 
 
 def _expm_power_rows(gen, phi0, ts, step=0.05):
@@ -201,16 +203,16 @@ def test_krylov_matches_expm_fem(star_graph):
         assert np.abs(a - b).max() <= bound
 
 
-def _counting_splu(monkeypatch):
+def _counting_factors(monkeypatch):
     """The matrices that ``_stepping`` factors, in call order."""
     calls = []
 
-    def splu(matrix):
+    def factor(matrix):
         calls.append(matrix)
-        return real_splu(matrix)
+        return real_factor(matrix)
 
-    real_splu = _stepping.splu
-    monkeypatch.setattr(_stepping, "splu", splu)
+    real_factor = _stepping.factor_shifted
+    monkeypatch.setattr(_stepping, "factor_shifted", factor)
     return calls
 
 
@@ -221,7 +223,7 @@ def test_krylov_factors_once_per_window(star_graph, monkeypatch):
     grid = make_grid(star_graph, 0.1)
     gen = dual_generator(star_graph, grid, kappa=10.0)
     phi0 = grid.sample(edge_indicator(0), CELLS)
-    calls = _counting_splu(monkeypatch)
+    calls = _counting_factors(monkeypatch)
     _krylov_rows(gen, phi0, WIDE_TIMES)
     assert len(calls) == 2
 
@@ -229,8 +231,8 @@ def test_krylov_factors_once_per_window(star_graph, monkeypatch):
 @pytest.mark.parametrize("build", ["dual", "primal", "p1"])
 def test_krylov_row_scales_a_diagonal_mass_only(star_graph, monkeypatch, build):
     # FV and FD factor I + W^-1 K / gamma, with W^-1 K formed as
-    # DiscreteGenerator.matrix forms it; P1's consistent mass is factored
-    # as M + K / gamma
+    # DiscreteGenerator.matrix forms it (K given as one term); P1's
+    # consistent mass is factored as M + K / gamma
     grid = make_grid(star_graph, 0.1)
     if build == "p1":
         gen = assemble_forms(star_graph, grid, 10.0)
@@ -241,8 +243,8 @@ def test_krylov_row_scales_a_diagonal_mass_only(star_graph, monkeypatch, build):
         scaled = sp.diags(1.0 / grid.weights(CELLS if build == "dual" else NODES)) @ gen.flux
         assert (scaled + gen.matrix).count_nonzero() == 0
         want = sp.identity(gen.n) + scaled / 10.0
-    seen = _counting_splu(monkeypatch)
-    _krylov_rows(gen, np.ones(gen.n), [1.0])
+    seen = _counting_factors(monkeypatch)
+    _stepping.krylov_apply(gen.mass, [gen.flux], np.ones(gen.n), [1.0])
     assert len(seen) == 1
     assert np.array_equal(seen[0].toarray(), want.toarray())
 
@@ -250,7 +252,7 @@ def test_krylov_row_scales_a_diagonal_mass_only(star_graph, monkeypatch, build):
 def test_sweep_factors_once_per_kappa(star_graph, monkeypatch):
     # the CLI's default times span a ratio of 8: one window, so one PDE
     # factorization per kappa and one of the limit chain's I - Q/gamma
-    calls = _counting_splu(monkeypatch)
+    calls = _counting_factors(monkeypatch)
     grid = make_grid(star_graph, 0.1)
     kappa_sweep(star_graph, grid, [1.0, 10.0, 100.0], [0.25, 0.5, 1.0, 2.0],
                 edge_indicator(0))
@@ -394,26 +396,26 @@ class TestStepping:
     def test_krylov_exact_on_invariant_subspace(self):
         mass = sp.eye(1, format="csr")
         stiff = sp.csr_matrix(np.array([[3.0]]))
-        out = _stepping.krylov_apply(mass, stiff, np.array([2.0]), [1.0])[0]
+        out = _stepping.krylov_apply(mass, [stiff], np.array([2.0]), [1.0])[0]
         assert out[0] == pytest.approx(2.0 * np.exp(-3.0), rel=1e-13)
 
     @pytest.mark.parametrize("t", [-1.0, np.nan, np.inf])
     def test_krylov_rejects_bad_times(self, t):
         eye = sp.eye(2, format="csr")
         with pytest.raises(ValueError, match="t must be finite and >= 0"):
-            _stepping.krylov_apply(eye, eye, np.ones(2), [1.0, t])
+            _stepping.krylov_apply(eye, [eye], np.ones(2), [1.0, t])
 
     def test_krylov_rejects_wrong_length_start(self):
         eye = sp.eye(2, format="csr")
         with pytest.raises(ValueError, match=r"must have shape \(2,\), got \(3,\)"):
-            _stepping.krylov_apply(eye, eye, np.ones(3), [1.0])
+            _stepping.krylov_apply(eye, [eye], np.ones(3), [1.0])
 
     def test_krylov_gives_up_when_capped(self, monkeypatch):
         n = 40
         stiff = sp.diags(np.arange(1.0, n + 1))
         monkeypatch.setattr(_stepping, "KRYLOV_MAX_DIM", 6)
         with pytest.raises(_stepping.StepControlError, match="m=6"):
-            _stepping.krylov_apply(sp.eye(n, format="csr"), stiff, np.ones(n), [1.0])
+            _stepping.krylov_apply(sp.eye(n, format="csr"), [stiff], np.ones(n), [1.0])
 
     def test_capped_krylov_window_names_unconverged_time(self, monkeypatch):
         # t = 0.05 converges at m = 13, t = 0.4 of the same window does not
@@ -421,7 +423,7 @@ class TestStepping:
         stiff = sp.diags(np.arange(1.0, n + 1))
         monkeypatch.setattr(_stepping, "KRYLOV_MAX_DIM", 13)
         with pytest.raises(_stepping.StepControlError) as exc:
-            _stepping.krylov_apply(sp.eye(n, format="csr"), stiff, np.ones(n), [0.05, 0.4])
+            _stepping.krylov_apply(sp.eye(n, format="csr"), [stiff], np.ones(n), [0.05, 0.4])
         assert "m=13" in str(exc.value)
         assert "t=0.4 " in str(exc.value)
         assert "t=0.05" not in str(exc.value)

@@ -1,7 +1,10 @@
 """What each command loads: a ``graphdiff`` process imports scipy only
-for the commands that build sparse matrices, and the sparse solver only
-for ``sweep``.  Every check runs in a fresh interpreter and reads
-``sys.modules``; this one has long since imported everything."""
+for the commands that build sparse matrices, and then ``scipy.sparse``
+alone: no command, ``sweep`` on the shipped graphs included, loads the
+solver stack (``scipy.sparse.linalg``, ``scipy.linalg``), which only a
+sweep whose shifted matrix needs SuperLU loads.  Every check runs in a
+fresh interpreter and reads ``sys.modules``; this one has long since
+imported everything."""
 
 import json
 import os
@@ -11,10 +14,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import make_path, write_config
 import graphdiff
 
 ROOT = Path(__file__).resolve().parents[1]
 STAR = str(ROOT / "configs" / "star.json")
+CHAIN = str(ROOT / "configs" / "chain.json")
 SOLVER = {"scipy.sparse.linalg", "scipy.linalg"}
 
 # runs one CLI command, then prints its exit code and the scipy modules loaded
@@ -100,11 +105,27 @@ def test_sparse_commands_load_no_solver(argv, tmp_path):
     assert not modules & SOLVER
 
 
-def test_sweep_loads_the_solver(tmp_path):
-    # the check above would pass on any command that never ran
+@pytest.mark.parametrize("graph", [STAR, CHAIN], ids=["star", "chain"])
+@pytest.mark.parametrize("disc", ["fv", "fem"])
+def test_sweep_loads_no_solver(graph, disc, tmp_path):
+    # a default sweep factors its shifted matrices in numpy
     code, modules = _fresh(
-        _RUN_CLI, "sweep", "--graph", STAR, "--kappa", "1,10", "--t", "1", "--h", "0.1",
+        _RUN_CLI, "sweep", "--graph", graph, "--disc", disc,
         "--out", str(tmp_path / "out.csv"),
+    )
+    assert code == 0
+    assert "scipy.sparse" in modules
+    assert not modules & SOLVER
+
+
+def test_sweep_loads_the_solver_for_superlu(tmp_path):
+    # a 40-edge path at trace order 2 has 78 rows outside the band, more
+    # than the numpy factorization takes; the checks above would pass on
+    # a sweep that never ran
+    graph = write_config(make_path(40), tmp_path / "path.json")
+    code, modules = _fresh(
+        _RUN_CLI, "sweep", "--graph", graph, "--trace-order", "2", "--h", "0.1",
+        "--kappa", "1,10", "--t", "1", "--out", str(tmp_path / "out.csv"),
     )
     assert code == 0
     assert SOLVER <= modules

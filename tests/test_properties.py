@@ -1,5 +1,6 @@
-"""Structural invariants on random valid graphs, and the derivations
-from the endpoint exchange matrix against their loop references.
+"""Structural invariants on random valid graphs, the derivations from
+the endpoint exchange matrix against their loop references, and the
+backward error of the propagator's shifted solve.
 
 The strategy builds graphs that are admissible by construction: every
 pass-through coefficient targets an edge touching the same vertex, and
@@ -15,15 +16,17 @@ import os
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import end_values, make_star
+from conftest import end_values, make_path, make_star, traced_peak
 from reference import dense_generator
-from graphdiff import evolution
+from graphdiff import _stepping, evolution
 from graphdiff.chain import DUAL, PRIMAL, chain_generator, mass_rate, propagator
 from graphdiff.finite_volume import (
     dual_generator,
+    is_diagonal,
     primal_generator,
     with_dual_conditions,
     with_primal_conditions,
@@ -42,6 +45,8 @@ from graphdiff.graphs import (
     validate,
 )
 from graphdiff.grids import CELLS, make_grid
+
+EPS = np.finfo(float).eps
 
 FEW = settings(max_examples=15, deadline=None, database=None)
 KAPPAS = st.sampled_from([1.0, 7.0, 1e3])
@@ -325,3 +330,160 @@ def test_exchange_derivations_match_loops_on_fixtures(chain_graph, sealed_edge):
 @given(valid_graphs())
 def test_exchange_derivations_match_loops_on_valid_graphs(graph):
     assert_matches_loops(graph)
+
+
+# ---------------------------------------------------------------------------
+# the shifted solve: band by cyclic reduction, the rest by Woodbury (or all
+# by SuperLU), refined once
+
+# gamma = SHIFT_T / t for t = 10, 1 and 0.1
+GAMMAS = st.sampled_from([1.0, 10.0, 100.0])
+
+
+def _shifted_systems(graph, grid, kappa):
+    """(name, mass, terms) of every pair the propagator factors on
+    ``graph``: FV at trace orders 1 and 2, FD and P1 with the terms
+    (kappa S, C), and the limit chain (D, -D Q)."""
+    lengths = sp.diags(graph.lengths, format="csr")
+    gens = {
+        "fv1": dual_generator(graph, grid, kappa, trace_order=1),
+        "fv2": dual_generator(graph, grid, kappa, trace_order=2),
+        "fd": primal_generator(graph, grid, kappa),
+        "p1": assemble_forms(graph, grid, kappa),
+    }
+    for name, gen in gens.items():
+        yield name, gen.mass, [gen.kappa * gen.diffusion, gen.coupling]
+    yield "chain", lengths, [-(lengths @ chain_generator(graph, DUAL))]
+
+
+def _row_scaled(mass, terms):
+    """(left, terms) as ``krylov_apply`` factors them: I and W^-1 K_i for
+    a diagonal mass W, else as given."""
+    if not is_diagonal(mass):
+        return mass, terms
+    scale = sp.diags(1.0 / mass.diagonal())
+    return sp.identity(mass.shape[0], format="csr"), [scale @ term for term in terms]
+
+
+def _outside_rows(matrix):
+    """The number of rows with an entry outside the tridiagonal band."""
+    rows, cols = np.nonzero(matrix)
+    return np.unique(rows[np.abs(rows - cols) > 1]).size
+
+
+def _backward_errors(mass, terms, gamma, b):
+    """The normwise backward errors, in units of eps, of the refined
+    shifted solve and of ``np.linalg.solve`` on the dense matrix
+    left + K/gamma, and the number of rows outside its band."""
+    left, terms = _row_scaled(mass, terms)
+    dense = left.toarray() + sum(term.toarray() for term in terms) / gamma
+
+    def eta(x):
+        scale = np.abs(dense).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
+        return np.abs(b - dense @ x).max() / scale / EPS
+
+    x = _stepping.shifted_solver(left, terms, gamma)(b)
+    return eta(x), eta(np.linalg.solve(dense, b)), _outside_rows(dense)
+
+
+@FEW
+@given(valid_graphs(), KAPPAS, GAMMAS)
+def test_refined_shifted_solve_is_backward_stable(graph, kappa, gamma):
+    grid = make_grid(graph, 0.2)
+    for name, mass, terms in _shifted_systems(graph, grid, kappa):
+        b = np.random.default_rng(0).standard_normal(mass.shape[0])
+        got, dense, _ = _backward_errors(mass, terms, gamma, b)
+        assert got <= 4.0, (name, got, dense)
+
+
+def _superlu_calls(monkeypatch):
+    """The matrices that ``factor_shifted`` hands to SuperLU, in call order."""
+    calls = []
+    real = scipy.sparse.linalg.splu
+
+    def splu(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+    return calls
+
+
+@pytest.mark.parametrize("config, outside", [
+    # the star's three hub ends are numbered apart, and its chain's first
+    # and last edge; configs/chain.json numbers each coupled pair side by side
+    ("star.json", {"fv1": 3, "fv2": 3, "fd": 3, "p1": 3, "chain": 2}),
+    ("chain.json", {"fv1": 0, "fv2": 2, "fd": 0, "p1": 0, "chain": 0}),
+])
+def test_refined_shifted_solve_on_the_shipped_graphs(config, outside, monkeypatch):
+    # every shifted matrix of the shipped graphs is factored in numpy
+    superlu = _superlu_calls(monkeypatch)
+    graph = load_graph(os.path.join(os.path.dirname(__file__), "..", "configs", config))
+    grid = make_grid(graph, 0.01)
+    for kappa in (1.0, 1e4):
+        for gamma in (1.0, 100.0):
+            for name, mass, terms in _shifted_systems(graph, grid, kappa):
+                b = np.random.default_rng(1).standard_normal(mass.shape[0])
+                got, dense, k = _backward_errors(mass, terms, gamma, b)
+                assert k == outside[name]
+                assert got <= 4.0, (name, kappa, gamma, got, dense)
+    assert superlu == []
+
+
+def test_many_rows_outside_the_band_go_to_superlu(monkeypatch):
+    # a 40-edge path at trace order 2 couples 78 ends outside the band,
+    # more than WOODBURY_MAX_ROWS: SuperLU factors it, and the refined
+    # solve is as backward stable as on the numpy route
+    superlu = _superlu_calls(monkeypatch)
+    graph = make_path(40)
+    gen = dual_generator(graph, make_grid(graph, 0.05), 10.0, trace_order=2)
+    terms = [gen.kappa * gen.diffusion, gen.coupling]
+    b = np.random.default_rng(2).standard_normal(gen.n)
+    got, dense, k = _backward_errors(gen.mass, terms, 10.0, b)
+    assert k == 78 > _stepping.WOODBURY_MAX_ROWS
+    assert len(superlu) == 1
+    assert got <= 4.0, (got, dense)
+
+
+def test_large_k_keeps_no_k_by_k_array():
+    # a 400-edge path at trace order 2 couples 798 ends outside the band;
+    # neither their 798 x 798 capacitance matrix nor T^-1 P (n x k, 51 MB)
+    # is formed: the traced peak stays below one k x k matrix
+    graph = make_path(400)
+    gen = dual_generator(graph, make_grid(graph, 0.05), 10.0, trace_order=2)
+    left, terms = _row_scaled(gen.mass, [gen.kappa * gen.diffusion, gen.coupling])
+    n, k = gen.n, _outside_rows(left + sum(terms) / 10.0)
+    assert (n, k) == (8000, 798)
+    b = np.ones(n)
+    peak = traced_peak(lambda: _stepping.shifted_solver(left, terms, 10.0)(b))
+    assert peak < 8 * k**2
+
+
+def _needs_pivoting(n):
+    """A tridiagonal n x n matrix, one corner entry outside its band,
+    whose every seventh diagonal entry is 1e-13 against off-diagonal ones:
+    elimination without row exchanges grows its entries about 1e13-fold."""
+    diag = np.random.default_rng(3).uniform(1.0, 2.0, n)
+    diag[::7] = 1e-13
+    off = np.ones(n - 1)
+    band = sp.diags([off, diag, off], [-1, 0, 1], format="csr")
+    return band + sp.csr_matrix(([0.5], ([0], [n - 1])), shape=(n, n))
+
+
+def test_unstable_band_goes_to_superlu(monkeypatch):
+    # the probe solve of the unpivoted factorization shows the growth, and
+    # SuperLU factors the matrix instead; without the probe the numpy
+    # solve would be off by a large multiple of eps
+    superlu = _superlu_calls(monkeypatch)
+    matrix = _needs_pivoting(200)
+    b = np.random.default_rng(4).standard_normal(200)
+
+    def eta(x):
+        size = abs(matrix).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
+        return np.abs(b - matrix @ x).max() / size / EPS
+
+    assert eta(_stepping.factor_shifted(matrix)(b)) <= 4.0
+    assert len(superlu) == 1
+    monkeypatch.setattr(_stepping, "PROBE_MAX_ETA", np.inf)
+    assert eta(_stepping.factor_shifted(matrix)(b)) > 1e6
+    assert len(superlu) == 1
