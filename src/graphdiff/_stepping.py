@@ -1,8 +1,8 @@
 """The time stepper for linear systems  M u' = -K u.
 
 ``krylov_apply`` takes the mass M and the stiffness K as the
-discretization assembles it, K as a sequence of terms (kappa S and C),
-and measures in the M inner product.  It is the one route behind
+discretization assembles it, K as its terms (``gen.terms``: kappa S
+and C), and measures in the M inner product.  It is the one route behind
 ``evolution.propagate`` and both sides of a sweep, the limit chain
 c' = Q c taken as the pair (D, -D Q) with D the edge lengths.
 
@@ -11,11 +11,10 @@ positive times are grouped into windows ``t_max <= KRYLOV_WINDOW *
 t_min``; each window factors ``M + K/gamma`` once (``factor_shifted``)
 with ``gamma = SHIFT_T / sqrt(t_min t_max)`` and grows one Arnoldi basis
 on ``S = (M + K/gamma)^-1 M`` in the M inner product, which gives
-``S V_m = V_m H_m + ...``.  A diagonal M = W is factored row-scaled,
-``I + W^-1 K/gamma``: the same S with up to 40x less mass drift at
-kappa = 1e4.  The one test for it, ``is_diagonal``, lives in
-``finite_volume`` beside ``DiscreteGenerator.matrix``, which reads it
-too.  Since ``-M^-1 K = gamma (I - S^-1)``, the solution at each time t
+``S V_m = V_m H_m + ...``.  ``row_scaled`` factors a diagonal M = W
+(``finite_volume.is_diagonal``) row-scaled, as ``I + W^-1 K/gamma``:
+the same S with up to 40x less mass drift at kappa = 1e4.  Since
+``-M^-1 K = gamma (I - S^-1)``, the solution at each time t
 of the window is ``beta V_m f(H_m) e1`` with
 ``f(theta) = exp(t gamma (1 - 1/theta))``, from one eigendecomposition
 of the m x m ``H_m`` per step (Higham, *Functions of Matrices*, 2008;
@@ -37,21 +36,21 @@ consecutively numbered path at trace order 1.  For k <= WOODBURY_MAX_ROWS
 the band is factored by odd-even cyclic reduction (Buzbee, Golub &
 Nielson, SIAM J. Numer. Anal. 7, 1970), so a solve is about 2 log2 n
 array operations, and the k rows enter by the Woodbury identity with a
-dense k x k capacitance matrix.  Neither pivots.  At trace order 1 the
-row-scaled FV, FD and chain matrices are W^-1 (W + K/gamma), and
-``W + K/gamma`` has nonpositive off-diagonal entries and is diagonally
-dominant, by columns where mass is conserved (FV, the chain) and by rows
-where constants are (FD): a nonsingular M-matrix, as is its band and
-every Schur complement that the reduction forms, so every pivot is
-positive.  The P1 matrix M + K/gamma is strictly diagonally dominant by
+dense k x k capacitance matrix (none for k = 0).  Neither pivots.  At
+trace order 1 the row-scaled FV, FD and chain matrices are
+W^-1 (W + K/gamma), and ``W + K/gamma`` has nonpositive off-diagonal
+entries and is diagonally dominant, by columns where mass is conserved
+(FV, the chain) and by rows where constants are (FD): a nonsingular
+M-matrix, as is its band and every Schur complement that the reduction
+forms, so every pivot is positive.  The P1 matrix M + K/gamma is strictly diagonally dominant by
 columns, which elimination in any symmetric order keeps.  Second-order
 FV traces and other graphs have no such argument, so each numpy
 factorization must pass a probe solve with a backward error of at most
-PROBE_MAX_ETA eps.  More rows outside the band (a large tree, or a
-path of more than 33 edges at trace order 2), a zero pivot, a singular capacitance or a failed probe
-hand the matrix to SuperLU, which pivots, and only then is
-``scipy.sparse.linalg`` loaded.  Each solve is refined once (Skeel,
-Math. Comp. 35, 1980) with the residual
+PROBE_MAX_ETA eps.  More rows outside the band (a large tree, or a path
+of more than 33 edges at trace order 2), a zero pivot, a singular
+capacitance or a failed probe hand the matrix to SuperLU, which pivots,
+and only then is ``scipy.sparse.linalg`` loaded.  Each solve is refined
+once (Skeel, Math. Comp. 35, 1980) with the residual
 ``b - (M x + sum_i K_i x / gamma)`` taken term by term: the rounded sum
 of kappa S and C would put a kappa-sized error into the edge means,
 which the term-wise residual leaves out.
@@ -121,13 +120,14 @@ def krylov_apply(mass, terms, u0: np.ndarray, ts) -> np.ndarray:
     """Solve M u' = -K u to every time in ``ts`` by shift-and-invert Arnoldi.
 
     ``terms`` is a sequence of sparse matrices that sum to K, such as
-    (kappa S, C).  Returns one row per entry of ``ts`` (finite, >= 0), in
-    input order; ``t = 0`` gives ``u0``.  Each window of
-    ``time_windows(ts)`` shares one factorization and one basis, which
-    grows until, for every time of the window, the iterates at sizes
-    m - 4 and m agree to KRYLOV_RTOL relative to max(|u(t)|, |u0|) in the
-    M norm; a basis of KRYLOV_MAX_DIM vectors without that agreement
-    raises StepControlError naming the unconverged times.
+    ``gen.terms``; ``row_scaled`` scales them for a diagonal M.  Returns
+    one row per entry of ``ts`` (finite, >= 0), in input order; ``t = 0``
+    gives ``u0``.  Each window of ``time_windows(ts)`` shares one
+    factorization and one basis, which grows until, for every time of the
+    window, the iterates at sizes m - 4 and m agree to KRYLOV_RTOL
+    relative to max(|u(t)|, |u0|) in the M norm; a basis of
+    KRYLOV_MAX_DIM vectors without it raises StepControlError naming the
+    unconverged times.
     """
     mass = sp.csr_matrix(mass)
     terms = [sp.csr_matrix(term) for term in terms]
@@ -142,14 +142,20 @@ def krylov_apply(mass, terms, u0: np.ndarray, ts) -> np.ndarray:
     beta = float(np.sqrt(u0 @ (mass @ u0)))
     if beta == 0.0:
         return np.zeros((len(ts), n))
-    left = mass
-    if is_diagonal(mass):  # row-scale
-        scale = sp.diags(1.0 / mass.diagonal())
-        left, terms = sp.identity(n, format="csr"), [scale @ term for term in terms]
+    left, terms = row_scaled(mass, terms)
     solved = {0.0: u0}
     for window in time_windows(ts):
         solved.update(_krylov_window(mass, left, terms, u0, beta, window))
     return np.array([solved[t] for t in ts])
+
+
+def row_scaled(mass, terms):
+    """(left, terms) as the propagator factors them: I and W^-1 K_i for a
+    diagonal mass W (``is_diagonal``), else ``mass`` and ``terms``."""
+    if not is_diagonal(mass):
+        return mass, terms
+    scale = sp.diags(1.0 / mass.diagonal())
+    return sp.identity(mass.shape[0], format="csr"), [scale @ term for term in terms]
 
 
 def _krylov_window(mass, left, terms, u0, beta, window) -> dict:
@@ -258,55 +264,44 @@ def shifted_solver(left, terms, gamma):
 def factor_shifted(matrix):
     """A solver ``b -> A^-1 b`` for the sparse n x n ``A``; ``b`` may be
     (n,) or (n, r).  With k <= WOODBURY_MAX_ROWS rows outside the
-    tridiagonal band T, A = T + P R is solved in numpy
-    (``_band_woodbury``).  SuperLU (``scipy.sparse.linalg.splu``: partial
-    pivoting, a fill-reducing order) factors A when k is larger, or when
-    the numpy route meets a zero pivot, a singular capacitance or a
-    failed probe, and raises RuntimeError if A is singular."""
+    tridiagonal band T, A = T + P R (P unit columns, R those rows'
+    entries outside T) is solved in numpy: T by cyclic reduction
+    (``_band_solver``), P R by the Woodbury identity with the k x k
+    capacitance I + R T^-1 P (an empty update for k = 0).  Neither
+    pivots, so a probe solve must show a normwise backward error of at
+    most PROBE_MAX_ETA eps.  More rows, a zero pivot, a singular
+    capacitance or a failed probe hand A to SuperLU (``splu``, which
+    pivots), and RuntimeError is raised if A is singular."""
     matrix = sp.csr_matrix(matrix)
+    n = matrix.shape[0]
     coo = matrix.tocoo()
     far = (np.abs(coo.row - coo.col) > 1) & (coo.data != 0)
     rows = np.unique(coo.row[far])
     if rows.size <= WOODBURY_MAX_ROWS:
-        # R: the entries outside the band, one row per row of P
-        outside = np.zeros((rows.size, matrix.shape[0]))
+        unit = np.zeros((n, rows.size))  # P
+        unit[rows, np.arange(rows.size)] = 1.0
+        outside = np.zeros((rows.size, n))  # R
         outside[np.searchsorted(rows, coo.row[far]), coo.col[far]] = coo.data[far]
         try:
-            return _band_woodbury(matrix, rows, outside)
-        except np.linalg.LinAlgError:
+            band = _band_solver(matrix.diagonal(-1), matrix.diagonal(), matrix.diagonal(1))
+            spread = band(unit)  # T^-1 P, no larger than the Arnoldi basis
+            spread = spread @ np.linalg.inv(np.eye(rows.size) + outside @ spread)
+
+            def solve(b):
+                y = band(b)
+                return y - spread @ (outside @ y)
+
+            probe = np.cos(np.arange(n))  # a right-hand side with no structure
+            x = solve(probe)
+            size = abs(matrix).sum(axis=1).max() * np.abs(x).max() + np.abs(probe).max()
+            eta = np.abs(probe - matrix @ x).max() / size / np.finfo(float).eps
+            if eta <= PROBE_MAX_ETA:  # also false for NaN
+                return solve
+        except np.linalg.LinAlgError:  # a zero pivot or a singular capacitance
             pass
     from scipy.sparse.linalg import splu
 
     return splu(matrix.tocsc()).solve
-
-
-def _band_woodbury(matrix, rows, outside):
-    """The band T of ``matrix`` by cyclic reduction (``_band_solver``) and
-    its k ``rows`` outside it, with entries R (``outside``), by the
-    Woodbury identity with the k x k capacitance I + R T^-1 P.  Neither
-    pivots, so the solver must pass a probe solve with a normwise
-    backward error of at most PROBE_MAX_ETA eps.  Raises
-    ``numpy.linalg.LinAlgError`` where SuperLU takes over."""
-    n = matrix.shape[0]
-    band = _band_solver(matrix.diagonal(-1), matrix.diagonal(), matrix.diagonal(1))
-    solve = band
-    if rows.size:
-        unit = np.zeros((n, rows.size))
-        unit[rows, np.arange(rows.size)] = 1.0
-        spread = band(unit)  # T^-1 P, no larger than the Arnoldi basis
-        spread = spread @ np.linalg.inv(np.eye(rows.size) + outside @ spread)
-
-        def solve(b):
-            y = band(b)
-            return y - spread @ (outside @ y)
-
-    probe = np.cos(np.arange(n))  # a right-hand side with no structure
-    x = solve(probe)
-    size = abs(matrix).sum(axis=1).max() * np.abs(x).max() + np.abs(probe).max()
-    eta = np.abs(probe - matrix @ x).max() / size / np.finfo(float).eps
-    if not eta <= PROBE_MAX_ETA:  # also NaN
-        raise np.linalg.LinAlgError(f"probe backward error {eta:.3g} eps")
-    return solve
 
 
 def _band_solver(lower, diag, upper):

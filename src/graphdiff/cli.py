@@ -8,14 +8,16 @@ Subcommands:
 * ``resolvent-check`` -- small-lam averaging of the interval resolvent
 * ``duality-check``   -- forward/adjoint pairing defect under refinement
 
-Exit codes: 0 success, 1 graph validation failure, 2 I/O or parse
-failure, 3 an acceptance criterion (monotone decrease) failed, 4 the
-propagator did not converge to its tolerance (the message carries the
-Krylov basis size, each unconverged time with its last error estimate,
-and ``rtol``), met a singular shifted matrix or had no finite pole for
-extreme times, 5 out of memory (the problem is too large for this
+Exit codes: 0 success, 1 graph validation failure, 2 I/O or parse failure,
+3 an acceptance criterion (monotone decrease) failed, 4 the propagator did
+not converge to its tolerance (the message carries the Krylov basis size,
+each unconverged time with its last error estimate, and ``rtol``), met a
+singular shifted matrix, could not resolve the mass or had no finite pole
+for extreme times, 5 out of memory (the problem is too large for this
 machine, or its grid too large to index).  Non-finite numbers in flags,
-and a ``--levels`` below 1, are parse failures.
+and a ``--levels`` below 1, are parse failures.  A one-kappa sweep checks
+no decrease, so past the resolved range (star, t = 1: fv 1e10, fem 1e9) it
+exits 0 with an error equal to its mass drift, until exit 4 at 1e12.
 
 This module alone formats output.  Every CSV goes through ``_write_csv``
 and is deterministic: a header row, fixed column order, ``\n`` line ends,

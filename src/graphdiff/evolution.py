@@ -10,17 +10,17 @@ columns must shrink: that monotone decrease is the headline empirical
 fact this package exists to demonstrate.
 
 ``propagate`` has one route: shift-and-invert Krylov
-(``_stepping.krylov_apply``) on the generator's own mass form, the mass
-``gen.mass`` and the stiffness as its two terms kappa S and C.  The
-dense exponential and Crank-Nicolson that the tests check it against
-live in ``tests/reference.py``.
+(``_stepping.krylov_apply``) on the generator's own mass form,
+``gen.mass`` and the two terms ``gen.terms`` = (kappa S, C), row-scaled
+by ``_stepping.row_scaled``.  The dense exponential and Crank-Nicolson
+that the tests check it against live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,10 +57,9 @@ def norms(values, weights) -> Norms:
 
 def propagate(gen: DiscreteGenerator, phi0, t: float) -> np.ndarray:
     """Advance phi0 by the semigroup of ``gen`` to time t: sparse
-    shift-and-invert Arnoldi on ``gen.mass`` and the terms
-    ``(kappa S, C)``, converged to ``_stepping.KRYLOV_RTOL``."""
-    terms = (gen.kappa * gen.diffusion, gen.coupling)
-    return _stepping.krylov_apply(gen.mass, terms, phi0, [t])[0]
+    shift-and-invert Arnoldi on ``gen.mass`` and ``gen.terms``,
+    converged to ``_stepping.KRYLOV_RTOL``."""
+    return _stepping.krylov_apply(gen.mass, gen.terms, phi0, [t])[0]
 
 
 def _limit_states(graph: MetricGraph, q: sp.csr_matrix, c0, ts) -> np.ndarray:
@@ -132,10 +131,10 @@ def kappa_sweep(
     2 applies to fv only.
     An invalid graph raises InvalidGraphError first.  The generator is
     assembled once, at the first kappa; every other kappa only rescales
-    its diffusion form S in the terms (kappa S, C), and each kappa is
-    propagated to all times in one call, which factors once per window
-    of times.  The limit chain c' = Q c is propagated the same way, in
-    one call for all times.
+    its diffusion form S, in ``replace(gen, kappa=kappa).terms``, and
+    each kappa is propagated to all times in one call, which factors once
+    per window of times.  The limit chain c' = Q c is propagated the same
+    way, in one call for all times.
     """
     q = chain.chain_generator(graph, chain.DUAL)
     if discretization not in OWN_NORM:
@@ -176,8 +175,7 @@ def kappa_sweep(
 
     records = []
     for kappa in kappas:
-        terms = (kappa * gen.diffusion, gen.coupling)
-        sols = _stepping.krylov_apply(gen.mass, terms, start, ts)
+        sols = _stepping.krylov_apply(gen.mass, replace(gen, kappa=kappa).terms, start, ts)
         # the gap between the two chain states, normed like the edges
         gaps = sols @ averaging.T - limits
         for t, sol, lift, gap in zip(ts, sols, lifted, gaps):

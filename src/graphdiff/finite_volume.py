@@ -69,9 +69,8 @@ class DiscreteGenerator:
     kappa = k.  Finite volumes and finite differences have the diagonal
     mass diag(w), w the layout's quadrature weights (``EdgeGrid.weights``,
     which make <w, u> the discrete integral over the graph); P1 Galerkin
-    has the consistent mass matrix.  The stepper
-    ``_stepping.krylov_apply`` takes ``mass`` and the two terms
-    ``(kappa * diffusion, coupling)`` of ``flux`` as they are.
+    has the consistent mass matrix.  ``_stepping.krylov_apply`` takes
+    ``mass`` and ``terms``, through ``_stepping.row_scaled``.
     """
 
     mass: sp.csr_matrix
@@ -84,9 +83,14 @@ class DiscreteGenerator:
         return self.mass.shape[0]
 
     @cached_property
+    def terms(self) -> tuple:
+        """The two terms (kappa S, C) of K, unsummed."""
+        return self.kappa * self.diffusion, self.coupling
+
+    @cached_property
     def flux(self) -> sp.csr_matrix:
-        """K = kappa S + C."""
-        return self.kappa * self.diffusion + self.coupling
+        """K = kappa S + C, the sum of ``terms``."""
+        return self.terms[0] + self.terms[1]
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:

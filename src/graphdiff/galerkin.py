@@ -14,9 +14,9 @@ dynamics are  M u' = -(B + C) u.  ``assemble_forms`` is the
 finite-volume module's one assembly routine on nodes, with Y = X^T and
 the P1 mass given (B = kappa S, C = -E^T X^T E), so the returned
 ``DiscreteGenerator`` keeps S and C apart and one assembly serves every
-kappa; the propagator works on the sparse M and the terms (B, C) and
-factors M + (B + C)/gamma.  The generator
--M^{-1} (B + C) is dense, and the package never forms it.
+kappa; the propagator works on the sparse M and ``gen.terms`` = (B, C)
+and factors M + (B + C)/gamma.  The generator -M^{-1} (B + C) is dense,
+and the package never forms it.
 
 Restricted to edge-wise constants, -M^{-1} C followed by edge averaging
 reproduces the limit chain generator exactly (endpoint traces of

@@ -161,8 +161,7 @@ def _expm_rows(gen, phi0, ts):
 def _krylov_rows(gen, phi0, ts):
     """The propagator on the generator's own mass and terms (kappa S, C),
     as ``propagate`` takes them, one row per time."""
-    terms = (gen.kappa * gen.diffusion, gen.coupling)
-    return _stepping.krylov_apply(gen.mass, terms, phi0, ts)
+    return _stepping.krylov_apply(gen.mass, gen.terms, phi0, ts)
 
 
 def _expm_power_rows(gen, phi0, ts, step=0.05):

@@ -136,6 +136,21 @@ def test_kappa_enters_affinely(star_graph):
     a9 = dual_generator(star_graph, grid, kappa=9.0).matrix.toarray()
     assert_allclose(a9, a1 + 8.0 * (a2 - a1), rtol=1e-12)
     assert np.abs(a2 - a1).max() > 0.0
+    # every generator's terms are (kappa S, C) at any kappa, and K their sum,
+    # bit for bit
+    gens = (
+        dual_generator(star_graph, grid, 1.0, trace_order=1),
+        dual_generator(star_graph, grid, 1.0, trace_order=2),
+        primal_generator(star_graph, grid, 1.0),
+        assemble_forms(star_graph, grid, 1.0),
+    )
+    for gen in gens:
+        for kappa in (2.0, 9.0, 1e4):
+            scaled = replace(gen, kappa=kappa)
+            diffusion, coupling = scaled.terms
+            assert np.array_equal(diffusion.toarray(), (kappa * gen.diffusion).toarray())
+            assert np.array_equal(coupling.toarray(), gen.coupling.toarray())
+            assert np.array_equal(scaled.flux.toarray(), (diffusion + coupling).toarray())
 
 
 # ---------------------------------------------------------------------------

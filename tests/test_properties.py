@@ -26,7 +26,6 @@ from graphdiff import _stepping, evolution
 from graphdiff.chain import DUAL, PRIMAL, chain_generator, mass_rate, propagator
 from graphdiff.finite_volume import (
     dual_generator,
-    is_diagonal,
     primal_generator,
     with_dual_conditions,
     with_primal_conditions,
@@ -352,17 +351,8 @@ def _shifted_systems(graph, grid, kappa):
         "p1": assemble_forms(graph, grid, kappa),
     }
     for name, gen in gens.items():
-        yield name, gen.mass, [gen.kappa * gen.diffusion, gen.coupling]
+        yield name, gen.mass, gen.terms
     yield "chain", lengths, [-(lengths @ chain_generator(graph, DUAL))]
-
-
-def _row_scaled(mass, terms):
-    """(left, terms) as ``krylov_apply`` factors them: I and W^-1 K_i for
-    a diagonal mass W, else as given."""
-    if not is_diagonal(mass):
-        return mass, terms
-    scale = sp.diags(1.0 / mass.diagonal())
-    return sp.identity(mass.shape[0], format="csr"), [scale @ term for term in terms]
 
 
 def _outside_rows(matrix):
@@ -375,7 +365,7 @@ def _backward_errors(mass, terms, gamma, b):
     """The normwise backward errors, in units of eps, of the refined
     shifted solve and of ``np.linalg.solve`` on the dense matrix
     left + K/gamma, and the number of rows outside its band."""
-    left, terms = _row_scaled(mass, terms)
+    left, terms = _stepping.row_scaled(mass, terms)
     dense = left.toarray() + sum(term.toarray() for term in terms) / gamma
 
     def eta(x):
@@ -437,9 +427,8 @@ def test_many_rows_outside_the_band_go_to_superlu(monkeypatch):
     superlu = _superlu_calls(monkeypatch)
     graph = make_path(40)
     gen = dual_generator(graph, make_grid(graph, 0.05), 10.0, trace_order=2)
-    terms = [gen.kappa * gen.diffusion, gen.coupling]
     b = np.random.default_rng(2).standard_normal(gen.n)
-    got, dense, k = _backward_errors(gen.mass, terms, 10.0, b)
+    got, dense, k = _backward_errors(gen.mass, gen.terms, 10.0, b)
     assert k == 78 > _stepping.WOODBURY_MAX_ROWS
     assert len(superlu) == 1
     assert got <= 4.0, (got, dense)
@@ -451,12 +440,32 @@ def test_large_k_keeps_no_k_by_k_array():
     # is formed: the traced peak stays below one k x k matrix
     graph = make_path(400)
     gen = dual_generator(graph, make_grid(graph, 0.05), 10.0, trace_order=2)
-    left, terms = _row_scaled(gen.mass, [gen.kappa * gen.diffusion, gen.coupling])
+    left, terms = _stepping.row_scaled(gen.mass, gen.terms)
     n, k = gen.n, _outside_rows(left + sum(terms) / 10.0)
     assert (n, k) == (8000, 798)
     b = np.ones(n)
     peak = traced_peak(lambda: _stepping.shifted_solver(left, terms, 10.0)(b))
     assert peak < 8 * k**2
+
+
+def test_no_rows_outside_the_band_is_the_band_solve(monkeypatch):
+    # k = 0 is the empty Woodbury update: on a tridiagonal matrix and on
+    # configs/chain.json's FV order-1 shifted matrix, factor_shifted gives
+    # the band solve's answer bit for bit, and calls no SuperLU
+    superlu = _superlu_calls(monkeypatch)
+    rng = np.random.default_rng(5)
+    off = rng.uniform(-1.0, 1.0, (2, 299))
+    tridiagonal = sp.diags([off[0], rng.uniform(3.0, 4.0, 300), off[1]], [-1, 0, 1], format="csr")
+    graph = load_graph(os.path.join(os.path.dirname(__file__), "..", "configs", "chain.json"))
+    gen = dual_generator(graph, make_grid(graph, 0.01), 1e4, trace_order=1)
+    left, terms = _stepping.row_scaled(gen.mass, gen.terms)
+    for matrix in (tridiagonal, left + sum(terms) / 10.0):
+        assert _outside_rows(matrix) == 0
+        band = _stepping._band_solver(matrix.diagonal(-1), matrix.diagonal(), matrix.diagonal(1))
+        solve = _stepping.factor_shifted(matrix)
+        for b in (rng.standard_normal(matrix.shape[0]), rng.standard_normal((matrix.shape[0], 3))):
+            assert solve(b).tobytes() == band(b).tobytes()
+    assert superlu == []
 
 
 def _needs_pivoting(n):
