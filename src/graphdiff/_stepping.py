@@ -11,9 +11,10 @@ positive times are grouped into windows ``t_max <= KRYLOV_WINDOW *
 t_min``; each window factors ``M + K/gamma`` once (``factor_shifted``)
 with ``gamma = SHIFT_T / sqrt(t_min t_max)`` and grows one Arnoldi basis
 on ``S = (M + K/gamma)^-1 M`` in the M inner product, which gives
-``S V_m = V_m H_m + ...``.  ``row_scaled`` factors a diagonal M = W
-(``finite_volume.is_diagonal``) row-scaled, as ``I + W^-1 K/gamma``:
-the same S with up to 40x less mass drift at kappa = 1e4.  Since
+``S V_m = V_m H_m + ...``.  ``row_scaled`` factors every mass as
+``D^-1 (M + K/gamma)``, D = diag(M): the same S, ``I + W^-1 K/gamma``
+for a diagonal M = W, and a P1 drift of 1.5e-11 where the unscaled
+matrix drifted 6.5e-6 (star, t = 1, kappa = 1e9).  Since
 ``-M^-1 K = gamma (I - S^-1)``, the solution at each time t
 of the window is ``beta V_m f(H_m) e1`` with
 ``f(theta) = exp(t gamma (1 - 1/theta))``, from one eigendecomposition
@@ -36,20 +37,21 @@ consecutively numbered path at trace order 1.  For k <= WOODBURY_MAX_ROWS
 the band is factored by odd-even cyclic reduction (Buzbee, Golub &
 Nielson, SIAM J. Numer. Anal. 7, 1970), so a solve is about 2 log2 n
 array operations, and the k rows enter by the Woodbury identity with a
-dense k x k capacitance matrix (none for k = 0).  Neither pivots.  At
-trace order 1 the row-scaled FV, FD and chain matrices are
-W^-1 (W + K/gamma), and ``W + K/gamma`` has nonpositive off-diagonal
-entries and is diagonally dominant, by columns where mass is conserved
-(FV, the chain) and by rows where constants are (FD): a nonsingular
-M-matrix, as is its band and every Schur complement that the reduction
-forms, so every pivot is positive.  The P1 matrix M + K/gamma is strictly diagonally dominant by
-columns, which elimination in any symmetric order keeps.  Second-order
-FV traces and other graphs have no such argument, so each numpy
-factorization must pass a probe solve with a backward error of at most
-PROBE_MAX_ETA eps.  More rows outside the band (a large tree, or a path
-of more than 33 edges at trace order 2), a zero pivot, a singular
-capacitance or a failed probe hand the matrix to SuperLU, which pivots,
-and only then is ``scipy.sparse.linalg`` loaded.  Each solve is refined
+dense k x k capacitance matrix (none for k = 0).  Neither pivots, and
+the pivots of D^-1 A are those of A = M + K/gamma, each divided by its
+row's D_ii > 0.  At trace order 1 the FV, FD and chain ``W + K/gamma``
+has nonpositive off-diagonal entries and is diagonally dominant, by
+columns where mass is conserved (FV, the chain) and by rows where
+constants are (FD): a nonsingular M-matrix, as is its band and every
+Schur complement that the reduction forms, so every pivot is positive.
+The P1 M + K/gamma is strictly diagonally dominant by columns, which
+elimination in any symmetric order keeps.  Second-order FV traces and
+other graphs have no such argument, so each numpy factorization must
+pass a probe solve with a backward error of at most PROBE_MAX_ETA eps.
+More rows outside the band (a large tree, or a path of more than 33
+edges at trace order 2), a zero pivot, a singular capacitance or a
+failed probe hand the matrix to SuperLU, which pivots, and only then is
+``scipy.sparse.linalg`` loaded.  Each solve is refined
 once (Skeel, Math. Comp. 35, 1980) with the residual
 ``b - (M x + sum_i K_i x / gamma)`` taken term by term: the rounded sum
 of kappa S and C would put a kappa-sized error into the edge means,
@@ -73,8 +75,6 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-
-from .finite_volume import is_diagonal
 
 # gamma * t for the shift-and-invert pole; iterates at basis sizes
 # m - KRYLOV_LAG and m are compared for the stopping rule
@@ -120,7 +120,7 @@ def krylov_apply(mass, terms, u0: np.ndarray, ts) -> np.ndarray:
     """Solve M u' = -K u to every time in ``ts`` by shift-and-invert Arnoldi.
 
     ``terms`` is a sequence of sparse matrices that sum to K, such as
-    ``gen.terms``; ``row_scaled`` scales them for a diagonal M.  Returns
+    ``gen.terms``; ``row_scaled`` scales them and M by diag(M).  Returns
     one row per entry of ``ts`` (finite, >= 0), in input order; ``t = 0``
     gives ``u0``.  Each window of ``time_windows(ts)`` shares one
     factorization and one basis, which grows until, for every time of the
@@ -150,18 +150,15 @@ def krylov_apply(mass, terms, u0: np.ndarray, ts) -> np.ndarray:
 
 
 def row_scaled(mass, terms):
-    """(left, terms) as the propagator factors them: I and W^-1 K_i for a
-    diagonal mass W (``is_diagonal``), else ``mass`` and ``terms``."""
-    if not is_diagonal(mass):
-        return mass, terms
+    """(D^-1 M, [D^-1 K_i]) as the propagator factors them, D = diag(M)."""
     scale = sp.diags(1.0 / mass.diagonal())
-    return sp.identity(mass.shape[0], format="csr"), [scale @ term for term in terms]
+    return scale @ mass, [scale @ term for term in terms]
 
 
 def _krylov_window(mass, left, terms, u0, beta, window) -> dict:
     """{t: u(t)} for the ascending times of one window, on the basis of
     (left + K/gamma)^-1 left, K the sum of ``terms``: (M + K/gamma)^-1 M,
-    row-scaled for a diagonal M."""
+    row-scaled by diag(M)."""
     times = ", ".join(f"{t:g}" for t in window)
     root = math.sqrt(window[0] * window[-1])  # over- or underflows at extreme t
     gamma = SHIFT_T / root if root > 0 else math.inf
@@ -177,9 +174,9 @@ def _krylov_window(mass, left, terms, u0, beta, window) -> dict:
             f"Krylov propagator: the shifted matrix M + K/gamma is singular "
             f"({exc}) at gamma={gamma:g} with {u0.size} unknowns, for t={times}"
         ) from exc
-    # max |K_ii / M_ii| / gamma at 1/eps or more: M is lost in the rounding
+    # eps max|K_ii/M_ii| / gamma >= 1 (K row-scaled): M is below its rounding
     k_diag = sum(term.diagonal() for term in terms)
-    ratio = np.finfo(float).eps * np.abs(k_diag / left.diagonal()).max() / gamma
+    ratio = np.finfo(float).eps * np.abs(k_diag).max() / gamma
     if ratio >= 1.0:
         raise StepControlError(
             f"Krylov propagator: the mass is below the rounding of M + K/gamma "

@@ -16,7 +16,7 @@ singular shifted matrix, could not resolve the mass or had no finite pole
 for extreme times, 5 out of memory (the problem is too large for this
 machine, or its grid too large to index).  Non-finite numbers in flags,
 and a ``--levels`` below 1, are parse failures.  A one-kappa sweep checks
-no decrease, so past the resolved range (star, t = 1: fv 1e10, fem 1e9) it
+no decrease, so past the resolved range (star, t = 1: 1e10, fv and fem) it
 exits 0 with an error equal to its mass drift, until exit 4 at 1e12.
 
 This module alone formats output.  Every CSV goes through ``_write_csv``

@@ -12,8 +12,9 @@ fact this package exists to demonstrate.
 ``propagate`` has one route: shift-and-invert Krylov
 (``_stepping.krylov_apply``) on the generator's own mass form,
 ``gen.mass`` and the two terms ``gen.terms`` = (kappa S, C), row-scaled
-by ``_stepping.row_scaled``.  The dense exponential and Crank-Nicolson
-that the tests check it against live in ``tests/reference.py``.
+by diag(M) (``_stepping.row_scaled``).  The dense exponential and
+Crank-Nicolson that the tests check it against live in
+``tests/reference.py``.
 """
 
 from __future__ import annotations

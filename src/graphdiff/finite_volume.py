@@ -55,11 +55,6 @@ from .graphs import MetricGraph, endpoint_conditions
 from .grids import CELLS, NODES, EdgeGrid
 
 
-def is_diagonal(mass) -> bool:
-    """Whether the sparse ``mass`` stores nonzeros on its diagonal only."""
-    return mass.count_nonzero() == np.count_nonzero(mass.diagonal())
-
-
 @dataclass(frozen=True)
 class DiscreteGenerator:
     """A generator in mass form  M u' = -(kappa S + C) u.
@@ -70,7 +65,8 @@ class DiscreteGenerator:
     mass diag(w), w the layout's quadrature weights (``EdgeGrid.weights``,
     which make <w, u> the discrete integral over the graph); P1 Galerkin
     has the consistent mass matrix.  ``_stepping.krylov_apply`` takes
-    ``mass`` and ``terms``, through ``_stepping.row_scaled``.
+    ``mass`` and ``terms`` for either and row-scales both by diag(M)
+    (``_stepping.row_scaled``).
     """
 
     mass: sp.csr_matrix
@@ -97,7 +93,7 @@ class DiscreteGenerator:
         """A = -W^{-1} K with u' = A u, sparse, formed on first read, for a
         diagonal mass W only: the consistent P1 mass raises ValueError, as
         its A would be dense."""
-        if not is_diagonal(self.mass):
+        if self.mass.count_nonzero() != np.count_nonzero(self.mass.diagonal()):
             raise ValueError(
                 "the generator matrix -M^-1 K is formed for a diagonal mass only"
             )

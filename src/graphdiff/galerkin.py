@@ -15,8 +15,9 @@ finite-volume module's one assembly routine on nodes, with Y = X^T and
 the P1 mass given (B = kappa S, C = -E^T X^T E), so the returned
 ``DiscreteGenerator`` keeps S and C apart and one assembly serves every
 kappa; the propagator works on the sparse M and ``gen.terms`` = (B, C)
-and factors M + (B + C)/gamma.  The generator -M^{-1} (B + C) is dense,
-and the package never forms it.
+and factors D^-1 (M + (B + C)/gamma), D = diag(M), as it does for finite
+volumes.  The generator -M^{-1} (B + C) is dense, and the package never
+forms it.
 
 Restricted to edge-wise constants, -M^{-1} C followed by edge averaging
 reproduces the limit chain generator exactly (endpoint traces of

@@ -422,7 +422,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 @pytest.mark.parametrize("config", ["star.json", "chain.json"])
 def test_long_time_sweep_follows_one_over_kappa(config, disc, h, tmp_path):
     # at t = 10 the error still falls tenfold from kappa = 1e3 to 1e4, and
-    # no row drifts by more than 1e-9 of the start's mass: the refined
+    # no row drifts by more than 1e-10 of the start's mass: the refined
     # shifted solves keep their round-off below the 1/kappa law
     path = CONFIGS / config
     out = tmp_path / "s.csv"
@@ -435,7 +435,27 @@ def test_long_time_sweep_follows_one_over_kappa(config, disc, h, tmp_path):
     assert err[1e4] <= 0.15 * err[1e3]
     # the default start is the first edge's indicator
     mass = graphs.load_graph(path).lengths[0]
-    assert max(abs(float(r["mass_drift"])) for r in rows) <= 1e-9 * mass
+    assert max(abs(float(r["mass_drift"])) for r in rows) <= 1e-10 * mass
+
+
+@pytest.mark.parametrize("disc", ["fv", "fem"])
+@pytest.mark.parametrize("config", ["star.json", "chain.json"])
+def test_large_kappa_sweep_follows_one_over_kappa(config, disc, tmp_path):
+    # up to kappa = 1e9 at t = 1, kappa * err stays within 5% of its value
+    # at 1e4 and the mass drift at round-off, for the consistent P1 mass
+    # as for the diagonal FV one
+    path = CONFIGS / config
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--graph", str(path), "--disc", disc,
+                 "--kappa", "1e4,1e5,1e6,1e7,1e8,1e9", "--t", "1", "--out", str(out)])
+    assert code == 0
+    rows = list(csv.DictReader(out.open(newline="")))
+    metric = f"err_{evolution.OWN_NORM[disc]}"
+    scaled = [float(r["kappa"]) * float(r[metric]) for r in rows]
+    assert len(scaled) == 6
+    assert all(abs(s - scaled[0]) <= 0.05 * scaled[0] for s in scaled)
+    mass = graphs.load_graph(path).lengths[0]
+    assert max(abs(float(r["mass_drift"])) for r in rows) <= 1e-10 * mass
 
 
 @pytest.mark.parametrize("disc", ["fv", "fem"])

@@ -228,20 +228,21 @@ def test_krylov_factors_once_per_window(star_graph, monkeypatch):
 
 
 @pytest.mark.parametrize("build", ["dual", "primal", "p1"])
-def test_krylov_row_scales_a_diagonal_mass_only(star_graph, monkeypatch, build):
-    # FV and FD factor I + W^-1 K / gamma, with W^-1 K formed as
-    # DiscreteGenerator.matrix forms it (K given as one term); P1's
-    # consistent mass is factored as M + K / gamma
+def test_krylov_row_scales_every_mass(star_graph, monkeypatch, build):
+    # every discretization factors D^-1 M + D^-1 K / gamma, D = diag(M)
+    # (K given as one term); for FV and FD, D^-1 M is I exactly and
+    # D^-1 K is -gen.matrix
     grid = make_grid(star_graph, 0.1)
     if build == "p1":
         gen = assemble_forms(star_graph, grid, 10.0)
-        want = gen.mass + gen.flux / 10.0
     else:
         make = dual_generator if build == "dual" else primal_generator
         gen = make(star_graph, grid, 10.0)
-        scaled = sp.diags(1.0 / grid.weights(CELLS if build == "dual" else NODES)) @ gen.flux
-        assert (scaled + gen.matrix).count_nonzero() == 0
-        want = sp.identity(gen.n) + scaled / 10.0
+    scale = sp.diags(1.0 / gen.mass.diagonal())
+    if build != "p1":
+        assert np.array_equal((scale @ gen.mass).toarray(), np.eye(gen.n))
+        assert (scale @ gen.flux + gen.matrix).count_nonzero() == 0
+    want = scale @ gen.mass + scale @ gen.flux / 10.0
     seen = _counting_factors(monkeypatch)
     _stepping.krylov_apply(gen.mass, [gen.flux], np.ones(gen.n), [1.0])
     assert len(seen) == 1

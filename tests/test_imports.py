@@ -131,6 +131,19 @@ def test_sweep_loads_the_solver_for_superlu(tmp_path):
     assert SOLVER <= modules
 
 
+def test_stepping_loads_no_discretization():
+    # the propagator takes any mass form as it is given
+    script = """
+import json, sys
+import graphdiff._stepping
+print(json.dumps([None, [m for m in sys.modules if m.startswith("graphdiff.")]]))
+"""
+    _, modules = _fresh(script)
+    assert "graphdiff._stepping" in modules
+    assert not modules & {f"graphdiff.{name}" for name in
+                          ("finite_volume", "galerkin", "chain", "evolution")}
+
+
 def test_every_public_name_resolves_and_is_listed():
     script = """
 import json, sys
