@@ -8,8 +8,8 @@ discretizations, the interval Neumann resolvent in closed form, and
 the continuous-time Markov chain that the dynamics collapse to when
 diffusion is fast compared to the membranes.
 
-The names that need scipy are imported on first use (PEP 562), so that
-``import graphdiff`` loads numpy only.
+The solver names are imported on first use (PEP 562), so that
+``import graphdiff`` loads only what loading and validating a graph needs.
 """
 
 import importlib

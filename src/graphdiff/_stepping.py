@@ -1,10 +1,11 @@
 """The time stepper for linear systems  M u' = -K u.
 
 ``krylov_apply`` takes the mass M and the stiffness K as the
-discretization assembles it, K as its terms (``gen.terms``: kappa S
-and C), and measures in the M inner product.  It is the one route behind
-``evolution.propagate`` and both sides of a sweep, the limit chain
-c' = Q c taken as the pair (D, -D Q) with D the edge lengths.
+discretization assembles them (``_banded.Banded`` records), K as its
+terms (``gen.terms``: kappa S and C), and measures in the M inner
+product.  It is the one route behind ``evolution.propagate`` and both
+sides of a sweep, the limit chain c' = Q c taken as the pair (D, -D Q)
+with D the edge lengths.
 
 It runs shift-and-invert Arnoldi for a whole list of times.  The
 positive times are grouped into windows ``t_max <= KRYLOV_WINDOW *
@@ -30,18 +31,17 @@ a 20-edge directed cycle, hence the windows.  The basis grows until,
 for every time of the window, iterates m - 4 and m agree to KRYLOV_RTOL.
 
 The factorization is numpy wherever it can be (``factor_shifted``).
-Each edge's unknowns are numbered consecutively, so M + K/gamma is a
-tridiagonal band T plus the couplings between end unknowns of edges not
-numbered next to each other, in k rows: 3 on the shipped star, none on a
-consecutively numbered path at trace order 1.  For k <= WOODBURY_MAX_ROWS
-the band is factored by odd-even cyclic reduction (Buzbee, Golub &
-Nielson, SIAM J. Numer. Anal. 7, 1970), so a solve is about 2 log2 n
-array operations, and the k rows enter by the Woodbury identity with a
-dense k x k capacitance matrix (none for k = 0).  Neither pivots, and
-the pivots of D^-1 A are those of A = M + K/gamma, each divided by its
-row's D_ii > 0.  At trace order 1 the FV, FD and chain ``W + K/gamma``
-has nonpositive off-diagonal entries and is diagonally dominant, by
-columns where mass is conserved (FV, the chain) and by rows where
+M + K/gamma is a tridiagonal band T plus the membrane couplings outside
+it, in k rows (3 on the shipped star, none on a consecutively numbered
+path at trace order 1), and the record holds the two apart.  For
+k <= WOODBURY_MAX_ROWS the band is factored by odd-even cyclic reduction
+(Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970), so a solve is
+about 2 log2 n array operations, and the k rows enter by the Woodbury
+identity with a dense k x k capacitance matrix (none for k = 0).
+Neither pivots, and the pivots of D^-1 A are those of A = M + K/gamma,
+each divided by its row's D_ii > 0.  At trace order 1 the FV, FD and
+chain ``W + K/gamma`` has nonpositive off-diagonal entries and is
+diagonally dominant, by columns where mass is conserved (FV, the chain) and by rows where
 constants are (FD): a nonsingular M-matrix, as is its band and every
 Schur complement that the reduction forms, so every pivot is positive.
 The P1 M + K/gamma is strictly diagonally dominant by columns, which
@@ -51,11 +51,10 @@ pass a probe solve with a backward error of at most PROBE_MAX_ETA eps.
 More rows outside the band (a large tree, or a path of more than 33
 edges at trace order 2), a zero pivot, a singular capacitance or a
 failed probe hand the matrix to SuperLU, which pivots, and only then is
-``scipy.sparse.linalg`` loaded.  Each solve is refined
-once (Skeel, Math. Comp. 35, 1980) with the residual
-``b - (M x + sum_i K_i x / gamma)`` taken term by term: the rounded sum
-of kappa S and C would put a kappa-sized error into the edge means,
-which the term-wise residual leaves out.
+scipy loaded.  Each solve is refined once (Skeel, Math. Comp. 35, 1980)
+with the residual ``b - (M x + sum_i K_i x / gamma)`` taken term by
+term: the rounded sum of kappa S and C would put a kappa-sized error
+into the edge means, which the term-wise residual leaves out.
 
 It raises ``StepControlError`` with the numbers of its last attempt
 when KRYLOV_MAX_DIM vectors do not reach KRYLOV_RTOL, when ``M + K/gamma``
@@ -74,7 +73,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 # gamma * t for the shift-and-invert pole; iterates at basis sizes
 # m - KRYLOV_LAG and m are compared for the stopping rule
@@ -119,7 +117,7 @@ def time_windows(ts) -> list:
 def krylov_apply(mass, terms, u0: np.ndarray, ts) -> np.ndarray:
     """Solve M u' = -K u to every time in ``ts`` by shift-and-invert Arnoldi.
 
-    ``terms`` is a sequence of sparse matrices that sum to K, such as
+    ``terms`` is a sequence of ``Banded`` matrices that sum to K, such as
     ``gen.terms``; ``row_scaled`` scales them and M by diag(M).  Returns
     one row per entry of ``ts`` (finite, >= 0), in input order; ``t = 0``
     gives ``u0``.  Each window of ``time_windows(ts)`` shares one
@@ -129,9 +127,7 @@ def krylov_apply(mass, terms, u0: np.ndarray, ts) -> np.ndarray:
     KRYLOV_MAX_DIM vectors without it raises StepControlError naming the
     unconverged times.
     """
-    mass = sp.csr_matrix(mass)
-    terms = [sp.csr_matrix(term) for term in terms]
-    n = mass.shape[0]
+    n = mass.n
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (n,):
         raise ValueError(f"phi0 must have shape ({n},), got {u0.shape}")
@@ -151,8 +147,8 @@ def krylov_apply(mass, terms, u0: np.ndarray, ts) -> np.ndarray:
 
 def row_scaled(mass, terms):
     """(D^-1 M, [D^-1 K_i]) as the propagator factors them, D = diag(M)."""
-    scale = sp.diags(1.0 / mass.diagonal())
-    return scale @ mass, [scale @ term for term in terms]
+    scale = 1.0 / mass.diagonal()
+    return mass.scale_rows(scale), [term.scale_rows(scale) for term in terms]
 
 
 def _krylov_window(mass, left, terms, u0, beta, window) -> dict:
@@ -249,7 +245,7 @@ def shifted_solver(left, terms, gamma):
     ``factor_shifted`` of the summed matrix, and each solve refined once
     with the residual ``b - (left x + sum_i term_i x / gamma)`` taken term
     by term.  Raises RuntimeError as ``factor_shifted`` does."""
-    approx = factor_shifted(left + sum(terms[1:], terms[0]) / gamma)
+    approx = factor_shifted(left + (1.0 / gamma) * sum(terms[1:], terms[0]))
 
     def solve(b):
         x = approx(b)
@@ -259,28 +255,21 @@ def shifted_solver(left, terms, gamma):
 
 
 def factor_shifted(matrix):
-    """A solver ``b -> A^-1 b`` for the sparse n x n ``A``; ``b`` may be
-    (n,) or (n, r).  With k <= WOODBURY_MAX_ROWS rows outside the
-    tridiagonal band T, A = T + P R (P unit columns, R those rows'
-    entries outside T) is solved in numpy: T by cyclic reduction
-    (``_band_solver``), P R by the Woodbury identity with the k x k
-    capacitance I + R T^-1 P (an empty update for k = 0).  Neither
-    pivots, so a probe solve must show a normwise backward error of at
-    most PROBE_MAX_ETA eps.  More rows, a zero pivot, a singular
-    capacitance or a failed probe hand A to SuperLU (``splu``, which
-    pivots), and RuntimeError is raised if A is singular."""
-    matrix = sp.csr_matrix(matrix)
-    n = matrix.shape[0]
-    coo = matrix.tocoo()
-    far = (np.abs(coo.row - coo.col) > 1) & (coo.data != 0)
-    rows = np.unique(coo.row[far])
+    """A solver ``b -> A^-1 b``, b (n,) or (n, r), for the ``Banded`` A =
+    T + P R: its band T by cyclic reduction (``_band_solver``) and its
+    k <= WOODBURY_MAX_ROWS coupling rows R (a repeated pair summed) by
+    the Woodbury identity with the capacitance I + R T^-1 P, kept if a
+    probe solve's backward error is at most PROBE_MAX_ETA eps; else, or
+    for more rows, SuperLU, which raises RuntimeError if A is singular."""
+    n = matrix.n
+    rows = np.unique(matrix.rows)
     if rows.size <= WOODBURY_MAX_ROWS:
         unit = np.zeros((n, rows.size))  # P
         unit[rows, np.arange(rows.size)] = 1.0
         outside = np.zeros((rows.size, n))  # R
-        outside[np.searchsorted(rows, coo.row[far]), coo.col[far]] = coo.data[far]
+        np.add.at(outside, (np.searchsorted(rows, matrix.rows), matrix.cols), matrix.vals)
         try:
-            band = _band_solver(matrix.diagonal(-1), matrix.diagonal(), matrix.diagonal(1))
+            band = _band_solver(matrix.lower, matrix.diag, matrix.upper)
             spread = band(unit)  # T^-1 P, no larger than the Arnoldi basis
             spread = spread @ np.linalg.inv(np.eye(rows.size) + outside @ spread)
 
@@ -290,7 +279,7 @@ def factor_shifted(matrix):
 
             probe = np.cos(np.arange(n))  # a right-hand side with no structure
             x = solve(probe)
-            size = abs(matrix).sum(axis=1).max() * np.abs(x).max() + np.abs(probe).max()
+            size = (abs(matrix) @ np.ones(n)).max() * np.abs(x).max() + np.abs(probe).max()
             eta = np.abs(probe - matrix @ x).max() / size / np.finfo(float).eps
             if eta <= PROBE_MAX_ETA:  # also false for NaN
                 return solve

@@ -21,7 +21,7 @@ satisfies the weighted column identity
 which is <= 0 and vanishes exactly for conservative graphs; lengths act
 as the stationary reference weights.
 
-``chain_generator`` returns Q itself, a scipy.sparse csr matrix, kept
+``chain_generator`` returns Q itself, a ``_banded.Banded`` record, kept
 sparse like X: an edge only exchanges with the edges it meets at a
 vertex.  Its rows and columns follow ``graph.edge_ids``.  The dense
 n_edges x n_edges view is formed only by the ``expm`` reference
@@ -33,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
+from ._banded import Banded
 from .graphs import MetricGraph
 from .grids import EdgeGrid
 
@@ -68,33 +68,28 @@ class PiecewiseConstant:
 def project_averages(grid: EdgeGrid, layout: str, values) -> np.ndarray:
     """Average of a packed grid function over each edge: the projection
     onto edge-wise constants."""
-    return grid.averaging(layout) @ np.asarray(values, dtype=float)
+    return grid.averaging(layout, values)
 
 
-def chain_generator(graph: MetricGraph, variant: str = DUAL) -> sp.csr_matrix:
-    """The limit generator Q of a valid graph, sparse; row i holds entries
-    only for the edges that edge i meets."""
+def chain_generator(graph: MetricGraph, variant: str = DUAL) -> Banded:
+    """The limit generator Q of a valid graph; row i holds entries only
+    for the edges that edge i meets."""
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    exchange = graph.exchange
-    flow = (exchange.T if variant == DUAL else exchange).tocoo()
+    rows, cols, vals = (graph.exchange.T if variant == DUAL else graph.exchange).triplets()
     # R flow R^T: endpoint 2*edge + side belongs to row/column edge; an
     # entry sums at most two endpoint pairs, so the order cannot matter
-    q = sp.csr_matrix(
-        (flow.data, (flow.row // 2, flow.col // 2)),
-        shape=(graph.n_edges, graph.n_edges),
-    )
-    q.data /= np.repeat(graph.lengths, np.diff(q.indptr))
-    return q
+    rows, cols, vals = Banded.from_triplets(graph.n_edges, rows // 2, cols // 2, vals).triplets()
+    return Banded.from_triplets(graph.n_edges, rows, cols, vals / graph.lengths[rows])
 
 
-def propagator(q: sp.csr_matrix, t: float) -> np.ndarray:
+def propagator(q: Banded, t: float) -> np.ndarray:
     """exp(t Q) by scaling and squaring: the dense reference for the
     sweep's sparse Krylov limit chain."""
     if not 0 <= t < np.inf:
         raise ValueError(f"t must be finite and >= 0, got {t}")
     if t == 0:
-        return np.eye(q.shape[0])
+        return np.eye(q.n)
     import scipy.linalg
 
     return scipy.linalg.expm(t * q.toarray())
@@ -104,4 +99,6 @@ def mass_rate(graph: MetricGraph) -> np.ndarray:
     """Weighted column sums d^T Q of the dual generator: rate of
     total-mass change per unit of density sitting on each edge.  Zero iff
     the graph is conservative."""
-    return chain_generator(graph, DUAL).T @ graph.lengths
+    rows, cols, vals = chain_generator(graph, DUAL).triplets()
+    # row-major: each column is summed down its rows, as in dense d^T Q
+    return np.bincount(cols, graph.lengths[rows] * vals, graph.n_edges)

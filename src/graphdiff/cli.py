@@ -12,12 +12,13 @@ Exit codes: 0 success, 1 graph validation failure, 2 I/O or parse failure,
 3 an acceptance criterion (monotone decrease) failed, 4 the propagator did
 not converge to its tolerance (the message carries the Krylov basis size,
 each unconverged time with its last error estimate, and ``rtol``), met a
-singular shifted matrix, could not resolve the mass or had no finite pole
-for extreme times, 5 out of memory (the problem is too large for this
-machine, or its grid too large to index).  Non-finite numbers in flags,
-and a ``--levels`` below 1, are parse failures.  A one-kappa sweep checks
-no decrease, so past the resolved range (star, t = 1: 1e10, fv and fem) it
-exits 0 with an error equal to its mass drift, until exit 4 at 1e12.
+singular shifted matrix, could not resolve the mass, had no finite pole
+for extreme times, or, on a conservative graph, gave a row whose mass
+drift is at least half its err_l1 (the message carries kappa, t, both
+numbers and the share; star, t = 1: from kappa = 1e10 on, fv and fem),
+5 out of memory (the problem is too large for this machine, or its grid
+too large to index).  Non-finite numbers in flags, and a ``--levels``
+below 1, are parse failures.
 
 This module alone formats output.  Every CSV goes through ``_write_csv``
 and is deterministic: a header row, fixed column order, ``\n`` line ends,
@@ -27,12 +28,11 @@ str cells only.  A command's summary lines go through the same ``_fmt``
 and are printed by ``_summary``: on stdout, or on stderr when the CSV
 takes stdout, so that stdout is then CSV only.
 
-Each command imports the modules it computes with, so a process loads
-what its command uses: ``validate`` and ``resolvent-check`` no scipy,
-and ``limit-q``, ``duality-check`` and ``sweep`` ``scipy.sparse`` only
-(the sweep factors its shifted matrices in numpy, and loads
-``scipy.sparse.linalg`` only for a matrix that needs SuperLU: more than
-``_stepping.WOODBURY_MAX_ROWS`` rows outside the band, or pivoting).
+Each command imports the modules it computes with, and none loads scipy:
+every operator is a numpy ``_banded.Banded`` record.  Only a sweep whose
+shifted matrix needs SuperLU (more than ``_stepping.WOODBURY_MAX_ROWS``
+rows outside the band, or pivoting) loads ``scipy.sparse`` and
+``scipy.sparse.linalg``.
 """
 
 from __future__ import annotations
@@ -191,16 +191,18 @@ def _load_valid(path):
     return graph
 
 
-def _limit_q_rows(graph, qs, mass_rate):
-    """One CSV row per edge of each variant's Q: the variant, the edge id,
-    then the literal "0" (which is ``_fmt(0.0)``) except at the stored
-    entries, so only those are formatted; last ``mass_rate``, the dual's
-    weighted column sums."""
-    for variant, q in qs.items():
+def _limit_q_rows(graph, entries, mass_rate):
+    """One CSV row per edge of each variant's Q, given as {(i, j): value}
+    in row-major order: the variant, the edge id, then the literal "0"
+    (which is ``_fmt(0.0)``) except at the stored entries, so only those
+    are formatted; last ``mass_rate``, the dual's weighted column sums."""
+    for variant, stored in entries.items():
+        by_row = {}
+        for (i, j), x in stored.items():
+            by_row.setdefault(i, []).append((j, x))
         for i, edge_id in enumerate(graph.edge_ids):
             row = [variant, edge_id] + ["0"] * graph.n_edges
-            stored = slice(q.indptr[i], q.indptr[i + 1])
-            for j, x in zip(q.indices[stored], q.data[stored]):
+            for j, x in by_row.get(i, ()):
                 row[2 + j] = _fmt(x)
             yield row
     yield ["mass_rate", ""] + [_fmt(x) for x in mass_rate]
@@ -210,22 +212,24 @@ def cmd_limit_q(args) -> int:
     graph = _load_valid(args.graph)
     from . import chain
 
-    qs = {variant: chain.chain_generator(graph, variant)
-          for variant in (chain.DUAL, chain.PRIMAL)}
+    entries = {}
+    for variant in (chain.DUAL, chain.PRIMAL):
+        rows, cols, vals = chain.chain_generator(graph, variant).triplets()
+        entries[variant] = dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist()))
     ids = graph.edge_ids
     _write_csv(args.out, ["variant", "edge"] + list(ids),
-               _limit_q_rows(graph, qs, chain.mass_rate(graph)))
+               _limit_q_rows(graph, entries, chain.mass_rate(graph)))
     say = _summary(args.out)
-    differ = qs[chain.DUAL] != qs[chain.PRIMAL]
-    differ.sort_indices()  # row-major, as the listing has always been
-    rows, cols = differ.nonzero()
-    dq, pq = (np.asarray(q[rows, cols]).ravel() for q in qs.values())
-    for i, j, a, b in zip(rows, cols, dq, pq):
+    dual, primal = entries.values()
+    # row-major, as the listing has always been
+    differ = [key for key in sorted(dual.keys() | primal.keys())
+              if dual.get(key, 0.0) != primal.get(key, 0.0)]
+    for i, j in differ:
         say(
             f"variants differ at ({ids[i]}, {ids[j]}): "
-            f"dual {_fmt(a)} vs primal {_fmt(b)}"
+            f"dual {_fmt(dual.get((i, j), 0.0))} vs primal {_fmt(primal.get((i, j), 0.0))}"
         )
-    say(f"entries differing between variants: {len(rows)}")
+    say(f"entries differing between variants: {len(differ)}")
     return OK
 
 

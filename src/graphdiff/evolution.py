@@ -4,7 +4,7 @@
 and times, compares each solution against the lifted limit-chain solution
 exp(t Q) P phi0, and reports weighted norms, the mass drift, and the
 minimum value.  Both sides take the same propagator, the limit chain as
-the pair (D, -D Q) with D the edge lengths, and the same averaging map
+the pair (D, -D Q) with D the edge lengths, and the same edge averages
 P (``EdgeGrid.averaging``).  As kappa grows the error
 columns must shrink: that monotone decrease is the headline empirical
 fact this package exists to demonstrate.
@@ -24,9 +24,9 @@ from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _stepping, chain, finite_volume, galerkin
+from ._banded import Banded
 from .finite_volume import DiscreteGenerator
 from .graphs import MetricGraph
 from .grids import CELLS, FEM, FV, NODES, EdgeGrid
@@ -37,6 +37,10 @@ OWN_NORM = {FV: "l1", FEM: "l2"}  # each discretization's own norm, a Norms fiel
 
 # relative slack of the monotone-decrease check, for round-off only
 NONINCREASING_SLACK = 1e-12
+# the largest share of its err_l1 that a row's mass drift may be on a
+# conservative graph, once the drift exceeds DRIFT_FLOOR eps ||phi0||_1
+DRIFT_SHARE_MAX = 0.5
+DRIFT_FLOOR = 300.0
 
 
 def norms(values, weights) -> Norms:
@@ -57,17 +61,18 @@ def norms(values, weights) -> Norms:
 
 
 def propagate(gen: DiscreteGenerator, phi0, t: float) -> np.ndarray:
-    """Advance phi0 by the semigroup of ``gen`` to time t: sparse
+    """Advance phi0 by the semigroup of ``gen`` to time t:
     shift-and-invert Arnoldi on ``gen.mass`` and ``gen.terms``,
     converged to ``_stepping.KRYLOV_RTOL``."""
     return _stepping.krylov_apply(gen.mass, gen.terms, phi0, [t])[0]
 
 
-def _limit_states(graph: MetricGraph, q: sp.csr_matrix, c0, ts) -> np.ndarray:
+def _limit_states(graph: MetricGraph, q: Banded, c0, ts) -> np.ndarray:
     """exp(tQ) c0, one row per time in ``ts``: the chain c' = Q c is
     M c' = -K c with (M, K) = (D, -D Q), D the edge lengths."""
-    lengths = sp.diags(graph.lengths)
-    return _stepping.krylov_apply(lengths, [-(lengths @ q)], c0, ts)
+    edges = np.arange(graph.n_edges)
+    lengths = Banded.from_triplets(graph.n_edges, edges, edges, graph.lengths)
+    return _stepping.krylov_apply(lengths, [q.scale_rows(-graph.lengths)], c0, ts)
 
 
 @dataclass(frozen=True)
@@ -135,9 +140,13 @@ def kappa_sweep(
     its diffusion form S, in ``replace(gen, kappa=kappa).terms``, and
     each kappa is propagated to all times in one call, which factors once
     per window of times.  The limit chain c' = Q c is propagated the same
-    way, in one call for all times.
+    way, in one call for all times.  On a conservative graph the mass
+    drift is propagator error alone: a row whose drift exceeds DRIFT_FLOOR
+    eps ||phi0||_1 and DRIFT_SHARE_MAX of its err_l1 resolves no 1/kappa
+    law and raises ``_stepping.StepControlError``.
     """
     q = chain.chain_generator(graph, chain.DUAL)
+    conservative = graph.report.conservative
     if discretization not in OWN_NORM:
         raise ValueError(
             f"discretization must be one of {tuple(OWN_NORM)}, got {discretization!r}"
@@ -167,21 +176,29 @@ def kappa_sweep(
 
     start = grid.sample(phi0, layout)
     weights = grid.weights(layout)
-    averaging = grid.averaging(layout)
     mass0 = float(np.sum(weights * start))
+    floor = DRIFT_FLOOR * np.finfo(float).eps * norms(start, weights).l1
 
     # the limit-chain states exp(tQ) P phi0, one row per t, and their lifts
-    limits = _limit_states(graph, q, averaging @ start, ts)
+    limits = _limit_states(graph, q, grid.averaging(layout, start), ts)
     lifted = np.repeat(limits, np.diff(grid.offsets(layout)), axis=1)
 
     records = []
     for kappa in kappas:
         sols = _stepping.krylov_apply(gen.mass, replace(gen, kappa=kappa).terms, start, ts)
         # the gap between the two chain states, normed like the edges
-        gaps = sols @ averaging.T - limits
+        gaps = grid.averaging(layout, sols) - limits
         for t, sol, lift, gap in zip(ts, sols, lifted, gaps):
             err = norms(sol - lift, weights)
             perr = norms(gap, grid.lengths)
+            drift = float(np.sum(weights * sol)) - mass0
+            if conservative and abs(drift) > max(floor, DRIFT_SHARE_MAX * err.l1):
+                share = abs(drift) / err.l1 if err.l1 > 0 else math.inf
+                raise _stepping.StepControlError(
+                    f"|mass_drift| / err_l1 = {share:.3g} >= {DRIFT_SHARE_MAX:g} (mass_drift "
+                    f"{drift:.3g}, err_l1 {err.l1:.3g}) at kappa={kappa:g}, t={t:g}: the error "
+                    f"is the propagator's own, past the resolved kappa range"
+                )
             records.append(
                 SweepRecord(
                     kappa=kappa,
@@ -189,7 +206,7 @@ def kappa_sweep(
                     err_l1=err.l1,
                     err_l2=err.l2,
                     err_projected=getattr(perr, OWN_NORM[discretization]),
-                    mass_drift=float(np.sum(weights * sol)) - mass0,
+                    mass_drift=drift,
                     min_value=float(np.min(sol)),
                 )
             )

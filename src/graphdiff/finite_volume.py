@@ -34,9 +34,11 @@ array operation.
 All three discretizations (these two and P1 Galerkin in ``galerkin``)
 are ``DiscreteGenerator`` records of the mass form  M u' = -K u  with
 K = kappa S + C, and all come from one routine, ``_assemble``: the
-diffusion form S = G^T diag(sigma/h) G, the endpoint coupling
-C = -E^T Y T (Y = X or X^T) and M = diag(w) unless a consistent mass is
-given.  Only S carries kappa, so one assembly serves every kappa.  Each
+tridiagonal diffusion form S = G^T diag(sigma/h) G, the endpoint
+coupling C = -E^T Y T (Y = X or X^T), an index map of Y's entries onto
+the edge-end unknowns, and M = diag(w) unless a consistent mass is
+given; each is a ``_banded.Banded`` record, built without a sparse
+product.  Only S carries kappa, so one assembly serves every kappa.  Each
 builder names only its own choices: cells, X^T and the trace order
 here; nodes and X for the forward side (its coupling is the transpose of
 the adjoint one); nodes, X^T and the P1 mass in ``galerkin``.
@@ -48,9 +50,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.polynomial.polynomial import polyder, polyval
 
+from ._banded import Banded
 from .graphs import MetricGraph, endpoint_conditions
 from .grids import CELLS, NODES, EdgeGrid
 
@@ -64,19 +66,20 @@ class DiscreteGenerator:
     kappa = k.  Finite volumes and finite differences have the diagonal
     mass diag(w), w the layout's quadrature weights (``EdgeGrid.weights``,
     which make <w, u> the discrete integral over the graph); P1 Galerkin
-    has the consistent mass matrix.  ``_stepping.krylov_apply`` takes
-    ``mass`` and ``terms`` for either and row-scales both by diag(M)
+    has the consistent, tridiagonal mass matrix.  All three are
+    ``_banded.Banded`` records; ``_stepping.krylov_apply`` takes ``mass``
+    and ``terms`` for either and row-scales both by diag(M)
     (``_stepping.row_scaled``).
     """
 
-    mass: sp.csr_matrix
-    diffusion: sp.csr_matrix
-    coupling: sp.csr_matrix
+    mass: Banded
+    diffusion: Banded
+    coupling: Banded
     kappa: float
 
     @property
     def n(self) -> int:
-        return self.mass.shape[0]
+        return self.mass.n
 
     @cached_property
     def terms(self) -> tuple:
@@ -84,34 +87,34 @@ class DiscreteGenerator:
         return self.kappa * self.diffusion, self.coupling
 
     @cached_property
-    def flux(self) -> sp.csr_matrix:
+    def flux(self) -> Banded:
         """K = kappa S + C, the sum of ``terms``."""
         return self.terms[0] + self.terms[1]
 
     @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        """A = -W^{-1} K with u' = A u, sparse, formed on first read, for a
+    def matrix(self) -> Banded:
+        """A = -W^{-1} K with u' = A u, formed on first read, for a
         diagonal mass W only: the consistent P1 mass raises ValueError, as
         its A would be dense."""
-        if self.mass.count_nonzero() != np.count_nonzero(self.mass.diagonal()):
+        if self.mass.nnz != np.count_nonzero(self.mass.diagonal()):
             raise ValueError(
                 "the generator matrix -M^-1 K is formed for a diagonal mass only"
             )
-        return -(sp.diags(1.0 / self.mass.diagonal()) @ self.flux).tocsr()
+        return self.flux.scale_rows(-1.0 / self.mass.diagonal())
 
 
-def _differences(grid: EdgeGrid, layout: str):
-    """G with (G u)_k = u[k + 1] - u[k] for neighbours k, k + 1 inside one
-    edge, and the edge of each row."""
+def _pair_form(grid: EdgeGrid, layout: str, per_edge, sign: float) -> Banded:
+    """sum_k w_k (e_k + sign e_k+1)(e_k + sign e_k+1)^T over neighbours k,
+    k + 1 inside an edge, w_k = ``per_edge`` of that edge: G^T diag(w) G
+    for sign -1 (G the differences), |G|^T diag(w) |G| for +1."""
     off = grid.offsets(layout)
     first = np.delete(np.arange(off[-1]), off[1:] - 1)
-    diff = sp.csr_matrix(
-        (np.tile([-1.0, 1.0], first.size),
-         np.column_stack([first, first + 1]).ravel(),
-         np.arange(0, 2 * first.size + 1, 2)),
-        shape=(first.size, int(off[-1])),
+    second, w = first + 1, np.repeat(per_edge, np.diff(off) - 1)
+    return Banded.from_triplets(
+        int(off[-1]), np.concatenate([first, second, first, second]),
+        np.concatenate([first, second, second, first]),
+        np.concatenate([w, w, sign * w, sign * w]),
     )
-    return diff, np.repeat(np.arange(grid.n_edges), np.diff(off) - 1)
 
 
 def _assemble(
@@ -135,25 +138,23 @@ def _assemble(
     if trace_order not in (1, 2):
         raise ValueError(f"trace_order must be 1 or 2, got {trace_order}")
     off = grid.offsets(layout)
-    cols = np.column_stack([off[:-1], off[1:] - 1]).ravel()
-    ends = sp.csr_matrix(
-        (np.ones(cols.size), cols, np.arange(cols.size + 1)),
-        shape=(cols.size, int(off[-1])),
-    )
-    trace = ends
-    if trace_order == 2:
-        # the second cell in from each end
-        inner = sp.csr_matrix(
-            (ends.data, ends.indices + np.tile([1, -1], grid.n_edges), ends.indptr),
-            shape=ends.shape,
-        )
-        trace = (1.5 * ends - 0.5 * inner).tocsr()
-    diff, edge = _differences(grid, layout)
-    faces = sp.diags(graph.sigmas[edge] / grid.widths[edge])
+    n = int(off[-1])
+    ends = np.column_stack([off[:-1], off[1:] - 1]).ravel()
+    # T as (unknowns, weight) per endpoint: the end unknown, and at order 2
+    # the extrapolation 1.5 v0 - 0.5 v1 from the second unknown in
+    trace = [(ends, 1.0)] if trace_order == 1 else [
+        (ends, 1.5), (ends + np.tile([1, -1], grid.n_edges), -0.5)]
+    rows, cols, vals = exchange.triplets()
+    diagonal = np.arange(n)
     return DiscreteGenerator(
-        mass=sp.diags(grid.weights(layout), format="csr") if mass is None else mass,
-        diffusion=(diff.T @ faces @ diff).tocsr(),
-        coupling=-(ends.T @ exchange @ trace).tocsr(),
+        mass=Banded.from_triplets(n, diagonal, diagonal, grid.weights(layout))
+        if mass is None else mass,
+        diffusion=_pair_form(grid, layout, graph.sigmas / grid.widths, -1.0),
+        coupling=Banded.from_triplets(
+            n, np.tile(ends[rows], len(trace)),
+            np.concatenate([at[cols] for at, _ in trace]),
+            np.concatenate([-weight * vals for _, weight in trace]),
+        ),
         kappa=kappa,
     )
 
@@ -202,7 +203,7 @@ def duality_defect(
 # ---------------------------------------------------------------------------
 # smooth test functions satisfying the transmission conditions
 
-def _fit_conditions(graph, kappa, coefs, conditions: sp.csr_matrix) -> np.ndarray:
+def _fit_conditions(graph, kappa, coefs, conditions: Banded) -> np.ndarray:
     """Add cubic bump corrections to each edge's row of ``coefs`` so the
     endpoint slopes meet ``conditions`` (``graphs.endpoint_conditions``);
     endpoint values are untouched, so the slope targets can be read off

@@ -14,7 +14,7 @@ dynamics are  M u' = -(B + C) u.  ``assemble_forms`` is the
 finite-volume module's one assembly routine on nodes, with Y = X^T and
 the P1 mass given (B = kappa S, C = -E^T X^T E), so the returned
 ``DiscreteGenerator`` keeps S and C apart and one assembly serves every
-kappa; the propagator works on the sparse M and ``gen.terms`` = (B, C)
+kappa; the propagator works on the tridiagonal M and ``gen.terms`` = (B, C)
 and factors D^-1 (M + (B + C)/gamma), D = diag(M), as it does for finite
 volumes.  The generator -M^{-1} (B + C) is dense, and the package never
 forms it.
@@ -26,9 +26,10 @@ constants are exact).
 
 from __future__ import annotations
 
-import scipy.sparse as sp
+import numpy as np
 
-from .finite_volume import DiscreteGenerator, _assemble, _differences
+from ._banded import Banded
+from .finite_volume import DiscreteGenerator, _assemble, _pair_form
 from .graphs import MetricGraph
 from .grids import NODES, EdgeGrid
 
@@ -37,14 +38,13 @@ def assemble_forms(graph: MetricGraph, grid: EdgeGrid, kappa: float) -> Discrete
     """The P1 generator: the one finite-volume assembly on the per-edge
     node grid (no cross-edge DOFs) with C = -E^T X^T E and the
     consistent mass: with P = |G| the element sums and w the trapezoid
-    weights, the element mass (h/6)[[2,1],[1,2]] assembles to
-    M = P^T diag(h/6) P + diag(w)/3.
+    weights, the element mass (h/6)[[2,1],[1,2]] assembles to the
+    tridiagonal M = P^T diag(h/6) P + diag(w)/3.
     """
-    diff, edge = _differences(grid, NODES)
-    sums = abs(diff)
-    mass = sums.T @ sp.diags(grid.widths[edge] / 6.0) @ sums
-    mass = mass + sp.diags(grid.weights(NODES) / 3.0)
-    return _assemble(graph, grid, kappa, NODES, adjoint=True, mass=mass.tocsr())
+    diagonal = np.arange(grid.size(NODES))
+    mass = _pair_form(grid, NODES, grid.widths / 6.0, 1.0) + Banded.from_triplets(
+        diagonal.size, diagonal, diagonal, grid.weights(NODES) / 3.0)
+    return _assemble(graph, grid, kappa, NODES, adjoint=True, mass=mass)
 
 
 def l2_generator(gen: DiscreteGenerator) -> DiscreteGenerator:

@@ -10,7 +10,8 @@ neighbouring edge.  The membrane is *conservative* at an endpoint when the
 pass-through coefficients add up exactly to the total.
 
 Everything downstream (flux conditions, limit chain, discretizations) is
-derived from one sparse matrix built here, ``MetricGraph.exchange``:
+derived from one sparse matrix built here, ``MetricGraph.exchange`` (a
+``_banded.Banded`` record):
 
     X = Sigma (P - T),   (2n, 2n), endpoint index 2*edge + side,
 
@@ -22,9 +23,7 @@ negative diagonal) and where it arrives (the other endpoints at that
 vertex); the forward problem couples endpoints through X, the adjoint
 (density) problem through X^T.  Each row is read off its endpoint's own
 ``l_to`` / ``r_to`` dict, so the build is O(nnz) however many edges meet
-at a vertex (0.10 s on a 4000-edge star hub with one coupling per edge,
-where pairing the endpoints at each vertex took 4.0 s; 2-vCPU Xeon).
-With D_s = diag(+1 left, -1 right):
+at a vertex.  With D_s = diag(+1 left, -1 right):
 
 * ``endpoint_conditions(graph, X^T)`` = -D_s Sigma^-1 X^T, the adjoint
   flux functionals over endpoint values,
@@ -46,10 +45,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-# the builders of sparse matrices import scipy.sparse themselves, so that
-# loading and validating a graph loads numpy only
+# the builders of operators import ``_banded`` themselves, so that loading
+# and validating a graph imports no operator code
 if TYPE_CHECKING:
-    import scipy.sparse as sp
+    from ._banded import Banded
 
 # slack for comparing permeability sums against their totals
 SUM_TOL = 1e-12
@@ -137,7 +136,12 @@ class MetricGraph:
         return np.array([e.sigma for e in self.edges], dtype=float)
 
     @cached_property
-    def exchange(self) -> sp.csr_matrix:
+    def report(self) -> ValidationReport:
+        """``validate(self)``, taken once per graph."""
+        return validate(self)
+
+    @cached_property
+    def exchange(self) -> Banded:
         """X = Sigma (P - T) over endpoints, index 2*edge + side, for a
         valid graph (InvalidGraphError otherwise).  Built and validated
         once per graph; every derivation shares it, so callers must not
@@ -150,7 +154,7 @@ class MetricGraph:
         Loops are forbidden, so that endpoint is unique.
         """
         require_valid(self)
-        import scipy.sparse as sp
+        from ._banded import Banded
 
         rows, cols, vals = [], [], []
         for i, e in enumerate(self.edges):
@@ -165,8 +169,7 @@ class MetricGraph:
                         rows.append(row)
                         cols.append(col)
                         vals.append(e.sigma * c)
-        n = 2 * self.n_edges
-        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        return Banded.from_triplets(2 * self.n_edges, rows, cols, vals)
 
 
 @dataclass(frozen=True)
@@ -250,23 +253,21 @@ def validate(graph: MetricGraph) -> ValidationReport:
 
 
 def require_valid(graph: MetricGraph) -> ValidationReport:
-    report = validate(graph)
+    report = graph.report
     if not report.ok:
         raise InvalidGraphError("\n".join(report.problems))
     return report
 
 
-def endpoint_conditions(graph: MetricGraph, flow: sp.csr_matrix) -> sp.csr_matrix:
+def endpoint_conditions(graph: MetricGraph, flow: Banded) -> Banded:
     """-D_s Sigma^-1 flow over endpoints, index 2*edge + side, for flow
-    X (forward) or X^T (adjoint); each stored entry c of row (i, side)
-    becomes (c * sign) / sigma_i."""
-    import scipy.sparse as sp
+    X (forward) or X^T (adjoint); each entry c of row (i, side) becomes
+    (c * sign) / sigma_i."""
+    from ._banded import Banded
 
-    conditions = sp.csr_matrix(flow, copy=True)
-    rows = np.repeat(np.arange(flow.shape[0]), np.diff(conditions.indptr))
+    rows, cols, vals = flow.triplets()
     signs = np.where(rows % 2, 1.0, -1.0)
-    conditions.data = conditions.data * signs / graph.sigmas[rows // 2]
-    return conditions
+    return Banded.from_triplets(flow.n, rows, cols, vals * signs / graph.sigmas[rows // 2])
 
 
 def trace_functionals(graph: MetricGraph) -> np.ndarray:

@@ -18,14 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-# the builders of sparse matrices import scipy.sparse themselves, so that
-# building and sampling a grid loads numpy only
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 CELLS = "cells"
 NODES = "nodes"
@@ -87,15 +81,11 @@ class EdgeGrid:
         off = self.offsets(layout)
         return slice(int(off[edge]), int(off[edge + 1]))
 
-    def averaging(self, layout: str) -> sp.csr_matrix:
-        """P, the (n_edges, size) map from packed values to edge averages:
-        row i holds edge i's quadrature weights divided by its length."""
-        import scipy.sparse as sp
-
-        off = self.offsets(layout)
-        values = self.weights(layout) / np.repeat(self.lengths, np.diff(off))
-        shape = (self.n_edges, off[-1])
-        return sp.csr_matrix((values, np.arange(off[-1]), off), shape=shape)
+    def averaging(self, layout: str, values) -> np.ndarray:
+        """P u, the edge averages of the packed values u along their last
+        axis: each edge's quadrature sum divided by its length."""
+        quadrature = np.asarray(values, dtype=float) * self.weights(layout)
+        return np.add.reduceat(quadrature, self.offsets(layout)[:-1], axis=-1) / self.lengths
 
     def coords(self, edge: int, layout: str) -> np.ndarray:
         """Local coordinates (0 .. length) of one edge's points."""

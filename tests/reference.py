@@ -23,7 +23,9 @@ code:
   holds exactly for the semidiscrete flow;
 * ``l2_norm`` and ``interpolate_to_cells``: the M norm (for P1, the
   exact L2 norm of the function with nodal values u) and the
-  cell-midpoint values of a P1 function.
+  cell-midpoint values of a P1 function;
+* ``convert``: the one conversion between the package's ``Banded``
+  operators and scipy's sparse matrices, in either direction.
 
 Tests import this module like ``conftest``; its name does not match
 ``test_*.py``, so pytest collects no tests from it.
@@ -36,8 +38,18 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from graphdiff._banded import Banded
 from graphdiff._stepping import StepControlError
 from graphdiff.grids import NODES
+
+
+def convert(matrix):
+    """A ``Banded`` operator as a scipy CSR matrix, and a scipy sparse or
+    dense square matrix as a ``Banded`` operator."""
+    if isinstance(matrix, Banded):
+        return matrix.tocsc().tocsr()
+    coo = sp.coo_matrix(matrix)
+    return Banded.from_triplets(coo.shape[0], coo.row, coo.col, coo.data)
 
 
 def dense_generator(gen) -> np.ndarray:
@@ -69,11 +81,11 @@ def crank_nicolson(
     max_steps: int = 1 << 21,
 ) -> np.ndarray:
     """Integrate M u' = -K u to time t, doubling the step count until two
-    consecutive refinements agree to ``rtol`` in the M norm."""
+    consecutive refinements agree to ``rtol`` in the M norm; M and K are
+    ``Banded``, as the package assembles them."""
     if t == 0.0:
         return np.array(u0, dtype=float, copy=True)
-    mass = sp.csr_matrix(mass)
-    stiff = sp.csr_matrix(stiff)
+    mass, stiff = convert(mass), convert(stiff)
 
     def mnorm(v):
         return math.sqrt(max(float(v @ (mass @ v)), 0.0))

@@ -21,7 +21,9 @@ from graphdiff.grids import CELLS, NODES, EdgeGrid, edge_indicator, make_grid
 from graphdiff.resolvent import resolvent_image_series
 
 from conftest import make_star
-from reference import crank_nicolson, dense_generator, growth_rate, interpolate_to_cells, l2_norm
+from reference import (
+    convert, crank_nicolson, dense_generator, growth_rate, interpolate_to_cells, l2_norm,
+)
 
 
 ACCEPT_KAPPAS = [1.0, 10.0, 100.0, 1000.0]
@@ -84,7 +86,7 @@ def test_criterion_1_interval_resolvent_oracle(sealed_edge):
         grid = EdgeGrid(lengths=(1.0,), cells=(m,))
         gen = gd.dual_generator(sealed_edge, grid, kappa=1.0)
         x = grid.coords(0, CELLS)
-        mat = (lam * sp.eye(m) - gen.matrix).tocsc()
+        mat = (lam * sp.eye(m) - convert(gen.matrix)).tocsc()
         u = spla.spsolve(mat, phi(x))
         errs[m] = float(np.sum(np.abs(u - gd.resolvent_apply(0.0, 1.0, lam, phi, x))) / m)
     assert errs[400] <= 1e-3

@@ -16,6 +16,7 @@ from graphdiff import _stepping, chain, cli, evolution, finite_volume, galerkin,
 from graphdiff.cli import main
 
 from conftest import make_path, traced_peak, write_config
+from reference import convert
 
 STAR = {
     "edges": [
@@ -130,7 +131,7 @@ def test_limit_q_formats_only_the_stored_entries(tmp_path, monkeypatch):
     assert main(["limit-q", "--graph", config, "--out", str(tmp_path / "q.csv")]) == 0
     dual, primal = (chain.chain_generator(graph, v) for v in (chain.DUAL, chain.PRIMAL))
     assert calls["csv"] <= dual.nnz + primal.nnz + graph.n_edges
-    assert calls["all"] == calls["csv"] + 2 * (dual != primal).nnz
+    assert calls["all"] == calls["csv"] + 2 * (convert(dual) != convert(primal)).nnz
 
 
 def test_limit_q_rejects_invalid(broken_path, capsys):
@@ -256,6 +257,40 @@ def test_unresolved_mass_exits_unconverged(star_path, tmp_path, disc, ratio, cap
     assert err[0].startswith("error: solver did not converge: ")
     assert f"= {ratio} >= 1" in err[0]
     assert "gamma=10" in err[0] and err[0].endswith("for t=1")
+
+
+@pytest.mark.parametrize("disc", ["fv", "fem"])
+@pytest.mark.parametrize("kappa", ["1e10", "1e11", "3e11"])
+def test_drift_dominated_row_exits_unconverged(star_path, tmp_path, disc, kappa, capsys):
+    # past the resolved range the error of a row is its own mass drift (a
+    # share of 1.000 of err_l1 at 1e10): exit 4 with the numbers, no CSV
+    out = tmp_path / "x.csv"
+    code = main([
+        "sweep", "--graph", star_path, "--disc", disc, "--kappa", kappa, "--t", "1",
+        "--out", str(out),
+    ])
+    assert code == 4
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: solver did not converge: |mass_drift| / err_l1 = ")
+    share = float(err[0].split(" = ")[1].split(" >= ")[0])
+    assert share >= evolution.DRIFT_SHARE_MAX
+    assert "mass_drift -" in err[0] and f"at kappa={float(kappa):g}, t=1:" in err[0]
+
+
+@pytest.mark.parametrize("disc", ["fv", "fem"])
+def test_resolved_row_keeps_its_drift_a_small_share(star_path, tmp_path, disc):
+    # the last resolved kappa: the drift is 0.049 (fv) or 0.063 (fem) of
+    # err_l1, against the exit-4 share of 0.5 and 1.000 one decade on
+    out = tmp_path / "x.csv"
+    code = main([
+        "sweep", "--graph", star_path, "--disc", disc, "--kappa", "1e9", "--t", "1",
+        "--out", str(out),
+    ])
+    assert code == 0
+    (row,) = csv.DictReader(out.open(newline=""))
+    assert abs(float(row["mass_drift"])) <= 0.1 * float(row["err_l1"])
 
 
 @pytest.mark.parametrize("t", ["1e300", "1e-200", "1e-320"])

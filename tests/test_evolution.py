@@ -24,7 +24,7 @@ from graphdiff.graphs import EdgeSpec, MetricGraph, load_graph
 from graphdiff.grids import CELLS, NODES, EdgeGrid, edge_indicator, make_grid
 
 from conftest import write_config
-from reference import crank_nicolson, dense_generator
+from reference import convert, crank_nicolson, dense_generator
 
 
 def test_norms_basics():
@@ -239,10 +239,11 @@ def test_krylov_row_scales_every_mass(star_graph, monkeypatch, build):
         make = dual_generator if build == "dual" else primal_generator
         gen = make(star_graph, grid, 10.0)
     scale = sp.diags(1.0 / gen.mass.diagonal())
+    mass, flux = convert(gen.mass), convert(gen.flux)
     if build != "p1":
-        assert np.array_equal((scale @ gen.mass).toarray(), np.eye(gen.n))
-        assert (scale @ gen.flux + gen.matrix).count_nonzero() == 0
-    want = scale @ gen.mass + scale @ gen.flux / 10.0
+        assert np.array_equal((scale @ mass).toarray(), np.eye(gen.n))
+        assert (scale @ flux + convert(gen.matrix)).count_nonzero() == 0
+    want = scale @ mass + scale @ flux / 10.0
     seen = _counting_factors(monkeypatch)
     _stepping.krylov_apply(gen.mass, [gen.flux], np.ones(gen.n), [1.0])
     assert len(seen) == 1
@@ -388,49 +389,49 @@ def test_krylov_basis_grows_as_rtol_tightens(star_graph, monkeypatch):
 
 class TestStepping:
     def test_cn_converges_on_scalar_problem(self):
-        mass = sp.eye(1, format="csr")
-        stiff = sp.csr_matrix(np.array([[3.0]]))
+        mass = convert(sp.eye(1, format="csr"))
+        stiff = convert(sp.csr_matrix(np.array([[3.0]])))
         out = crank_nicolson(mass, stiff, np.array([2.0]), 1.0, rtol=1e-10)
         assert out[0] == pytest.approx(2.0 * np.exp(-3.0), rel=1e-8)
 
     def test_krylov_exact_on_invariant_subspace(self):
-        mass = sp.eye(1, format="csr")
-        stiff = sp.csr_matrix(np.array([[3.0]]))
+        mass = convert(sp.eye(1, format="csr"))
+        stiff = convert(sp.csr_matrix(np.array([[3.0]])))
         out = _stepping.krylov_apply(mass, [stiff], np.array([2.0]), [1.0])[0]
         assert out[0] == pytest.approx(2.0 * np.exp(-3.0), rel=1e-13)
 
     @pytest.mark.parametrize("t", [-1.0, np.nan, np.inf])
     def test_krylov_rejects_bad_times(self, t):
-        eye = sp.eye(2, format="csr")
+        eye = convert(sp.eye(2, format="csr"))
         with pytest.raises(ValueError, match="t must be finite and >= 0"):
             _stepping.krylov_apply(eye, [eye], np.ones(2), [1.0, t])
 
     def test_krylov_rejects_wrong_length_start(self):
-        eye = sp.eye(2, format="csr")
+        eye = convert(sp.eye(2, format="csr"))
         with pytest.raises(ValueError, match=r"must have shape \(2,\), got \(3,\)"):
             _stepping.krylov_apply(eye, [eye], np.ones(3), [1.0])
 
     def test_krylov_gives_up_when_capped(self, monkeypatch):
         n = 40
-        stiff = sp.diags(np.arange(1.0, n + 1))
+        stiff = convert(sp.diags(np.arange(1.0, n + 1)))
         monkeypatch.setattr(_stepping, "KRYLOV_MAX_DIM", 6)
         with pytest.raises(_stepping.StepControlError, match="m=6"):
-            _stepping.krylov_apply(sp.eye(n, format="csr"), [stiff], np.ones(n), [1.0])
+            _stepping.krylov_apply(convert(sp.eye(n)), [stiff], np.ones(n), [1.0])
 
     def test_capped_krylov_window_names_unconverged_time(self, monkeypatch):
         # t = 0.05 converges at m = 13, t = 0.4 of the same window does not
         n = 40
-        stiff = sp.diags(np.arange(1.0, n + 1))
+        stiff = convert(sp.diags(np.arange(1.0, n + 1)))
         monkeypatch.setattr(_stepping, "KRYLOV_MAX_DIM", 13)
         with pytest.raises(_stepping.StepControlError) as exc:
-            _stepping.krylov_apply(sp.eye(n, format="csr"), [stiff], np.ones(n), [0.05, 0.4])
+            _stepping.krylov_apply(convert(sp.eye(n)), [stiff], np.ones(n), [0.05, 0.4])
         assert "m=13" in str(exc.value)
         assert "t=0.4 " in str(exc.value)
         assert "t=0.05" not in str(exc.value)
 
     def test_cn_gives_up_when_capped(self):
-        mass = sp.eye(1, format="csr")
-        stiff = sp.csr_matrix(np.array([[3.0]]))
+        mass = convert(sp.eye(1, format="csr"))
+        stiff = convert(sp.csr_matrix(np.array([[3.0]])))
         with pytest.raises(_stepping.StepControlError):
             crank_nicolson(
                 mass, stiff, np.array([2.0]), 1.0, rtol=1e-14,

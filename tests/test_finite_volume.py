@@ -375,6 +375,6 @@ def test_replaced_kappa_is_a_fresh_assembly(config, h):
         for base, kappa in ((1.0, 10.0), (1.0, 1e4), (3.0, 1e3)):
             moved = replace(build(base), kappa=kappa).flux
             fresh = build(kappa).flux
-            for part in ("data", "indices", "indptr"):
+            for part in ("lower", "diag", "upper", "rows", "cols", "vals"):
                 assert getattr(moved, part).tobytes() == getattr(fresh, part).tobytes(), (
                     name, base, kappa, part)

@@ -1,10 +1,9 @@
-"""What each command loads: a ``graphdiff`` process imports scipy only
-for the commands that build sparse matrices, and then ``scipy.sparse``
-alone: no command, ``sweep`` on the shipped graphs included, loads the
-solver stack (``scipy.sparse.linalg``, ``scipy.linalg``), which only a
-sweep whose shifted matrix needs SuperLU loads.  Every check runs in a
-fresh interpreter and reads ``sys.modules``; this one has long since
-imported everything."""
+"""What each command loads: every operator is a numpy ``Banded`` record,
+so no command on the shipped graphs loads any ``scipy`` module, ``sweep``
+at both trace orders included.  Only a sweep whose shifted matrix needs
+SuperLU loads scipy, and then the solver stack (``scipy.sparse``,
+``scipy.sparse.linalg``).  Every check runs in a fresh interpreter and
+reads ``sys.modules``; this one has long since imported everything."""
 
 import json
 import os
@@ -99,23 +98,27 @@ def test_bad_flag_exits_before_scipy():
     ["duality-check", "--graph", STAR, "--levels", "2"],
 ])
 def test_sparse_commands_load_no_solver(argv, tmp_path):
-    code, modules = _fresh(_RUN_CLI, *argv, "--out", str(tmp_path / "out.csv"))
-    assert code == 0
-    assert "scipy.sparse" in modules
-    assert not modules & SOLVER
+    # the limit chain and the duality pairing are Banded records too
+    assert _fresh(_RUN_CLI, *argv, "--out", str(tmp_path / "out.csv")) == (0, set())
 
 
 @pytest.mark.parametrize("graph", [STAR, CHAIN], ids=["star", "chain"])
 @pytest.mark.parametrize("disc", ["fv", "fem"])
 def test_sweep_loads_no_solver(graph, disc, tmp_path):
-    # a default sweep factors its shifted matrices in numpy
-    code, modules = _fresh(
+    # a default sweep assembles and factors its shifted matrices in numpy
+    assert _fresh(
         _RUN_CLI, "sweep", "--graph", graph, "--disc", disc,
         "--out", str(tmp_path / "out.csv"),
-    )
-    assert code == 0
-    assert "scipy.sparse" in modules
-    assert not modules & SOLVER
+    ) == (0, set())
+
+
+@pytest.mark.parametrize("graph", [STAR, CHAIN], ids=["star", "chain"])
+def test_second_order_sweep_loads_no_scipy(graph, tmp_path):
+    # second-order traces rest on the probe solve, not on pivoting
+    assert _fresh(
+        _RUN_CLI, "sweep", "--graph", graph, "--trace-order", "2",
+        "--out", str(tmp_path / "out.csv"),
+    ) == (0, set())
 
 
 def test_sweep_loads_the_solver_for_superlu(tmp_path):

@@ -21,8 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import end_values, make_path, make_star, traced_peak
-from reference import dense_generator
+from reference import convert, dense_generator
 from graphdiff import _stepping, evolution
+from graphdiff._banded import Banded
 from graphdiff.chain import DUAL, PRIMAL, chain_generator, mass_rate, propagator
 from graphdiff.finite_volume import (
     dual_generator,
@@ -106,7 +107,7 @@ def test_fv_edge_mass_rates_are_membrane_imbalances(graph, kappa, order):
     grid = make_grid(graph, 0.2)
     gen = dual_generator(graph, grid, kappa, trace_order=order)
     col = grid.weights(CELLS) @ gen.matrix.toarray()
-    tol = 1e-14 * abs(gen.flux).sum()
+    tol = 1e-14 * np.abs(gen.flux.toarray()).sum()
     for j, e in enumerate(graph.edges):
         passed = sum(e.l_to.values()) + sum(e.r_to.values())
         expected = e.sigma * (passed - e.l - e.r)
@@ -119,7 +120,7 @@ def test_fd_annihilates_constants_iff_conservative(graph, kappa):
     gen = primal_generator(graph, make_grid(graph, 0.2), kappa)
     residual = np.abs(gen.matrix @ np.ones(gen.n)).max()
     if validate(graph).conservative:
-        assert residual <= 1e-13 * abs(gen.matrix).max()
+        assert residual <= 1e-13 * np.abs(gen.matrix.toarray()).max()
     else:
         # a leak of at least 0.1 at sigma >= 0.2 gives 2 sigma leak / h >= 0.2
         assert residual > 1e-3
@@ -131,7 +132,7 @@ def test_p1_conserves_mass_iff_conservative(graph, kappa):
     system = assemble_forms(graph, make_grid(graph, 0.2), kappa)
     rate = np.abs(np.ones(system.n) @ system.flux).max()
     if validate(graph).conservative:
-        scale = abs(system.coupling).max() + abs(kappa * system.diffusion).max()
+        scale = np.abs(system.coupling.toarray()).max() + np.abs((kappa * system.diffusion).toarray()).max()
         assert rate <= 1e-13 * scale
     else:
         # the leaking endpoint's column sums to sigma * leak >= 0.02
@@ -178,7 +179,7 @@ def test_dual_q_weighted_column_identity(graph):
     for j, e in enumerate(graph.edges):
         passed = sum(e.l_to.values()) + sum(e.r_to.values())
         expected = e.sigma * (passed - e.l - e.r)
-        assert col[j] == pytest.approx(expected, abs=1e-14 * np.abs(q).sum())
+        assert col[j] == pytest.approx(expected, abs=1e-14 * np.abs(q.toarray()).sum())
 
 
 @FEW
@@ -186,7 +187,7 @@ def test_dual_q_weighted_column_identity(graph):
 def test_mass_rate_vanishes_iff_conservative(graph):
     rate = np.abs(mass_rate(graph)).max()
     if validate(graph).conservative:
-        assert rate <= 1e-14 * np.abs(chain_generator(graph, DUAL)).sum()
+        assert rate <= 1e-14 * np.abs(chain_generator(graph, DUAL).toarray()).sum()
     else:
         # the leaking edge loses sigma * leak >= 0.02
         assert rate >= 0.02 * (1.0 - 1e-12)
@@ -316,7 +317,7 @@ def test_exchange_derivations_match_loops(graph):
     # Q stores exactly the entries the loop reference fills
     for variant in (DUAL, PRIMAL):
         q = chain_generator(graph, variant)
-        assert sp.issparse(q)
+        assert isinstance(q, Banded)
         assert q.nnz == np.count_nonzero(loop_chain_generator(graph, variant))
 
 
@@ -352,7 +353,7 @@ def _shifted_systems(graph, grid, kappa):
     }
     for name, gen in gens.items():
         yield name, gen.mass, gen.terms
-    yield "chain", lengths, [-(lengths @ chain_generator(graph, DUAL))]
+    yield "chain", convert(lengths), [convert(-(lengths @ convert(chain_generator(graph, DUAL))))]
 
 
 def _outside_rows(matrix):
@@ -441,7 +442,7 @@ def test_large_k_keeps_no_k_by_k_array():
     graph = make_path(400)
     gen = dual_generator(graph, make_grid(graph, 0.05), 10.0, trace_order=2)
     left, terms = _stepping.row_scaled(gen.mass, gen.terms)
-    n, k = gen.n, _outside_rows(left + sum(terms) / 10.0)
+    n, k = gen.n, _outside_rows(convert(left + 0.1 * (terms[0] + terms[1])))
     assert (n, k) == (8000, 798)
     b = np.ones(n)
     peak = traced_peak(lambda: _stepping.shifted_solver(left, terms, 10.0)(b))
@@ -455,13 +456,13 @@ def test_no_rows_outside_the_band_is_the_band_solve(monkeypatch):
     superlu = _superlu_calls(monkeypatch)
     rng = np.random.default_rng(5)
     off = rng.uniform(-1.0, 1.0, (2, 299))
-    tridiagonal = sp.diags([off[0], rng.uniform(3.0, 4.0, 300), off[1]], [-1, 0, 1], format="csr")
+    tridiagonal = convert(sp.diags([off[0], rng.uniform(3.0, 4.0, 300), off[1]], [-1, 0, 1]))
     graph = load_graph(os.path.join(os.path.dirname(__file__), "..", "configs", "chain.json"))
     gen = dual_generator(graph, make_grid(graph, 0.01), 1e4, trace_order=1)
     left, terms = _stepping.row_scaled(gen.mass, gen.terms)
-    for matrix in (tridiagonal, left + sum(terms) / 10.0):
-        assert _outside_rows(matrix) == 0
-        band = _stepping._band_solver(matrix.diagonal(-1), matrix.diagonal(), matrix.diagonal(1))
+    for matrix in (tridiagonal, left + 0.1 * (terms[0] + terms[1])):
+        assert _outside_rows(convert(matrix)) == 0
+        band = _stepping._band_solver(matrix.lower, matrix.diag, matrix.upper)
         solve = _stepping.factor_shifted(matrix)
         for b in (rng.standard_normal(matrix.shape[0]), rng.standard_normal((matrix.shape[0], 3))):
             assert solve(b).tobytes() == band(b).tobytes()
@@ -491,8 +492,8 @@ def test_unstable_band_goes_to_superlu(monkeypatch):
         size = abs(matrix).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
         return np.abs(b - matrix @ x).max() / size / EPS
 
-    assert eta(_stepping.factor_shifted(matrix)(b)) <= 4.0
+    assert eta(_stepping.factor_shifted(convert(matrix))(b)) <= 4.0
     assert len(superlu) == 1
     monkeypatch.setattr(_stepping, "PROBE_MAX_ETA", np.inf)
-    assert eta(_stepping.factor_shifted(matrix)(b)) > 1e6
+    assert eta(_stepping.factor_shifted(convert(matrix))(b)) > 1e6
     assert len(superlu) == 1
