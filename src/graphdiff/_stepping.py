@@ -4,8 +4,8 @@
 discretization assembles them (``_banded.Banded`` records), K as its
 terms (``gen.terms``: kappa S and C), and measures in the M inner
 product.  It is the one route behind ``evolution.propagate`` and both
-sides of a sweep, the limit chain c' = Q c taken as the pair (D, -D Q)
-with D the edge lengths.
+sides of a sweep, the limit chain c' = Q c being finite volumes with
+one cell per edge (``finite_volume.chain_form``).
 
 It runs shift-and-invert Arnoldi for a whole list of times.  The
 positive times are grouped into windows ``t_max <= KRYLOV_WINDOW *

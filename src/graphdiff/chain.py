@@ -3,9 +3,9 @@
 In the fast-diffusion limit a solution flattens on each edge, so the
 state space collapses to one number per edge: the vertices of the line
 graph.  This module builds the projection onto edge-wise averages and the
-limit generator matrix, in its two variants.  Both are the graph's
-endpoint exchange matrix X (``MetricGraph.exchange``) restricted to
-edge sums,
+limit generator matrix, in its two variants: finite volumes with one
+cell per edge (``finite_volume.chain_form``), whose only term is the
+endpoint coupling by the exchange matrix X (``MetricGraph.exchange``),
 
 * ``"dual"``   -- Q = D^-1 R X^T R^T, the flux (adjoint) dynamics; the
   off-diagonal rate into edge i from edge j is sigma_j * (l_ji + r_ji) / d_i,
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._banded import Banded
+from .finite_volume import chain_form
 from .graphs import MetricGraph
 from .grids import EdgeGrid
 
@@ -76,11 +77,7 @@ def chain_generator(graph: MetricGraph, variant: str = DUAL) -> Banded:
     for the edges that edge i meets."""
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    rows, cols, vals = (graph.exchange.T if variant == DUAL else graph.exchange).triplets()
-    # R flow R^T: endpoint 2*edge + side belongs to row/column edge; an
-    # entry sums at most two endpoint pairs, so the order cannot matter
-    rows, cols, vals = Banded.from_triplets(graph.n_edges, rows // 2, cols // 2, vals).triplets()
-    return Banded.from_triplets(graph.n_edges, rows, cols, vals / graph.lengths[rows])
+    return chain_form(graph, adjoint=variant == DUAL).matrix
 
 
 def propagator(q: Banded, t: float) -> np.ndarray:

@@ -4,10 +4,10 @@
 and times, compares each solution against the lifted limit-chain solution
 exp(t Q) P phi0, and reports weighted norms, the mass drift, and the
 minimum value.  Both sides take the same propagator, the limit chain as
-the pair (D, -D Q) with D the edge lengths, and the same edge averages
-P (``EdgeGrid.averaging``).  As kappa grows the error
-columns must shrink: that monotone decrease is the headline empirical
-fact this package exists to demonstrate.
+finite volumes with one cell per edge (``finite_volume.chain_form``),
+and the same edge averages P (``EdgeGrid.averaging``).  As kappa grows
+the error columns must shrink: that monotone decrease is the headline
+empirical fact this package exists to demonstrate.
 
 ``propagate`` has one route: shift-and-invert Krylov
 (``_stepping.krylov_apply``) on the generator's own mass form,
@@ -25,10 +25,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import _stepping, chain, finite_volume, galerkin
-from ._banded import Banded
+from . import _stepping, finite_volume, galerkin
 from .finite_volume import DiscreteGenerator
-from .graphs import MetricGraph
+from .graphs import MetricGraph, require_valid
 from .grids import CELLS, FEM, FV, NODES, EdgeGrid
 
 Norms = namedtuple("Norms", ["l1", "l2", "min", "mass"])
@@ -65,14 +64,6 @@ def propagate(gen: DiscreteGenerator, phi0, t: float) -> np.ndarray:
     shift-and-invert Arnoldi on ``gen.mass`` and ``gen.terms``,
     converged to ``_stepping.KRYLOV_RTOL``."""
     return _stepping.krylov_apply(gen.mass, gen.terms, phi0, [t])[0]
-
-
-def _limit_states(graph: MetricGraph, q: Banded, c0, ts) -> np.ndarray:
-    """exp(tQ) c0, one row per time in ``ts``: the chain c' = Q c is
-    M c' = -K c with (M, K) = (D, -D Q), D the edge lengths."""
-    edges = np.arange(graph.n_edges)
-    lengths = Banded.from_triplets(graph.n_edges, edges, edges, graph.lengths)
-    return _stepping.krylov_apply(lengths, [q.scale_rows(-graph.lengths)], c0, ts)
 
 
 @dataclass(frozen=True)
@@ -145,8 +136,7 @@ def kappa_sweep(
     eps ||phi0||_1 and DRIFT_SHARE_MAX of its err_l1 resolves no 1/kappa
     law and raises ``_stepping.StepControlError``.
     """
-    q = chain.chain_generator(graph, chain.DUAL)
-    conservative = graph.report.conservative
+    conservative = require_valid(graph).conservative
     if discretization not in OWN_NORM:
         raise ValueError(
             f"discretization must be one of {tuple(OWN_NORM)}, got {discretization!r}"
@@ -180,7 +170,8 @@ def kappa_sweep(
     floor = DRIFT_FLOOR * np.finfo(float).eps * norms(start, weights).l1
 
     # the limit-chain states exp(tQ) P phi0, one row per t, and their lifts
-    limits = _limit_states(graph, q, grid.averaging(layout, start), ts)
+    limit = finite_volume.chain_form(graph)
+    limits = _stepping.krylov_apply(limit.mass, limit.terms, grid.averaging(layout, start), ts)
     lifted = np.repeat(limits, np.diff(grid.offsets(layout)), axis=1)
 
     records = []

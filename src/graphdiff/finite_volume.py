@@ -9,8 +9,8 @@ Endpoint traces come from cell values by
 
 * ``trace_order=1``: nearest cell average (nonnegative stencil, so the
   matrix is Metzler and the semigroup positivity-preserving),
-* ``trace_order=2``: linear extrapolation 1.5 v0 - 0.5 v1 (sharper, but
-  positivity may fail).
+* ``trace_order=2``: linear extrapolation 1.5 v0 - 0.5 v1 from two cells
+  per edge at least (sharper, but positivity may fail).
 
 Because fluxes telescope, the weighted row vector w^T A (w = cell widths)
 is supported on boundary cells only and its sum over the cells of edge j
@@ -41,7 +41,8 @@ given; each is a ``_banded.Banded`` record, built without a sparse
 product.  Only S carries kappa, so one assembly serves every kappa.  Each
 builder names only its own choices: cells, X^T and the trace order
 here; nodes and X for the forward side (its coupling is the transpose of
-the adjoint one); nodes, X^T and the P1 mass in ``galerkin``.
+the adjoint one); nodes, X^T and the P1 mass in ``galerkin``; one cell
+per edge for the limit chain (``chain_form``).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
 from ._banded import Banded
-from .graphs import MetricGraph, endpoint_conditions
+from .graphs import MetricGraph, endpoint_conditions, require_valid
 from .grids import CELLS, NODES, EdgeGrid
 
 
@@ -122,12 +123,13 @@ def _assemble(
     trace_order: int = 1, mass=None,
 ) -> DiscreteGenerator:
     """M u' = -(kappa S + C) u on ``layout``, after checking the graph (by
-    building X), the grid against it, ``kappa`` and ``trace_order``, in
-    that order.  S = G^T diag(sigma/h) G (G: neighbour differences inside
-    each edge); C = -E^T Y T with E the selection of each edge's first and
-    last unknown (row 2*edge + side), Y = X^T if ``adjoint`` else X, and
-    T = E for order 1 or the extrapolation 1.5 v0 - 0.5 v1 for order 2;
-    M = diag(w) unless a consistent ``mass`` is given."""
+    building X), the grid against it, ``kappa`` and ``trace_order`` (two
+    unknowns per edge at order 2), in that order.  S = G^T diag(sigma/h) G
+    (G: neighbour differences inside each edge); C = -E^T Y T with E the
+    selection of each edge's first and last unknown (row 2*edge + side),
+    Y = X^T if ``adjoint`` else X, and T = E for order 1 or the
+    extrapolation 1.5 v0 - 0.5 v1 for order 2; M = diag(w) unless a
+    consistent ``mass`` is given."""
     exchange = graph.exchange.T if adjoint else graph.exchange
     if grid.n_edges != graph.n_edges or not np.allclose(
         grid.lengths, graph.lengths, rtol=1e-12, atol=0
@@ -138,6 +140,8 @@ def _assemble(
     if trace_order not in (1, 2):
         raise ValueError(f"trace_order must be 1 or 2, got {trace_order}")
     off = grid.offsets(layout)
+    if trace_order == 2 and np.any(np.diff(off) < 2):
+        raise ValueError(f"trace_order 2 needs 2 cells per edge, got cells {grid.cells.tolist()}")
     n = int(off[-1])
     ends = np.column_stack([off[:-1], off[1:] - 1]).ravel()
     # T as (unknowns, weight) per endpoint: the end unknown, and at order 2
@@ -173,6 +177,14 @@ def primal_generator(graph: MetricGraph, grid: EdgeGrid, kappa: float) -> Discre
     of S into the ghost-node elimination of the transmission condition
     kappa f'(end) = G[i, side](f)."""
     return _assemble(graph, grid, kappa, NODES, adjoint=False)
+
+
+def chain_form(graph: MetricGraph, adjoint: bool = True) -> DiscreteGenerator:
+    """The chain c' = Q c as finite volumes with one cell per edge: S empty,
+    M = D, K = C = -R Y R^T, with Y = X^T (``adjoint``: Q dual) or X."""
+    require_valid(graph)
+    grid = EdgeGrid(graph.lengths, np.ones(graph.n_edges, dtype=int))
+    return _assemble(graph, grid, 1.0, CELLS, adjoint)
 
 
 def duality_defect(

@@ -33,8 +33,8 @@ _MAX_POINTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 @dataclass(frozen=True)
 class EdgeGrid:
-    """Uniform grid per edge: edge i gets cells[i] >= 2 cells of width
-    lengths[i] / cells[i]."""
+    """Uniform grid per edge: edge i gets cells[i] >= 1 cells of width
+    lengths[i] / cells[i]; one per edge is the limit chain's grid."""
 
     lengths: np.ndarray
     cells: np.ndarray
@@ -46,8 +46,8 @@ class EdgeGrid:
             raise ValueError("lengths and cells must be 1-d arrays of equal size")
         if not np.all(np.isfinite(lengths)) or np.any(lengths <= 0):
             raise ValueError(f"edge lengths must be positive and finite, got {lengths}")
-        if np.any(cells < 2):
-            raise ValueError("need at least 2 cells per edge")
+        if np.any(cells < 1):
+            raise ValueError("need at least 1 cell per edge")
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "cells", cells)
 

@@ -6,6 +6,8 @@ by the slow convergence checks are module-scoped; the whole file runs in
 well under a minute.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -17,6 +19,8 @@ from numpy.testing import assert_allclose
 import graphdiff as gd
 from graphdiff import evolution, galerkin
 from graphdiff.chain import propagator
+from graphdiff.finite_volume import chain_form, primal_generator
+from graphdiff.graphs import load_graph
 from graphdiff.grids import CELLS, NODES, EdgeGrid, edge_indicator, make_grid
 from graphdiff.resolvent import resolvent_image_series
 
@@ -293,3 +297,28 @@ def test_criterion_10_growth_bound(star):
                 nt = l2_norm(system, u)
                 assert nt <= np.exp(gamma * t) * n0 * (1.0 + 1e-9)
     print(f"criterion 10: PASS (gamma_emp {values[-1]:.5f}, refinement-stable)")
+
+
+def test_criterion_11_each_side_converges_to_its_own_chain():
+    # forward FD (nodes) tends to Q_primal and adjoint FV (cells) to
+    # Q_dual, each at the rate 1/kappa; each stays away from the other chain
+    star = load_graph(Path(__file__).resolve().parents[1] / "configs" / "star.json")
+    grid = make_grid(star, 0.005)
+    t, c0 = 0.5, np.array([1.0, 2.0, 3.0])
+    chains = {adjoint: evolution.propagate(chain_form(star, adjoint), c0, t)
+              for adjoint in (False, True)}
+    sides = {False: (primal_generator, NODES), True: (gd.dual_generator, CELLS)}
+    ratios, cross = [], np.inf
+    for adjoint, (build, layout) in sides.items():
+        start = np.repeat(c0, np.diff(grid.offsets(layout)))
+        gaps = []
+        for kappa in (1e2, 1e3, 1e4):
+            u = evolution.propagate(build(star, grid, kappa), start, t)
+            avg = grid.averaging(layout, u)
+            gaps.append(float(np.abs(avg - chains[adjoint]).max()))
+            cross = min(cross, float(np.abs(avg - chains[not adjoint]).max()))
+        ratios += [fine / coarse for coarse, fine in zip(gaps, gaps[1:])]
+    assert all(0.09 <= r <= 0.11 for r in ratios)
+    assert cross > 0.1
+    print(f"criterion 11: PASS (per-decade ratios {min(ratios):.4f} to "
+          f"{max(ratios):.4f}, cross distance >= {cross:.3f})")

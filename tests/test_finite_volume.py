@@ -97,6 +97,17 @@ def test_trace_order_validation(star_graph):
         dual_generator(bad, make_grid(star_graph, 0.1), kappa=1.0)
 
 
+def test_second_order_traces_need_two_cells_per_edge(star_graph):
+    # the extrapolation reads a second cell inside every edge; one cell
+    # suffices for everything else
+    grid = EdgeGrid(star_graph.lengths, (1, 4, 4))
+    with pytest.raises(ValueError, match=r"trace_order 2 .*cells \[1, 4, 4\]"):
+        dual_generator(star_graph, grid, kappa=1.0, trace_order=2)
+    assert dual_generator(star_graph, grid, kappa=1.0).n == 9
+    assert primal_generator(star_graph, grid, kappa=1.0).n == 12
+    assert assemble_forms(star_graph, grid, kappa=1.0).n == 12
+
+
 def test_grid_graph_mismatch(star_graph, chain_graph):
     grid = make_grid(chain_graph, 0.1)
     with pytest.raises(ValueError):

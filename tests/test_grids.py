@@ -90,7 +90,7 @@ def test_lift_constants_round_trip(grid):
 
 def test_bad_construction():
     with pytest.raises(ValueError):
-        EdgeGrid(lengths=(1.0,), cells=(1,))          # too coarse
+        EdgeGrid(lengths=(1.0,), cells=(0,))          # too coarse
     with pytest.raises(ValueError):
         EdgeGrid(lengths=(1.0, 1.0), cells=(4,))      # mismatched
     with pytest.raises(ValueError):

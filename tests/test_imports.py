@@ -2,8 +2,10 @@
 so no command on the shipped graphs loads any ``scipy`` module, ``sweep``
 at both trace orders included.  Only a sweep whose shifted matrix needs
 SuperLU loads scipy, and then the solver stack (``scipy.sparse``,
-``scipy.sparse.linalg``).  Every check runs in a fresh interpreter and
-reads ``sys.modules``; this one has long since imported everything."""
+``scipy.sparse.linalg``).  Loading, validating and gridding a graph loads
+no ``graphdiff`` module that assembles or propagates.  Every check runs
+in a fresh interpreter and reads ``sys.modules``; this one has long since
+imported everything."""
 
 import json
 import os
@@ -19,37 +21,42 @@ import graphdiff
 ROOT = Path(__file__).resolve().parents[1]
 STAR = str(ROOT / "configs" / "star.json")
 CHAIN = str(ROOT / "configs" / "chain.json")
+PROBE = str(ROOT / "bench" / "probe.py")
 SOLVER = {"scipy.sparse.linalg", "scipy.linalg"}
+# what loading, validating and gridding a graph needs: the set-up that
+# the benchmark's probe times, before any assembly
+SETUP = {"graphdiff"} | {f"graphdiff.{name}" for name in ("cli", "graphs", "grids", "resolvent")}
 
-# runs one CLI command, then prints its exit code and the scipy modules loaded
+# runs one CLI command, then prints its exit code and the modules loaded
+# from the top-level package named in $PACKAGE
 _RUN_CLI = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 from graphdiff.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
         code = main(sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, [m for m in sys.modules if m.split(".")[0] == "scipy"]]))
+print(json.dumps([code, [m for m in sys.modules if m.split(".")[0] == os.environ["PACKAGE"]]]))
 """
 
 # the set-up probe of the benchmark, in-process, its own output swallowed
 _RUN_PROBE = """
-import contextlib, io, json, runpy, sys
+import contextlib, io, json, os, runpy, sys
 probe = runpy.run_path(sys.argv[1])
 with contextlib.redirect_stdout(io.StringIO()):
     code = probe["main"](sys.argv[2:])
-print(json.dumps([code, [m for m in sys.modules if m.split(".")[0] == "scipy"]]))
+print(json.dumps([code, [m for m in sys.modules if m.split(".")[0] == os.environ["PACKAGE"]]]))
 """
 
 
-def _fresh(script, *args):
-    """Run ``script`` in a new interpreter; the pair it prints as JSON,
-    the second item (module names) as a set."""
+def _fresh(script, *args, package="scipy"):
+    """Run ``script`` in a new interpreter, ``package`` in $PACKAGE; the
+    pair it prints as JSON, the second item (module names) as a set."""
     src = str(Path(graphdiff.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-c", script, *args],
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": src, "PACKAGE": package},
         capture_output=True, text=True, check=True,
     )
     first, modules = json.loads(done.stdout)
@@ -71,9 +78,23 @@ def invalid_path(tmp_path):
     ["resolvent-check"],
 ])
 def test_benchmark_setup_probe_loads_no_scipy(argv):
-    code, modules = _fresh(_RUN_PROBE, str(ROOT / "bench" / "probe.py"), *argv)
+    code, modules = _fresh(_RUN_PROBE, PROBE, *argv)
     assert code == 0
     assert modules == set()
+
+
+@pytest.mark.parametrize("script, argv", [
+    (_RUN_CLI, ["validate", "--graph", STAR]),
+    (_RUN_CLI, ["resolvent-check", "--lambdas", "1e-1,1e-2"]),
+    (_RUN_PROBE, [PROBE, "sweep", "--graph", STAR]),
+    (_RUN_PROBE, [PROBE, "duality-check", "--graph", STAR, "--levels", "2"]),
+], ids=["validate", "resolvent-check", "probe-sweep", "probe-duality-check"])
+def test_setup_loads_only_the_setup_modules(script, argv):
+    # the limit chain is assembled by finite_volume, so a chain import in
+    # the set-up path would put assembly into what the probe times
+    code, modules = _fresh(script, *argv, package="graphdiff")
+    assert code == 0
+    assert modules <= SETUP
 
 
 @pytest.mark.parametrize("argv, exit_code", [
