@@ -28,7 +28,8 @@ One pole serves a bounded range of times only (van den Eshof &
 Hochbruck, SIAM J. Sci. Comput. 27, 2006; Moret & Novati, BIT 44,
 2004): over t in {0.1, 10} a single pole stops at an answer 6e-2 off on
 a 20-edge directed cycle, hence the windows.  The basis grows until,
-for every time of the window, iterates m - 4 and m agree to KRYLOV_RTOL.
+for every time of the window, iterates m - 4 and m agree to KRYLOV_RTOL,
+and every time is then read off that last basis.
 
 The factorization is numpy wherever it can be (``factor_shifted``).
 M + K/gamma is a tridiagonal band T plus the membrane couplings outside
@@ -123,9 +124,9 @@ def krylov_apply(mass, terms, u0: np.ndarray, ts) -> np.ndarray:
     gives ``u0``.  Each window of ``time_windows(ts)`` shares one
     factorization and one basis, which grows until, for every time of the
     window, the iterates at sizes m - 4 and m agree to KRYLOV_RTOL
-    relative to max(|u(t)|, |u0|) in the M norm; a basis of
-    KRYLOV_MAX_DIM vectors without it raises StepControlError naming the
-    unconverged times.
+    relative to max(|u(t)|, |u0|) in the M norm, and every time is then
+    read off that last basis; a basis of KRYLOV_MAX_DIM vectors without
+    it raises StepControlError naming the unconverged times.
     """
     n = mass.n
     u0 = np.asarray(u0, dtype=float)
@@ -141,7 +142,7 @@ def krylov_apply(mass, terms, u0: np.ndarray, ts) -> np.ndarray:
     left, terms = row_scaled(mass, terms)
     solved = {0.0: u0}
     for window in time_windows(ts):
-        solved.update(_krylov_window(mass, left, terms, u0, beta, window))
+        solved.update(zip(window, _krylov_window(mass, left, terms, u0, beta, window)))
     return np.array([solved[t] for t in ts])
 
 
@@ -151,10 +152,10 @@ def row_scaled(mass, terms):
     return mass.scale_rows(scale), [term.scale_rows(scale) for term in terms]
 
 
-def _krylov_window(mass, left, terms, u0, beta, window) -> dict:
-    """{t: u(t)} for the ascending times of one window, on the basis of
-    (left + K/gamma)^-1 left, K the sum of ``terms``: (M + K/gamma)^-1 M,
-    row-scaled by diag(M)."""
+def _krylov_window(mass, left, terms, u0, beta, window) -> np.ndarray:
+    """Rows u(t) for the ascending times of one window, all read off the
+    last basis of (left + K/gamma)^-1 left, K the sum of ``terms``:
+    (M + K/gamma)^-1 M, row-scaled by diag(M)."""
     times = ", ".join(f"{t:g}" for t in window)
     root = math.sqrt(window[0] * window[-1])  # over- or underflows at extreme t
     gamma = SHIFT_T / root if root > 0 else math.inf
@@ -183,9 +184,9 @@ def _krylov_window(mass, left, terms, u0, beta, window) -> dict:
     basis = np.empty((KRYLOV_MAX_DIM + 1, u0.size))
     hess = np.zeros((KRYLOV_MAX_DIM + 1, KRYLOV_MAX_DIM))
     basis[0] = u0 / beta
-    coeffs = {t: [] for t in window}
-    estimate = dict.fromkeys(window, np.inf)
-    done = {}
+    # coefs[m, i]: time i's iterate on the first m vectors, zero-padded
+    coefs = np.zeros((KRYLOV_MAX_DIM + 1, len(window), KRYLOV_MAX_DIM))
+    met = np.zeros(len(window), dtype=bool)
     for j in range(KRYLOV_MAX_DIM):
         w = solve(left @ basis[j])
         # Gram-Schmidt twice keeps the basis orthonormal to round-off
@@ -195,26 +196,16 @@ def _krylov_window(mass, left, terms, u0, beta, window) -> dict:
             hess[: j + 1, j] += h
         m = j + 1
         hess[m, j] = np.sqrt(max(float(w @ (mass @ w)), 0.0))
+        coefs[m, :, :m] = beta * _small_exp_e1(hess[:m, :m], gamma * np.array(window))
+        estimate = np.linalg.norm(coefs[m] - coefs[max(m - KRYLOV_LAG, 0)], axis=1)
+        if m > KRYLOV_LAG:
+            met |= estimate <= KRYLOV_RTOL * np.maximum(np.linalg.norm(coefs[m], axis=1), beta)
         # an invariant subspace makes the current iterates exact
-        invariant = hess[m, j] <= 1e-14 * np.abs(hess[:m, j]).max()
-        todo = [t for t in window if t not in done]
-        rows = beta * _small_exp_e1(hess[:m, :m], gamma * np.array(todo))
-        for t, y in zip(todo, rows):
-            coeffs[t].append(y)
-            if invariant:
-                done[t] = y @ basis[:m]
-            elif m > KRYLOV_LAG:
-                prev = coeffs[t][m - 1 - KRYLOV_LAG]
-                diff = y.copy()
-                diff[: prev.size] -= prev
-                estimate[t] = float(np.linalg.norm(diff))
-                if estimate[t] <= KRYLOV_RTOL * max(float(np.linalg.norm(y)), beta):
-                    done[t] = y @ basis[:m]
-        if len(done) == len(window):
-            return done
+        if met.all() or hess[m, j] <= 1e-14 * np.abs(hess[:m, j]).max():
+            return coefs[m, :, :m] @ basis[:m]
         basis[m] = w / hess[m, j]
     unconverged = ", ".join(
-        f"t={t:g} (last estimate {estimate[t]:.3g})" for t in window if t not in done
+        f"t={t:g} (last estimate {e:.3g})" for t, e, ok in zip(window, estimate, met) if not ok
     )
     raise StepControlError(
         f"Krylov propagator: no convergence to rtol={KRYLOV_RTOL:g} "
@@ -262,12 +253,12 @@ def factor_shifted(matrix):
     probe solve's backward error is at most PROBE_MAX_ETA eps; else, or
     for more rows, SuperLU, which raises RuntimeError if A is singular."""
     n = matrix.n
-    rows = np.unique(matrix.rows)
+    rows, where = np.unique(matrix.rows, return_inverse=True)
     if rows.size <= WOODBURY_MAX_ROWS:
         unit = np.zeros((n, rows.size))  # P
         unit[rows, np.arange(rows.size)] = 1.0
         outside = np.zeros((rows.size, n))  # R
-        np.add.at(outside, (np.searchsorted(rows, matrix.rows), matrix.cols), matrix.vals)
+        np.add.at(outside, (where, matrix.cols), matrix.vals)
         try:
             band = _band_solver(matrix.lower, matrix.diag, matrix.upper)
             spread = band(unit)  # T^-1 P, no larger than the Arnoldi basis

@@ -387,6 +387,49 @@ def test_krylov_basis_grows_as_rtol_tightens(star_graph, monkeypatch):
             assert max(errors) <= 1e-9
 
 
+LONG_TIMES = [0.1, 0.25, 0.5, 1.0, 2.0, 10.0]
+
+
+def _long_star_sweep(disc, phi0):
+    graph = load_graph(Path(__file__).resolve().parents[1] / "configs" / "star.json")
+    grid = make_grid(graph, 0.005)
+    return lambda: kappa_sweep(
+        graph, grid, [1.0, 10.0, 100.0, 1e3, 1e4], LONG_TIMES, phi0, discretization=disc
+    )
+
+
+def test_a_window_reads_every_time_off_one_basis(monkeypatch):
+    # every step evaluates every time of its window, the early times that
+    # met the tolerance included, so all are read off the last basis; a
+    # window's taus are gamma * t, gamma = SHIFT_T / sqrt(t_min t_max)
+    windows = {
+        tuple(w): _stepping.SHIFT_T / np.sqrt(w[0] * w[-1]) * np.array(w)
+        for w in _stepping.time_windows(LONG_TIMES)
+    }
+    _, seen = _captured_hessenbergs(monkeypatch, _long_star_sweep(FV, edge_indicator(0)))
+    visited = set()
+    for _, taus in seen:
+        (window,) = [w for w, want in windows.items()
+                     if want.shape == taus.shape and np.allclose(taus, want)]
+        visited.add(window)
+    assert visited == set(windows)
+
+
+@pytest.mark.parametrize("disc", [FV, FEM])
+def test_early_times_meet_the_tolerance_of_the_last(disc, monkeypatch):
+    # the early times of a window are as accurate as its last: a time read
+    # off the smaller basis where its own iterates first agreed is up to
+    # 4.8e-10 off in min_value against KRYLOV_RTOL = 1e-12
+    sweep = _long_star_sweep(disc, lambda i, x: np.ones_like(np.asarray(x, dtype=float)))
+    got = sweep()
+    monkeypatch.setattr(_stepping, "KRYLOV_RTOL", 1e-12)
+    want = sweep()
+    assert [(r.kappa, r.t) for r in got.records] == [(r.kappa, r.t) for r in want.records]
+    for a, b in zip(got.records, want.records):
+        for field in ("err_l1", "err_l2", "err_projected", "mass_drift", "min_value"):
+            assert abs(getattr(a, field) - getattr(b, field)) <= 1e-10, (a, b, field)
+
+
 class TestStepping:
     def test_cn_converges_on_scalar_problem(self):
         mass = convert(sp.eye(1, format="csr"))

@@ -142,6 +142,19 @@ def test_second_order_sweep_loads_no_scipy(graph, tmp_path):
     ) == (0, set())
 
 
+@pytest.mark.parametrize("graph", [STAR, CHAIN], ids=["star", "chain"])
+@pytest.mark.parametrize("flags", [["--disc", "fv"], ["--disc", "fem"], ["--trace-order", "2"]],
+                         ids=["fv", "fem", "order2"])
+def test_sweep_loads_no_masked_arrays(graph, flags, tmp_path):
+    # np.unique without an index asks numpy.ma whether its input is masked
+    code, modules = _fresh(
+        _RUN_CLI, "sweep", "--graph", graph, *flags, "--out", str(tmp_path / "out.csv"),
+        package="numpy",
+    )
+    assert code == 0
+    assert "numpy.ma" not in modules
+
+
 def test_sweep_loads_the_solver_for_superlu(tmp_path):
     # a 40-edge path at trace order 2 has 78 rows outside the band, more
     # than the numpy factorization takes; the checks above would pass on
