@@ -16,7 +16,6 @@ import importlib
 
 from .graphs import load_graph, validate
 from .grids import FEM, FV, make_grid
-from .resolvent import averaging_limit_check, resolvent_apply
 
 # public name -> the module that defines it, imported on first access
 _SOLVER_NAMES = {
@@ -27,6 +26,8 @@ _SOLVER_NAMES = {
     "duality_defect": "finite_volume",
     "with_dual_conditions": "finite_volume",
     "with_primal_conditions": "finite_volume",
+    "averaging_limit_check": "resolvent",
+    "resolvent_apply": "resolvent",
 }
 
 __version__ = "0.1.0"

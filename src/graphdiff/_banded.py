@@ -91,7 +91,9 @@ class Banded:
         y = self.diag * xt
         y[..., 1:] += self.lower * xt[..., :-1]
         y[..., :-1] += self.upper * xt[..., 1:]
-        if self.rows.size:
+        if self.rows.size and y.ndim == 1:
+            y += np.bincount(self.rows, self.vals * xt[self.cols], self.n)
+        elif self.rows.size:
             bins = np.arange(0, y.size, self.n)[:, None] + self.rows
             y += np.bincount(bins.ravel(), (self.vals * xt[..., self.cols]).ravel(),
                              y.size).reshape(y.shape)

@@ -28,11 +28,12 @@ str cells only.  A command's summary lines go through the same ``_fmt``
 and are printed by ``_summary``: on stdout, or on stderr when the CSV
 takes stdout, so that stdout is then CSV only.
 
-Each command imports the modules it computes with, and none loads scipy:
-every operator is a numpy ``_banded.Banded`` record.  Only a sweep whose
-shifted matrix needs SuperLU (more than ``_stepping.WOODBURY_MAX_ROWS``
-rows outside the band, or pivoting) loads ``scipy.sparse`` and
-``scipy.sparse.linalg``.
+Each command imports the modules it computes with (``resolvent`` and
+``numpy.polynomial`` for ``resolvent-check`` only, ``galerkin`` for a fem
+sweep only), and none loads scipy: every operator is a numpy
+``_banded.Banded`` record.  Only a sweep whose shifted matrix needs SuperLU
+(more than ``_stepping.WOODBURY_MAX_ROWS`` rows outside the band, or
+pivoting) loads ``scipy.sparse`` and ``scipy.sparse.linalg``.
 """
 
 from __future__ import annotations
@@ -45,12 +46,9 @@ import math
 import sys
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
-from . import resolvent
 from .graphs import GraphConfigError, InvalidGraphError, load_graph, validate
 from .grids import FEM, FV, edge_indicator, make_grid
-from .resolvent import AVERAGING_SLACK, FINAL_DISTANCE_MAX
 
 OK, INVALID, IOERR, FAILED, UNCONVERGED, OUT_OF_MEMORY = 0, 1, 2, 3, 4, 5
 
@@ -280,6 +278,8 @@ def cmd_sweep(args) -> int:
 
 
 def _phi_from_flag(flag):
+    from numpy.polynomial import Polynomial
+
     kind, _, rest = flag.partition(":")
     if kind != "poly" or not rest:
         raise GraphConfigError(f"unsupported --phi value {flag!r}")
@@ -292,6 +292,9 @@ def _phi_from_flag(flag):
 
 def cmd_resolvent_check(args) -> int:
     phi = _phi_from_flag(args.phi)
+    from . import resolvent
+    from .resolvent import AVERAGING_SLACK, FINAL_DISTANCE_MAX
+
     # extreme flags overflow; a non-finite distance is reported below
     with np.errstate(over="ignore", invalid="ignore"):
         table = resolvent.averaging_limit_check(args.a, args.b, phi, args.lambdas)

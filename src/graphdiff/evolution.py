@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import _stepping, finite_volume, galerkin
+from . import _stepping, finite_volume
 from .finite_volume import DiscreteGenerator
 from .graphs import MetricGraph, require_valid
 from .grids import CELLS, FEM, FV, NODES, EdgeGrid
@@ -161,6 +161,8 @@ def kappa_sweep(
             graph, grid, kappas[0], trace_order=trace_order
         )
     else:
+        from . import galerkin
+
         layout = NODES
         gen = galerkin.assemble_forms(graph, grid, kappas[0])
 

@@ -29,7 +29,8 @@ other under refinement (the continuum pairing is an exact identity).
 Its test functions are cubics on each edge, held as one (n_edges, 4)
 array of ascending coefficients; ``with_primal_conditions`` and
 ``with_dual_conditions`` fit such an array to the conditions in one
-array operation.
+array operation.  One Horner pass (``_sample``) evaluates them on a whole
+layout, and at the edge ends for the fit, bit for bit as ``polyval``.
 
 All three discretizations (these two and P1 Galerkin in ``galerkin``)
 are ``DiscreteGenerator`` records of the mass form  M u' = -K u  with
@@ -51,7 +52,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyval
 
 from ._banded import Banded
 from .graphs import MetricGraph, endpoint_conditions, require_valid
@@ -187,6 +187,21 @@ def chain_form(graph: MetricGraph, adjoint: bool = True) -> DiscreteGenerator:
     return _assemble(graph, grid, 1.0, CELLS, adjoint)
 
 
+def _sample(grid: EdgeGrid, layout: str, coefs) -> np.ndarray:
+    """``grid.sample`` of ``polyval(x, coefs[i])`` bit for bit: one Horner
+    pass in ``polyval``'s order (c[-1] + x*0, then c[k] + v*x) over the rows
+    of ``coefs`` repeated per point, x formed as ``EdgeGrid.coords`` does."""
+    off = grid.offsets(layout)
+    counts = np.diff(off)
+    local = np.arange(off[-1]) - np.repeat(off[:-1], counts)
+    x = (local + (0.5 if layout == CELLS else 0.0)) * np.repeat(grid.widths, counts)
+    rows = np.repeat(np.asarray(coefs, dtype=float), counts, axis=0)
+    value = rows[:, -1] + x * 0
+    for c in rows[:, -2::-1].T:
+        value = c + value * x
+    return value
+
+
 def duality_defect(
     graph: MetricGraph, grid: EdgeGrid, kappa: float, f, phi, trace_order: int = 1
 ) -> float:
@@ -202,11 +217,8 @@ def duality_defect(
     forward = primal_generator(graph, grid, kappa)
     adjoint = dual_generator(graph, grid, kappa, trace_order=trace_order)
 
-    def sample(coefs, layout):
-        return grid.sample(lambda i, x: polyval(x, coefs[i]), layout)
-
-    f_nodes, phi_nodes = sample(f, NODES), sample(phi, NODES)
-    f_cells, phi_cells = sample(f, CELLS), sample(phi, CELLS)
+    f_nodes, phi_nodes = _sample(grid, NODES, f), _sample(grid, NODES, phi)
+    f_cells, phi_cells = _sample(grid, CELLS, f), _sample(grid, CELLS, phi)
     pair_forward = float(np.sum(grid.weights(NODES) * phi_nodes * (forward.matrix @ f_nodes)))
     pair_adjoint = float(np.sum(grid.weights(CELLS) * (adjoint.matrix @ phi_cells) * f_cells))
     return abs(pair_forward - pair_adjoint)
@@ -228,11 +240,10 @@ def _fit_conditions(graph, kappa, coefs, conditions: Banded) -> np.ndarray:
     if not 0 < kappa < np.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
     d = graph.lengths
-    at_ends = np.stack([np.zeros_like(d), d])
-    ends = polyval(at_ends, coefs.T, tensor=False).T
-    slopes = polyval(at_ends, polyder(coefs, axis=1).T, tensor=False).T
-    # required slopes at (edge, side)
-    targets = (conditions @ ends.ravel()).reshape(-1, 2) / kappa
+    at_ends = EdgeGrid(d, np.ones(graph.n_edges, dtype=int))  # nodes at 0 and d
+    # required slopes at (edge, side), from the end values; the cubics' own
+    targets = (conditions @ _sample(at_ends, NODES, coefs)).reshape(-1, 2) / kappa
+    slopes = _sample(at_ends, NODES, coefs[:, 1:] * (1, 2, 3)).reshape(-1, 2)
     alpha, beta = (targets - slopes).T
     # value 0 at both ends; slopes (1, 0) and (0, 1) at (0, d)
     zero, one = np.zeros_like(d), np.ones_like(d)

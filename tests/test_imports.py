@@ -3,9 +3,11 @@ so no command on the shipped graphs loads any ``scipy`` module, ``sweep``
 at both trace orders included.  Only a sweep whose shifted matrix needs
 SuperLU loads scipy, and then the solver stack (``scipy.sparse``,
 ``scipy.sparse.linalg``).  Loading, validating and gridding a graph loads
-no ``graphdiff`` module that assembles or propagates.  Every check runs
-in a fresh interpreter and reads ``sys.modules``; this one has long since
-imported everything."""
+no ``graphdiff`` module that assembles or propagates, and each command
+loads exactly the ``graphdiff`` modules it computes with: only
+``resolvent-check`` loads ``graphdiff.resolvent`` and
+``numpy.polynomial``.  Every check runs in a fresh interpreter and reads
+``sys.modules``; this one has long since imported everything."""
 
 import json
 import os
@@ -25,10 +27,10 @@ PROBE = str(ROOT / "bench" / "probe.py")
 SOLVER = {"scipy.sparse.linalg", "scipy.linalg"}
 # what loading, validating and gridding a graph needs: the set-up that
 # the benchmark's probe times, before any assembly
-SETUP = {"graphdiff"} | {f"graphdiff.{name}" for name in ("cli", "graphs", "grids", "resolvent")}
+SETUP = {"graphdiff"} | {f"graphdiff.{name}" for name in ("cli", "graphs", "grids")}
 
 # runs one CLI command, then prints its exit code and the modules loaded
-# from the top-level package named in $PACKAGE
+# from the top-level packages named in $PACKAGE (comma-separated)
 _RUN_CLI = """
 import contextlib, io, json, os, sys
 from graphdiff.cli import main
@@ -37,7 +39,8 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         code = main(sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, [m for m in sys.modules if m.split(".")[0] == os.environ["PACKAGE"]]]))
+print(json.dumps([code, [m for m in sys.modules
+                         if m.split(".")[0] in os.environ["PACKAGE"].split(",")]]))
 """
 
 # the set-up probe of the benchmark, in-process, its own output swallowed
@@ -85,16 +88,41 @@ def test_benchmark_setup_probe_loads_no_scipy(argv):
 
 @pytest.mark.parametrize("script, argv", [
     (_RUN_CLI, ["validate", "--graph", STAR]),
-    (_RUN_CLI, ["resolvent-check", "--lambdas", "1e-1,1e-2"]),
+    (_RUN_PROBE, [PROBE, "resolvent-check"]),
     (_RUN_PROBE, [PROBE, "sweep", "--graph", STAR]),
     (_RUN_PROBE, [PROBE, "duality-check", "--graph", STAR, "--levels", "2"]),
-], ids=["validate", "resolvent-check", "probe-sweep", "probe-duality-check"])
+], ids=["validate", "probe-resolvent-check", "probe-sweep", "probe-duality-check"])
 def test_setup_loads_only_the_setup_modules(script, argv):
     # the limit chain is assembled by finite_volume, so a chain import in
     # the set-up path would put assembly into what the probe times
     code, modules = _fresh(script, *argv, package="graphdiff")
     assert code == 0
     assert modules <= SETUP
+
+
+# the graphdiff modules beyond SETUP that assemble, and that propagate
+ASSEMBLY = {"graphdiff._banded", "graphdiff.finite_volume"}
+PROPAGATION = ASSEMBLY | {"graphdiff._stepping", "graphdiff.evolution"}
+
+
+@pytest.mark.parametrize("argv, loaded, polynomial", [
+    (["validate", "--graph", STAR], set(), False),
+    (["limit-q", "--graph", STAR], ASSEMBLY | {"graphdiff.chain"}, False),
+    (["sweep", "--graph", STAR, "--disc", "fv"], PROPAGATION, False),
+    (["sweep", "--graph", STAR, "--disc", "fem"], PROPAGATION | {"graphdiff.galerkin"}, False),
+    (["sweep", "--graph", STAR, "--trace-order", "2"], PROPAGATION, False),
+    (["duality-check", "--graph", STAR, "--levels", "2"], ASSEMBLY, False),
+    (["duality-check", "--graph", STAR, "--levels", "2", "--trace-order", "2"], ASSEMBLY, False),
+    (["resolvent-check", "--lambdas", "1e-1,1e-2"], {"graphdiff.resolvent"}, True),
+], ids=["validate", "limit-q", "sweep-fv", "sweep-fem", "sweep-order2", "duality-check",
+        "duality-check-order2", "resolvent-check"])
+def test_each_command_loads_exactly_its_modules(argv, loaded, polynomial, tmp_path):
+    # the duality cubics are sampled by finite_volume's own Horner pass
+    out = [] if argv[0] == "validate" else ["--out", str(tmp_path / "out.csv")]
+    code, modules = _fresh(_RUN_CLI, *argv, *out, package="graphdiff,numpy")
+    assert code == 0
+    assert {m for m in modules if m.split(".")[0] == "graphdiff"} == SETUP | loaded
+    assert ("numpy.polynomial" in modules) == polynomial
 
 
 @pytest.mark.parametrize("argv, exit_code", [

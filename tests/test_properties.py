@@ -1,6 +1,7 @@
 """Structural invariants on random valid graphs, the derivations from
-the endpoint exchange matrix against their loop references, and the
-backward error of the propagator's shifted solve.
+the endpoint exchange matrix against their loop references, the packed
+Horner sampling of cubics against numpy's ``polyval``, and the backward
+error of the propagator's shifted solve.
 
 The strategy builds graphs that are admissible by construction: every
 pass-through coefficient targets an edge touching the same vertex, and
@@ -12,6 +13,7 @@ import dataclasses
 import glob
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,10 +21,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.polynomial.polynomial import polyval
 
 from conftest import end_values, make_path, make_star, traced_peak
 from reference import convert, dense_generator
-from graphdiff import _stepping
+from graphdiff import _stepping, finite_volume
 from graphdiff._banded import Banded
 from graphdiff.chain import DUAL, PRIMAL, chain_generator, mass_rate, propagator
 from graphdiff.finite_volume import (
@@ -45,7 +49,7 @@ from graphdiff.graphs import (
     trace_functionals,
     validate,
 )
-from graphdiff.grids import CELLS, make_grid
+from graphdiff.grids import CELLS, NODES, EdgeGrid, make_grid
 
 EPS = np.finfo(float).eps
 
@@ -170,6 +174,45 @@ def test_fits_meet_the_endpoint_conditions(graph, kappa, seed):
         assert np.abs(ends - end_values(raw, graph.lengths)).max() <= 1e-12 * scale
         want = (endpoint_conditions(graph, flow) @ ends.ravel()).reshape(-1, 2)
         assert np.abs(end_values(coefs, graph.lengths, 1) - want / kappa).max() <= 1e-12 * scale
+
+
+@st.composite
+def grids_and_cubics(draw):
+    """A grid of 1 to 6 edges, one-cell edges included, and one row of
+    cubic coefficients per edge."""
+    n = draw(st.integers(1, 6))
+    lengths = draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n))
+    cells = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    coefs = draw(arrays(float, (n, 4), elements=st.floats(-1e6, 1e6)))
+    return EdgeGrid(np.array(lengths), np.array(cells)), coefs
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(grids_and_cubics())
+def test_packed_horner_sampling_is_per_edge_polyval(case):
+    grid, coefs = case
+    for layout in (CELLS, NODES):
+        per_edge = grid.sample(lambda i, x: polyval(x, coefs[i]), layout)
+        assert np.array_equal(finite_volume._sample(grid, layout, coefs), per_edge)
+
+
+@FEW
+@given(valid_graphs(), KAPPAS, st.integers(0, 2**32 - 1))
+def test_fit_reads_ends_and_slopes_as_polyval_does(graph, kappa, seed):
+    # the fit samples twice: the raw cubics' end values, then their slopes
+    raw = np.random.default_rng(seed).uniform(-1.0, 1.0, (graph.n_edges, 4))
+    sample, seen = finite_volume._sample, []
+
+    def recording(*args):
+        seen.append(sample(*args))
+        return seen[-1]
+
+    for fit in (with_primal_conditions, with_dual_conditions):
+        with mock.patch.object(finite_volume, "_sample", recording):
+            fit(graph, kappa, raw)
+        ends, slopes = seen[-2:]
+        assert np.array_equal(ends.reshape(-1, 2), end_values(raw, graph.lengths))
+        assert np.array_equal(slopes.reshape(-1, 2), end_values(raw, graph.lengths, 1))
 
 
 @FEW
