@@ -23,10 +23,12 @@ below 1, are parse failures.
 This module alone formats output.  Every CSV goes through ``_write_csv``
 and is deterministic: a header row, fixed column order, ``\n`` line ends,
 numbers printed by ``_fmt`` with 17 significant digits (they round-trip
-exactly).  Each producer formats its own cells, so the writer takes
-str cells only.  A command's summary lines go through the same ``_fmt``
-and are printed by ``_summary``: on stdout, or on stderr when the CSV
-takes stdout, so that stdout is then CSV only.
+exactly).  The sweep CSV is its result's kappa-by-t table row by row,
+ordered by (kappa, t) whatever the order of ``--t``.  Each producer
+formats its own cells, so the writer takes str cells only.  A command's
+summary lines go through the same ``_fmt`` and are printed by
+``_summary``: on stdout, or on stderr when the CSV takes stdout, so that
+stdout is then CSV only.
 
 Each command imports the modules it computes with (``resolvent`` and
 ``numpy.polynomial`` for ``resolvent-check`` only, ``galerkin`` for a fem
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import math
 import sys
@@ -252,29 +253,21 @@ def cmd_sweep(args) -> int:
     from . import _stepping, evolution
 
     try:
-        result = evolution.kappa_sweep(
-            graph,
-            grid,
-            args.kappa,
-            args.t,
-            phi0,
-            discretization=args.disc,
-            trace_order=args.trace_order,
-        )
+        result = evolution.kappa_sweep(graph, grid, args.kappa, args.t, phi0,
+                                       discretization=args.disc, trace_order=args.trace_order)
     except _stepping.StepControlError as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
         return UNCONVERGED
-    # kappa_sweep orders the records by (kappa, t)
-    rows = (map(_fmt, dataclasses.astuple(record)) for record in result.records)
-    _write_csv(args.out, evolution.CSV_COLUMNS, rows)
+    rows = result.table.reshape(-1, len(evolution.CSV_COLUMNS)).tolist()
+    _write_csv(args.out, evolution.CSV_COLUMNS, (map(_fmt, row) for row in rows))
     say = _summary(args.out)
-    for t in result.times():
-        errs = result.errors(t)
+    verdicts = result.nonincreasing()
+    for t, ok in zip(result.times(), verdicts):
         say(
-            f"t={_fmt(t)}: err {' -> '.join(_fmt(e) for e in errs)}"
-            f" ({'nonincreasing' if result.nonincreasing_at(t) else 'NOT nonincreasing'})"
+            f"t={_fmt(t)}: err {' -> '.join(_fmt(e) for e in result.errors(t))}"
+            f" ({'nonincreasing' if ok else 'NOT nonincreasing'})"
         )
-    return OK if result.errors_nonincreasing() else FAILED
+    return OK if verdicts.all() else FAILED
 
 
 def _phi_from_flag(flag):

@@ -3,11 +3,12 @@
 ``kappa_sweep`` runs the discrete semigroup for a list of kappa values
 and times, compares each solution against the lifted limit-chain solution
 exp(t Q) P phi0, and reports weighted norms, the mass drift, and the
-minimum value.  Both sides take the same propagator, the limit chain as
-finite volumes with one cell per edge (``finite_volume.chain_form``),
-and the same edge averages P (``EdgeGrid.averaging``).  As kappa grows
-the error columns must shrink: that monotone decrease is the headline
-empirical fact this package exists to demonstrate.
+minimum value on a kappa-by-t grid.  Both sides take the same propagator,
+the limit chain as finite volumes with one cell per edge
+(``finite_volume.chain_form``), and the same edge averages P
+(``EdgeGrid.averaging``).  As kappa grows the error must shrink at
+every t: that monotone decrease is the headline empirical fact this
+package exists to demonstrate.
 
 ``propagate`` has one route: shift-and-invert Krylov
 (``_stepping.krylov_apply``) on the generator's own mass form,
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,18 +45,16 @@ DRIFT_FLOOR = 300.0
 
 def norms(values, weights) -> Norms:
     """Weighted L1 and L2 norms, minimum, and signed mass of a packed
-    grid function."""
+    grid function, or of each of a stack of them along the last axis."""
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if values.shape != weights.shape:
-        raise ValueError(
-            f"values {values.shape} and weights {weights.shape} do not match"
-        )
+    if values.shape[-1:] != weights.shape:
+        raise ValueError(f"values {values.shape} and weights {weights.shape} do not match")
     return Norms(
-        l1=float(np.sum(weights * np.abs(values))),
-        l2=float(np.sqrt(np.sum(weights * values**2))),
-        min=float(np.min(values)),
-        mass=float(np.sum(weights * values)),
+        l1=np.sum(weights * np.abs(values), axis=-1),
+        l2=np.sqrt(np.sum(weights * values**2, axis=-1)),
+        min=np.min(values, axis=-1),
+        mass=np.sum(weights * values, axis=-1),
     )
 
 
@@ -66,47 +65,38 @@ def propagate(gen: DiscreteGenerator, phi0, t: float) -> np.ndarray:
     return _stepping.krylov_apply(gen.mass, gen.terms, phi0, [t])[0]
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    kappa: float
-    t: float
-    err_l1: float
-    err_l2: float
-    err_projected: float
-    mass_drift: float
-    min_value: float
-
-
 # the columns of the sweep CSV
-CSV_COLUMNS = tuple(f.name for f in fields(SweepRecord))
+CSV_COLUMNS = ("kappa", "t", "err_l1", "err_l2", "err_projected", "mass_drift", "min_value")
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    records: tuple
+    """The sweep as one read-only (n_kappa, n_t, len(CSV_COLUMNS)) array:
+    kappas increasing, times ascending, columns as in ``CSV_COLUMNS``."""
+
+    table: np.ndarray
     discretization: str
 
-    def errors(self, t: float, metric: str = None) -> np.ndarray:
-        """Error column at fixed t, kappa-ordered.  Default metric is the
-        discretization's own norm (``OWN_NORM``)."""
-        metric = metric or f"err_{OWN_NORM[self.discretization]}"
-        rows = sorted(
-            (r for r in self.records if r.t == t), key=lambda r: r.kappa
-        )
-        return np.array([getattr(r, metric) for r in rows])
-
     def times(self):
-        return sorted({r.t for r in self.records})
+        return self.table[0, :, 1].tolist()
 
-    def nonincreasing_at(self, t: float) -> bool:
-        """Does the error at time t, in the discretization's own norm,
+    def _column(self, metric: str = None) -> np.ndarray:
+        # (n_kappa, n_t); by default the error in the own norm (OWN_NORM)
+        metric = metric or f"err_{OWN_NORM[self.discretization]}"
+        return self.table[..., CSV_COLUMNS.index(metric)]
+
+    def errors(self, t: float, metric: str = None) -> np.ndarray:
+        """Error column at a swept time t, kappa-ordered."""
+        hits = np.flatnonzero(self.table[0, :, 1] == t)
+        if not hits.size:
+            raise ValueError(f"t={t:g} was not swept; the swept times are {self.times()}")
+        return self._column(metric)[:, hits[0]]
+
+    def nonincreasing(self) -> np.ndarray:
+        """Each time's verdict, in ``times()`` order: does the own-norm error
         shrink (weakly) along kappa, up to NONINCREASING_SLACK relative?"""
-        e = self.errors(t)
-        return bool(np.all(e[1:] <= e[:-1] + NONINCREASING_SLACK * (1.0 + e[:-1])))
-
-    def errors_nonincreasing(self) -> bool:
-        """Does the error shrink (weakly) along kappa for every t?"""
-        return all(self.nonincreasing_at(t) for t in self.times())
+        e = self._column()
+        return np.all(e[1:] <= e[:-1] + NONINCREASING_SLACK * (1.0 + e[:-1]), axis=0)
 
 
 def kappa_sweep(
@@ -130,9 +120,10 @@ def kappa_sweep(
     assembled once, at the first kappa; every other kappa only rescales
     its diffusion form S, in ``replace(gen, kappa=kappa).terms``, and
     each kappa is propagated to all times in one call, which factors once
-    per window of times.  The limit chain c' = Q c is propagated the same
-    way, in one call for all times.  On a conservative graph the mass
-    drift is propagator error alone: a row whose drift exceeds DRIFT_FLOOR
+    per window of times and measured in one array pass.  The limit chain
+    c' = Q c is propagated the same way, in one call for all times.  On a
+    conservative graph the mass drift is propagator error alone: the first
+    row, in the order of ``ts``, whose drift exceeds DRIFT_FLOOR
     eps ||phi0||_1 and DRIFT_SHARE_MAX of its err_l1 resolves no 1/kappa
     law and raises ``_stepping.StepControlError``.
     """
@@ -157,9 +148,7 @@ def kappa_sweep(
     # assembled once: every other kappa only rescales the diffusion form
     if discretization == FV:
         layout = CELLS
-        gen = finite_volume.dual_generator(
-            graph, grid, kappas[0], trace_order=trace_order
-        )
+        gen = finite_volume.dual_generator(graph, grid, kappas[0], trace_order=trace_order)
     else:
         from . import galerkin
 
@@ -176,32 +165,27 @@ def kappa_sweep(
     limits = _stepping.krylov_apply(limit.mass, limit.terms, grid.averaging(layout, start), ts)
     lifted = np.repeat(limits, np.diff(grid.offsets(layout)), axis=1)
 
-    records = []
-    for kappa in kappas:
+    order = np.argsort(ts)
+    table = np.empty((len(kappas), len(ts), len(CSV_COLUMNS)))
+    for k, kappa in enumerate(kappas):
         sols = _stepping.krylov_apply(gen.mass, replace(gen, kappa=kappa).terms, start, ts)
+        err = norms(sols - lifted, weights)
         # the gap between the two chain states, normed like the edges
-        gaps = grid.averaging(layout, sols) - limits
-        for t, sol, lift, gap in zip(ts, sols, lifted, gaps):
-            err = norms(sol - lift, weights)
-            perr = norms(gap, grid.lengths)
-            drift = float(np.sum(weights * sol)) - mass0
-            if conservative and abs(drift) > max(floor, DRIFT_SHARE_MAX * err.l1):
-                share = abs(drift) / err.l1 if err.l1 > 0 else math.inf
-                raise _stepping.StepControlError(
-                    f"|mass_drift| / err_l1 = {share:.3g} >= {DRIFT_SHARE_MAX:g} (mass_drift "
-                    f"{drift:.3g}, err_l1 {err.l1:.3g}) at kappa={kappa:g}, t={t:g}: the error "
-                    f"is the propagator's own, past the resolved kappa range"
-                )
-            records.append(
-                SweepRecord(
-                    kappa=kappa,
-                    t=t,
-                    err_l1=err.l1,
-                    err_l2=err.l2,
-                    err_projected=getattr(perr, OWN_NORM[discretization]),
-                    mass_drift=drift,
-                    min_value=float(np.min(sol)),
-                )
+        perr = norms(grid.averaging(layout, sols) - limits, grid.lengths)
+        drift = np.sum(weights * sols, axis=-1) - mass0
+        # fmax: a nan err_l1 leaves the floor as the bound
+        bad = np.flatnonzero(np.abs(drift) > np.fmax(floor, DRIFT_SHARE_MAX * err.l1))
+        if conservative and bad.size:
+            i = bad[0]
+            share = abs(drift[i]) / err.l1[i] if err.l1[i] > 0 else math.inf
+            raise _stepping.StepControlError(
+                f"|mass_drift| / err_l1 = {share:.3g} >= {DRIFT_SHARE_MAX:g} (mass_drift "
+                f"{drift[i]:.3g}, err_l1 {err.l1[i]:.3g}) at kappa={kappa:g}, t={ts[i]:g}: the "
+                f"error is the propagator's own, past the resolved kappa range"
             )
-    records.sort(key=lambda r: (r.kappa, r.t))
-    return SweepResult(records=tuple(records), discretization=discretization)
+        table[k] = np.column_stack([
+            np.full(len(ts), kappa), ts, err.l1, err.l2,
+            getattr(perr, OWN_NORM[discretization]), drift, np.min(sols, axis=-1),
+        ])[order]
+    table.flags.writeable = False
+    return SweepResult(table=table, discretization=discretization)

@@ -392,6 +392,48 @@ def test_sweep_csv_is_deterministic(star_path, tmp_path, disc):
     assert rows == [[k, t] for k in ("1", "100") for t in ("0", "0.25", "0.5", "2")]
 
 
+@pytest.mark.parametrize("disc", ["fv", "fem"])
+def test_sweep_csv_ignores_the_order_of_the_times(star_path, tmp_path, disc):
+    outs = [tmp_path / f"{k}.csv" for k in range(2)]
+    for out, ts in zip(outs, ("2,0.5,1,0.25", "0.25,0.5,1,2")):
+        code = main(["sweep", "--graph", star_path, "--disc", disc, "--h", "0.05",
+                     "--kappa", "1,10,100", "--t", ts, "--out", str(out)])
+        assert code == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("disc", ["fv", "fem"])
+@pytest.mark.parametrize("ts", ["2,1", "1,2"])
+def test_drift_guard_names_the_first_row_in_the_given_order(star_path, tmp_path, disc, ts,
+                                                            capsys):
+    # both rows at kappa = 1e10 are drift-dominated; the message names the
+    # first of them in the order --t gave them
+    code = main(["sweep", "--graph", star_path, "--disc", disc, "--kappa", "1e10",
+                 "--t", ts, "--out", str(tmp_path / "x.csv")])
+    assert code == 4
+    (err,) = capsys.readouterr().err.splitlines()
+    assert f"at kappa=1e+10, t={ts.split(',')[0]}:" in err
+
+
+def test_sweep_exits_failed_naming_each_time_that_grows(star_path, tmp_path, monkeypatch,
+                                                        capsys):
+    # at t = 1 the error grows from kappa 1 to 10: that line says so, and
+    # the sweep exits 3 after writing every row
+    table = np.array([
+        [[1.0, 1.0, 0.5, 0.5, 0.4, 0.0, 0.0], [1.0, 2.0, 0.5, 0.5, 0.4, 0.0, 0.0]],
+        [[10.0, 1.0, 0.7, 0.7, 0.6, 0.0, 0.0], [10.0, 2.0, 0.3, 0.3, 0.2, 0.0, 0.0]],
+    ])
+    monkeypatch.setattr(evolution, "kappa_sweep",
+                        lambda *a, **k: evolution.SweepResult(table, "fv"))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--graph", star_path, "--out", str(out)]) == 3
+    assert len(out.read_text().splitlines()) == 5
+    assert capsys.readouterr().out.splitlines() == [
+        "t=1: err 0.5 -> 0.69999999999999996 (NOT nonincreasing)",
+        "t=2: err 0.5 -> 0.29999999999999999 (nonincreasing)",
+    ]
+
+
 def test_repeated_time_is_clean_error(star_path, tmp_path, capsys):
     # a repeated time would write two identical rows that read as two
     # kappas in the summary; like a decreasing kappa list it is an input

@@ -10,9 +10,9 @@ from graphdiff import _stepping, chain
 from graphdiff.chain import DUAL, chain_generator, propagator
 from graphdiff.cli import main
 from graphdiff.evolution import (
+    CSV_COLUMNS,
     FEM,
     FV,
-    SweepRecord,
     SweepResult,
     kappa_sweep,
     norms,
@@ -33,8 +33,14 @@ def test_norms_basics():
     assert n.l2 == pytest.approx(np.sqrt(0.5 + 2.0))
     assert n.min == -2.0
     assert n.mass == pytest.approx(-0.5)
+    # a stack along the last axis is measured row by row
+    stacked = norms([[1.0, -2.0], [3.0, 0.25]], [0.5, 0.5])
+    for field, row in zip(stacked, zip(n, norms([3.0, 0.25], [0.5, 0.5]))):
+        assert field.tolist() == list(row)
     with pytest.raises(ValueError):
         norms([1.0], [0.5, 0.5])
+    with pytest.raises(ValueError):
+        norms([[1.0, 2.0]], [0.5, 0.5, 0.5])
 
 
 def test_propagate_zero_time_is_identity(star_graph):
@@ -424,10 +430,9 @@ def test_early_times_meet_the_tolerance_of_the_last(disc, monkeypatch):
     got = sweep()
     monkeypatch.setattr(_stepping, "KRYLOV_RTOL", 1e-12)
     want = sweep()
-    assert [(r.kappa, r.t) for r in got.records] == [(r.kappa, r.t) for r in want.records]
-    for a, b in zip(got.records, want.records):
-        for field in ("err_l1", "err_l2", "err_projected", "mass_drift", "min_value"):
-            assert abs(getattr(a, field) - getattr(b, field)) <= 1e-10, (a, b, field)
+    # the same (kappa, t) grid, and every measured column within 1e-10
+    assert np.array_equal(got.table[..., :2], want.table[..., :2])
+    assert np.max(np.abs(got.table[..., 2:] - want.table[..., 2:])) <= 1e-10
 
 
 class TestStepping:
@@ -493,18 +498,26 @@ def _run_small_sweep(graph, disc=FV, **kw):
     )
 
 
-def test_sweep_record_layout(star_graph):
+def test_sweep_table_layout(star_graph):
     res = _run_small_sweep(star_graph)
     assert res.discretization == FV
-    assert len(res.records) == 6
+    assert res.table.shape == (3, 2, len(CSV_COLUMNS))
     assert res.times() == [0.5, 1.0]
-    ks = [r.kappa for r in res.records]
-    assert ks == sorted(ks)
+    assert np.array_equal(res.table[..., 0], [[1.0, 1.0], [10.0, 10.0], [100.0, 100.0]])
+    assert np.array_equal(res.table[..., 1], [[0.5, 1.0]] * 3)
+    assert not res.table.flags.writeable
+
+
+@pytest.mark.parametrize("t", [3.0, 0.75])
+def test_errors_at_an_unswept_time_raise(star_graph, t):
+    res = _run_small_sweep(star_graph)
+    with pytest.raises(ValueError, match=rf"t={t:g} .*\[0\.5, 1\.0\]"):
+        res.errors(t)
 
 
 def test_sweep_errors_decrease_with_kappa(star_graph):
     res = _run_small_sweep(star_graph)
-    assert res.errors_nonincreasing()
+    assert res.nonincreasing().tolist() == [True, True]
     for t in res.times():
         e = res.errors(t)
         assert e[0] > e[-1]
@@ -516,8 +529,8 @@ def test_sweep_errors_decrease_with_kappa(star_graph):
 
 def test_sweep_fem_path(star_graph):
     res = _run_small_sweep(star_graph, disc=FEM)
-    assert res.errors_nonincreasing()
-    assert all(np.isfinite(r.err_l2) for r in res.records)
+    assert res.nonincreasing().all()
+    assert np.all(np.isfinite(res.table[..., CSV_COLUMNS.index("err_l2")]))
 
 
 def test_sweep_sealed_edge_errors_track_flattening(sealed_edge):
@@ -528,12 +541,12 @@ def test_sweep_sealed_edge_errors_track_flattening(sealed_edge):
                       lambda e, x: np.cos(np.pi * x))
     e = res.errors(0.5)
     assert e[0] > e[-1]
-    assert res.errors_nonincreasing()
+    assert res.nonincreasing().all()
 
 
 def test_sweep_conserves_mass_when_conservative(star_graph):
     res = _run_small_sweep(star_graph)
-    assert max(abs(r.mass_drift) for r in res.records) <= 1e-10
+    assert np.max(np.abs(res.table[..., CSV_COLUMNS.index("mass_drift")])) <= 1e-10
 
 
 def test_sweep_validates_arguments(star_graph):
@@ -585,15 +598,14 @@ def test_sweep_csv_format(star_graph, tmp_path):
             assert format(float(tok), ".17g") == tok
 
 
-def test_errors_nonincreasing_detects_regression():
-    rec = [
-        SweepRecord(kappa=1.0, t=1.0, err_l1=0.5, err_l2=0.5,
-                    err_projected=0.4, mass_drift=0.0, min_value=0.0),
-        SweepRecord(kappa=10.0, t=1.0, err_l1=0.7, err_l2=0.7,
-                    err_projected=0.6, mass_drift=0.0, min_value=0.0),
-    ]
-    res = SweepResult(records=tuple(rec), discretization=FV)
-    assert not res.errors_nonincreasing()
+def test_nonincreasing_detects_regression():
+    # at t = 1 the error grows from kappa 1 to 10; at t = 2 it shrinks
+    table = np.array([
+        [[1.0, 1.0, 0.5, 0.5, 0.4, 0.0, 0.0], [1.0, 2.0, 0.5, 0.5, 0.4, 0.0, 0.0]],
+        [[10.0, 1.0, 0.7, 0.7, 0.6, 0.0, 0.0], [10.0, 2.0, 0.3, 0.3, 0.2, 0.0, 0.0]],
+    ])
+    res = SweepResult(table=table, discretization=FV)
+    assert res.nonincreasing().tolist() == [False, True]
 
 
 def test_sweep_limit_solution_is_the_projection(star_graph):
@@ -615,7 +627,7 @@ def test_sweep_never_forms_the_dense_chain_propagator(star_graph, monkeypatch):
 
     expected = _run_small_sweep(star_graph)
     monkeypatch.setattr(chain, "propagator", refuse)
-    assert _run_small_sweep(star_graph) == expected
+    assert np.array_equal(_run_small_sweep(star_graph).table, expected.table)
 
 
 @pytest.mark.parametrize("graph", ["star", "leaky_star", "chain_config"])

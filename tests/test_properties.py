@@ -29,6 +29,7 @@ from reference import convert, dense_generator
 from graphdiff import _stepping, finite_volume
 from graphdiff._banded import Banded
 from graphdiff.chain import DUAL, PRIMAL, chain_generator, mass_rate, propagator
+from graphdiff.evolution import FEM, FV, OWN_NORM, kappa_sweep, norms
 from graphdiff.finite_volume import (
     chain_form,
     dual_generator,
@@ -49,7 +50,7 @@ from graphdiff.graphs import (
     trace_functionals,
     validate,
 )
-from graphdiff.grids import CELLS, NODES, EdgeGrid, make_grid
+from graphdiff.grids import CELLS, NODES, EdgeGrid, edge_indicator, make_grid
 
 EPS = np.finfo(float).eps
 
@@ -250,6 +251,46 @@ def test_sweep_limit_states_match_the_dense_propagator(graph, data):
     got = _stepping.krylov_apply(limit.mass, limit.terms, c0, ts)
     for t, row in zip(ts, got):
         assert np.sum(graph.lengths * np.abs(row - propagator(q, t) @ c0)) <= 1e-12
+
+
+def _row_at_a_time_sweep(graph, grid, kappas, ts, disc):
+    # the sweep's loop before it measured each kappa's times in one
+    # array pass: one norms call per (kappa, t) row
+    layout = CELLS if disc == FV else NODES
+    if disc == FV:
+        gen = dual_generator(graph, grid, kappas[0])
+    else:
+        gen = assemble_forms(graph, grid, kappas[0])
+    start = grid.sample(edge_indicator(0), layout)
+    weights = grid.weights(layout)
+    mass0 = float(np.sum(weights * start))
+    limit = chain_form(graph)
+    limits = _stepping.krylov_apply(limit.mass, limit.terms, grid.averaging(layout, start), ts)
+    lifted = np.repeat(limits, np.diff(grid.offsets(layout)), axis=1)
+    rows = []
+    for kappa in kappas:
+        sols = _stepping.krylov_apply(
+            gen.mass, dataclasses.replace(gen, kappa=kappa).terms, start, ts
+        )
+        gaps = grid.averaging(layout, sols) - limits
+        for t, sol, lift, gap in zip(ts, sols, lifted, gaps):
+            err = norms(sol - lift, weights)
+            perr = getattr(norms(gap, grid.lengths), OWN_NORM[disc])
+            drift = float(np.sum(weights * sol)) - mass0
+            rows.append([kappa, t, err.l1, err.l2, perr, drift, float(np.min(sol))])
+    return np.array(rows).reshape(len(kappas), len(ts), -1)
+
+
+@FEW
+@given(valid_graphs(), st.sampled_from([FV, FEM]))
+def test_sweep_table_is_the_row_at_a_time_loop(graph, disc):
+    # every column reduced along the last axis of a kappa's stack of
+    # states equals the 1-D reduction of each row, bit for bit
+    grid = make_grid(graph, 0.25)
+    kappas, ts = (1.0, 10.0), (1.0, 0.25)
+    got = kappa_sweep(graph, grid, kappas, ts, edge_indicator(0), discretization=disc)
+    want = _row_at_a_time_sweep(graph, grid, kappas, ts, disc)[:, ::-1]  # ascending t
+    assert np.array_equal(got.table, want)
 
 
 @FEW
