@@ -157,8 +157,8 @@ def kappa_sweep(
 
     start = grid.sample(phi0, layout)
     weights = grid.weights(layout)
-    mass0 = float(np.sum(weights * start))
-    floor = DRIFT_FLOOR * np.finfo(float).eps * norms(start, weights).l1
+    initial = norms(start, weights)
+    floor = DRIFT_FLOOR * np.finfo(float).eps * initial.l1
 
     # the limit-chain states exp(tQ) P phi0, one row per t, and their lifts
     limit = finite_volume.chain_form(graph)
@@ -169,10 +169,10 @@ def kappa_sweep(
     table = np.empty((len(kappas), len(ts), len(CSV_COLUMNS)))
     for k, kappa in enumerate(kappas):
         sols = _stepping.krylov_apply(gen.mass, replace(gen, kappa=kappa).terms, start, ts)
-        err = norms(sols - lifted, weights)
+        state, err = norms(sols, weights), norms(sols - lifted, weights)
         # the gap between the two chain states, normed like the edges
         perr = norms(grid.averaging(layout, sols) - limits, grid.lengths)
-        drift = np.sum(weights * sols, axis=-1) - mass0
+        drift = state.mass - initial.mass
         # fmax: a nan err_l1 leaves the floor as the bound
         bad = np.flatnonzero(np.abs(drift) > np.fmax(floor, DRIFT_SHARE_MAX * err.l1))
         if conservative and bad.size:
@@ -185,7 +185,7 @@ def kappa_sweep(
             )
         table[k] = np.column_stack([
             np.full(len(ts), kappa), ts, err.l1, err.l2,
-            getattr(perr, OWN_NORM[discretization]), drift, np.min(sols, axis=-1),
+            getattr(perr, OWN_NORM[discretization]), drift, state.min,
         ])[order]
     table.flags.writeable = False
     return SweepResult(table=table, discretization=discretization)

@@ -21,9 +21,9 @@ diagonal of membrane totals l_i, r_i, and Sigma the sigmas repeated per
 endpoint.  Row (i,a) of X holds what leaves through endpoint (i,a) (the
 negative diagonal) and where it arrives (the other endpoints at that
 vertex); the forward problem couples endpoints through X, the adjoint
-(density) problem through X^T.  Each row is read off its endpoint's own
-``l_to`` / ``r_to`` dict, so the build is O(nnz) however many edges meet
-at a vertex.  With D_s = diag(+1 left, -1 right):
+(density) problem through X^T.  ``validate`` records X's entries in its
+one walk over the ``l_to`` / ``r_to`` dicts, so the build is O(nnz)
+however many edges meet at a vertex.  With D_s = diag(+1 left, -1 right):
 
 * ``endpoint_conditions(graph, X^T)`` = -D_s Sigma^-1 X^T, the adjoint
   flux functionals over endpoint values,
@@ -143,39 +143,19 @@ class MetricGraph:
     @cached_property
     def exchange(self) -> Banded:
         """X = Sigma (P - T) over endpoints, index 2*edge + side, for a
-        valid graph (InvalidGraphError otherwise).  Built and validated
-        once per graph; every derivation shares it, so callers must not
-        modify it.
-
-        Row (i,a) comes from endpoint (i,a)'s own coupling dict, in
-        O(nnz): X[(i,a), (i,a)] = -sigma_i * (l_i or r_i), and sigma_i * c
-        for each nonzero coefficient c into edge j, in the column of j's
-        endpoint at the same vertex, 2*j + (j's right end is there).
-        Loops are forbidden, so that endpoint is unique.
-        """
-        require_valid(self)
+        valid graph (InvalidGraphError otherwise): the entries ``validate``
+        recorded.  Built and validated once per graph; every derivation
+        shares it, so callers must not modify it."""
         from ._banded import Banded
 
-        rows, cols, vals = [], [], []
-        for i, e in enumerate(self.edges):
-            for side in Side:
-                row = 2 * i + side.value
-                entries = [(row, -e.total(side))]
-                for target_id, c in e.coupling(side).items():
-                    j = self._index[target_id]
-                    entries.append((2 * j + (self.edges[j].right_vertex == e.vertex(side)), c))
-                for col, c in entries:
-                    if c:
-                        rows.append(row)
-                        cols.append(col)
-                        vals.append(e.sigma * c)
-        return Banded.from_triplets(2 * self.n_edges, rows, cols, vals)
+        return Banded.from_triplets(2 * self.n_edges, *require_valid(self).entries)
 
 
 @dataclass(frozen=True)
 class ValidationReport:
     problems: tuple
     conservative: bool
+    entries: tuple = field(repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -188,19 +168,21 @@ def validate(graph: MetricGraph) -> ValidationReport:
     The graph is conservative iff it is valid and, at every endpoint, the
     pass-through coefficients sum exactly (to ``SUM_TOL``) to the total
     permeability there.
+
+    The same walk records X's (rows, cols, vals) in ``entries``, complete
+    when the graph is valid: -sigma_i * total on the diagonal at endpoint
+    (i,a), and sigma_i * c for each positive coefficient c into edge j in
+    column 2*j + (j's right end is at that vertex), unique without loops.
     """
     problems = []
     if graph.n_edges == 0:
         problems.append("graph has no edges")
+    problems.extend(f"duplicate edge id {e.id!r}"
+                    for i, e in enumerate(graph.edges) if graph._index[e.id] != i)
 
-    seen = set()
-    for e in graph.edges:
-        if e.id in seen:
-            problems.append(f"duplicate edge id {e.id!r}")
-        seen.add(e.id)
-
+    rows, cols, vals = entries = ([], [], [])
     conservative = True
-    for e in graph.edges:
+    for i, e in enumerate(graph.edges):
         tag = f"edge {e.id!r}"
         if not (np.isfinite(e.length) and e.length > 0):
             problems.append(f"{tag}: length must be a positive real, got {e.length}")
@@ -216,13 +198,18 @@ def validate(graph: MetricGraph) -> ValidationReport:
                 problems.append(f"{tag}: {name} must be nonnegative, got {total}")
                 conservative = False
                 continue
+            row = 2 * i + side.value
+            rows.append(row)
+            cols.append(row)
+            vals.append(-e.sigma * total)
             vertex = e.vertex(side)
             running = 0.0
             for target_id, value in e.coupling(side).items():
                 if target_id == e.id:
                     problems.append(f"{tag}: {name}_to references itself")
                     continue
-                if target_id not in graph._index:
+                j = graph._index.get(target_id)
+                if j is None:
                     problems.append(
                         f"{tag}: {name}_to references unknown edge {target_id!r}"
                     )
@@ -232,12 +219,16 @@ def validate(graph: MetricGraph) -> ValidationReport:
                         f"{tag}: {name}_to[{target_id!r}] must be nonnegative, got {value}"
                     )
                     continue
-                other = graph.edges[graph._index[target_id]]
-                if value > 0 and vertex not in (other.left_vertex, other.right_vertex):
-                    problems.append(
-                        f"{tag}: {name}_to[{target_id!r}] targets an edge not "
-                        f"incident at vertex {vertex!r}"
-                    )
+                if value > 0:
+                    other = graph.edges[j]
+                    if vertex not in (other.left_vertex, other.right_vertex):
+                        problems.append(
+                            f"{tag}: {name}_to[{target_id!r}] targets an edge not "
+                            f"incident at vertex {vertex!r}"
+                        )
+                    rows.append(row)
+                    cols.append(2 * j + (other.right_vertex == vertex))
+                    vals.append(e.sigma * value)
                 running += value
             tol = SUM_TOL * max(1.0, abs(total))
             if running > total + tol:
@@ -249,7 +240,7 @@ def validate(graph: MetricGraph) -> ValidationReport:
                 conservative = False
 
     conservative = conservative and not problems
-    return ValidationReport(problems=tuple(problems), conservative=conservative)
+    return ValidationReport(tuple(problems), conservative, entries)
 
 
 def require_valid(graph: MetricGraph) -> ValidationReport:

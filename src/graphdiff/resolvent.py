@@ -19,23 +19,14 @@ and the two constants are fixed by psi'(a) = psi'(b) = 0:
 with L = b - a.  The code regroups the homogeneous part so that every
 exponent is <= 0 on [a, b] (no overflow, no cancellation blow-up).
 
-The same resolvent has a reflection (method of images) form
-
-    psi(x) = (2 mu)^{-1} * sum_k [ integral e^{-mu |2kL + x - y|} phi
-                                 + integral e^{-mu |2kL + x + y - 2a|} phi ]
-
-summed over all integers k; the tail past |k| = K is bounded by
-e^{-2 mu K L} / (1 - e^{-2 mu L}) * ||phi||_1 / (2 mu), which picks the
-truncation order.
-
 Sources are ``numpy.polynomial.Polynomial`` objects.  Every integral
 above is one kernel,
 
     K(c) = integral_a^b phi(y) e^{-mu |y - c|} dy,
 
-so J(x) = K(x) / (2 mu), xi = K(a) / 2, zeta = K(b) / 2, and image k
-contributes K(2kL + x) + K(2a - 2kL - x).  ``_kernel`` evaluates it
-to near full precision for every mu > 0, however small (see ``_moments``).
+so J(x) = K(x) / (2 mu), xi = K(a) / 2 and zeta = K(b) / 2.  ``_kernel``
+evaluates it to near full precision for every mu > 0, however small (see
+``_moments``).
 """
 
 from __future__ import annotations
@@ -63,20 +54,6 @@ def as_source(phi) -> Polynomial:
     if not isinstance(phi, Polynomial):
         raise TypeError("source must be a numpy.polynomial.Polynomial")
     return phi.convert().trim()
-
-
-def _abs_integral(poly: Polynomial, a: float, b: float) -> float:
-    """integral of |p| over [a, b], split at the real roots inside."""
-    anti = poly.integ()
-    cuts = sorted(
-        float(r.real)
-        for r in poly.roots()
-        if abs(r.imag) < 1e-12 and a < r.real < b
-    )
-    points = [a] + cuts + [b]
-    return sum(
-        abs(float(anti(hi) - anti(lo))) for lo, hi in zip(points[:-1], points[1:])
-    )
 
 
 def _moments(mu: float, dist: np.ndarray, n: int) -> np.ndarray:
@@ -150,42 +127,6 @@ def resolvent_apply(a, b, lam, phi, x) -> np.ndarray:
     down = np.exp(-mu * (x - a))
     damp = math.exp(-mu * big_l)
     return free + (zeta * (up + damp * down) + xi * (down + damp * up)) / denom
-
-
-# ---------------------------------------------------------------------------
-# image series
-
-def image_series_cutoff(a, b, lam, phi, tolerance: float) -> int:
-    """Smallest K with tail bound e^{-2 mu K L}/(1 - e^{-2 mu L}) *
-    ||phi||_1 / (2 mu) below ``tolerance``."""
-    _check_interval(a, b, lam)
-    if not tolerance > 0:
-        raise ValueError("tolerance must be positive")
-    src = as_source(phi)
-    mu = math.sqrt(lam)
-    big_l = b - a
-    norm1 = _abs_integral(src, a, b)
-    if norm1 == 0.0:
-        return 0
-    lead = norm1 / (2.0 * mu * (-math.expm1(-2.0 * mu * big_l)))
-    if lead <= tolerance:
-        return 0
-    return max(0, math.ceil(math.log(lead / tolerance) / (2.0 * mu * big_l)))
-
-
-def resolvent_image_series(a, b, lam, phi, x, tolerance: float = 1e-12) -> np.ndarray:
-    """Resolvent through reflected copies of the source; must agree with
-    ``resolvent_apply`` up to the truncation tolerance."""
-    _check_interval(a, b, lam)
-    src = as_source(phi)
-    mu = math.sqrt(lam)
-    cutoff = image_series_cutoff(a, b, lam, src, tolerance)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    shifts = 2.0 * (b - a) * np.arange(-cutoff, cutoff + 1)[:, None]
-    direct = _kernel(src, a, b, mu, (shifts + x).ravel())
-    mirrored = _kernel(src, a, b, mu, (2.0 * a - shifts - x).ravel())
-    total = (direct + mirrored).reshape(len(shifts), len(x)).sum(axis=0)
-    return total / (2.0 * mu)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,18 @@ code:
   exact L2 norm of the function with nodal values u) and the
   cell-midpoint values of a P1 function;
 * ``convert``: the one conversion between the package's ``Banded``
-  operators and scipy's sparse matrices, in either direction.
+  operators and scipy's sparse matrices, in either direction;
+* ``resolvent_image_series``: the reflecting-interval resolvent of
+  ``resolvent.resolvent_apply`` in its reflection (method of images) form
+
+      psi(x) = (2 mu)^{-1} * sum_k [ integral e^{-mu |2kL + x - y|} phi
+                                   + integral e^{-mu |2kL + x + y - 2a|} phi ]
+
+  summed over all integers k, with mu = sqrt(lam) and L = b - a.  Image k
+  contributes K(2kL + x) + K(2a - 2kL - x) of the package's one kernel
+  ``resolvent._kernel``.  The tail past |k| = K is bounded by
+  e^{-2 mu K L} / (1 - e^{-2 mu L}) * ||phi||_1 / (2 mu), which picks the
+  truncation order (``image_series_cutoff``).
 
 Tests import this module like ``conftest``; its name does not match
 ``test_*.py``, so pytest collects no tests from it.
@@ -41,6 +52,7 @@ from scipy.sparse.linalg import splu
 from graphdiff._banded import Banded
 from graphdiff._stepping import StepControlError
 from graphdiff.grids import NODES
+from graphdiff.resolvent import _check_interval, _kernel, as_source
 
 
 def convert(matrix):
@@ -131,3 +143,50 @@ def interpolate_to_cells(grid, u_nodes) -> np.ndarray:
     values)."""
     blocks = [u_nodes[grid.block(i, NODES)] for i in range(grid.n_edges)]
     return np.concatenate([(b[:-1] + b[1:]) / 2.0 for b in blocks])
+
+
+def _abs_integral(poly, a: float, b: float) -> float:
+    """integral of |p| over [a, b], split at the real roots inside."""
+    anti = poly.integ()
+    cuts = sorted(
+        float(r.real)
+        for r in poly.roots()
+        if abs(r.imag) < 1e-12 and a < r.real < b
+    )
+    points = [a] + cuts + [b]
+    return sum(
+        abs(float(anti(hi) - anti(lo))) for lo, hi in zip(points[:-1], points[1:])
+    )
+
+
+def image_series_cutoff(a, b, lam, phi, tolerance: float) -> int:
+    """Smallest K with tail bound e^{-2 mu K L}/(1 - e^{-2 mu L}) *
+    ||phi||_1 / (2 mu) below ``tolerance``."""
+    _check_interval(a, b, lam)
+    if not tolerance > 0:
+        raise ValueError("tolerance must be positive")
+    src = as_source(phi)
+    mu = math.sqrt(lam)
+    big_l = b - a
+    norm1 = _abs_integral(src, a, b)
+    if norm1 == 0.0:
+        return 0
+    lead = norm1 / (2.0 * mu * (-math.expm1(-2.0 * mu * big_l)))
+    if lead <= tolerance:
+        return 0
+    return max(0, math.ceil(math.log(lead / tolerance) / (2.0 * mu * big_l)))
+
+
+def resolvent_image_series(a, b, lam, phi, x, tolerance: float = 1e-12) -> np.ndarray:
+    """Resolvent through reflected copies of the source; must agree with
+    ``resolvent_apply`` up to the truncation tolerance."""
+    _check_interval(a, b, lam)
+    src = as_source(phi)
+    mu = math.sqrt(lam)
+    cutoff = image_series_cutoff(a, b, lam, src, tolerance)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    shifts = 2.0 * (b - a) * np.arange(-cutoff, cutoff + 1)[:, None]
+    direct = _kernel(src, a, b, mu, (shifts + x).ravel())
+    mirrored = _kernel(src, a, b, mu, (2.0 * a - shifts - x).ravel())
+    total = (direct + mirrored).reshape(len(shifts), len(x)).sum(axis=0)
+    return total / (2.0 * mu)

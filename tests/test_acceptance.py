@@ -22,11 +22,11 @@ from graphdiff.chain import propagator
 from graphdiff.finite_volume import chain_form, primal_generator
 from graphdiff.graphs import load_graph
 from graphdiff.grids import CELLS, NODES, EdgeGrid, edge_indicator, make_grid
-from graphdiff.resolvent import resolvent_image_series
 
 from conftest import make_star
 from reference import (
     convert, crank_nicolson, dense_generator, growth_rate, interpolate_to_cells, l2_norm,
+    resolvent_image_series,
 )
 
 

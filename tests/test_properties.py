@@ -1,7 +1,8 @@
-"""Structural invariants on random valid graphs, the derivations from
-the endpoint exchange matrix against their loop references, the packed
-Horner sampling of cubics against numpy's ``polyval``, and the backward
-error of the propagator's shifted solve.
+"""Structural invariants on random valid graphs, validation of the same
+graphs with one fault injected, the endpoint exchange matrix and its
+derivations against their loop references, the packed Horner sampling
+of cubics against numpy's ``polyval``, and the backward error of the
+propagator's shifted solve.
 
 The strategy builds graphs that are admissible by construction: every
 pass-through coefficient targets an edge touching the same vertex, and
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.polynomial.polynomial import polyval
@@ -39,7 +40,9 @@ from graphdiff.finite_volume import (
 )
 from graphdiff.galerkin import assemble_forms, l2_generator
 from graphdiff.graphs import (
+    SUM_TOL,
     EdgeSpec,
+    InvalidGraphError,
     MetricGraph,
     Side,
     endpoint_conditions,
@@ -96,6 +99,71 @@ def valid_graphs(draw):
     assert report.ok, report
     assert report.conservative == (leak is None)
     return graph
+
+
+FAULTS = ("negative", "not incident", "unknown", "itself", "duplicate", "loop", "exceeds")
+
+
+def _sealed(edge_id, left, right):
+    return EdgeSpec(id=edge_id, length=1.0, sigma=1.0, left_vertex=left, right_vertex=right)
+
+
+@st.composite
+def faulty_graphs(draw):
+    """A valid graph with one fault injected at a drawn endpoint, and the
+    start of the one problem ``validate`` must report.  Each fault leaves
+    every other rule met: an added coefficient that the membrane sum
+    counts raises the total with it, and the duplicate and the loop are
+    appended edges."""
+    graph = draw(valid_graphs())
+    edges = list(graph.edges)
+    fault = draw(st.sampled_from(FAULTS))
+    i = draw(st.integers(0, len(edges) - 1))
+    e, side = edges[i], draw(st.sampled_from(list(Side)))
+    name, tag = "l" if side is Side.LEFT else "r", f"edge {e.id!r}"
+    to, total = dict(e.coupling(side)), e.total(side)
+    c = draw(st.floats(0.1, 2.0))
+    if fault == "negative":
+        others = [f.id for f in edges if f.id != e.id]
+        assume(others)
+        target = draw(st.sampled_from(others))
+        to[target] = -c
+        problem = f"{tag}: {name}_to[{target!r}] must be nonnegative"
+    elif fault == "not incident":
+        edges.append(_sealed("far", "w0", "w1"))
+        to["far"], total = c, total + c
+        problem = f"{tag}: {name}_to['far'] targets an edge not incident"
+    elif fault == "unknown":
+        to["nowhere"] = c
+        problem = f"{tag}: {name}_to references unknown edge 'nowhere'"
+    elif fault == "itself":
+        to[e.id] = c
+        problem = f"{tag}: {name}_to references itself"
+    elif fault == "duplicate":
+        edges.append(e)
+        problem = f"duplicate edge id {e.id!r}"
+    elif fault == "loop":
+        edges.append(_sealed("loop", e.left_vertex, e.left_vertex))
+        problem = "edge 'loop': loop"
+    else:
+        running = sum(to.values())
+        assume(running > 4 * SUM_TOL)  # a smaller excess is within the slack
+        total = running / 2
+        problem = f"{tag}: sum of {name}_to coefficients"
+    side_fields = ("l", "l_to") if side is Side.LEFT else ("r", "r_to")
+    edges[i] = dataclasses.replace(e, **dict(zip(side_fields, (total, to))))
+    return MetricGraph(tuple(edges)), problem
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(faulty_graphs())
+def test_validate_names_the_injected_fault(case):
+    graph, problem = case
+    report = validate(graph)
+    assert not report.ok and not report.conservative
+    assert len(report.problems) == 1 and report.problems[0].startswith(problem), report
+    with pytest.raises(InvalidGraphError):
+        graph.exchange
 
 
 @FEW
@@ -365,8 +433,25 @@ def loop_chain_generator(graph, variant):
     return q
 
 
+def loop_exchange(graph):
+    """X = Sigma (P - T) filled coupling by coupling from the EdgeSpec
+    fields, each coefficient's column found by a scan over all edges."""
+    n = graph.n_edges
+    x = np.zeros((2 * n, 2 * n))
+    for i, e in enumerate(graph.edges):
+        for side in Side:
+            row = 2 * i + side.value
+            x[row, row] = -e.sigma * e.total(side)
+            coupling = e.coupling(side)
+            for (j, s) in _neighbours(graph, i, side):
+                x[row, 2 * j + s.value] += e.sigma * coupling.get(graph.edges[j].id, 0.0)
+    return x
+
+
 def assert_matches_loops(graph):
     require_valid(graph)
+    # each entry of X is one product, taken alike by both
+    assert np.array_equal(graph.exchange.toarray(), loop_exchange(graph))
     pairs = [
         (trace_functionals(graph), loop_trace_functionals(graph)),
         (primal_condition_table(graph), loop_primal_condition_table(graph)),

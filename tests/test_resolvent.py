@@ -11,13 +11,9 @@ import scipy.sparse.linalg as spla
 from numpy.polynomial import Polynomial
 from numpy.testing import assert_allclose
 
-from graphdiff.resolvent import (
-    EVAL_NODES,
-    averaging_limit_check,
-    image_series_cutoff,
-    resolvent_apply,
-    resolvent_image_series,
-)
+from graphdiff.resolvent import EVAL_NODES, averaging_limit_check, resolvent_apply
+
+from reference import image_series_cutoff, resolvent_image_series
 
 
 def cosine_series_distances(phi, lams, modes=2000):
