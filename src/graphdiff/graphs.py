@@ -346,7 +346,6 @@ def parse_graph(data) -> MetricGraph:
         raise GraphConfigError('"edges" must be a nonempty list')
 
     edges = []
-    ids = set()
     for pos, raw in enumerate(raw_edges):
         where = f"edges[{pos}]"
         if not isinstance(raw, dict):
@@ -357,14 +356,9 @@ def parse_graph(data) -> MetricGraph:
         unknown = set(raw) - _EDGE_SCHEMA.keys()
         if unknown:
             raise GraphConfigError(f"{where}: unknown keys {sorted(unknown)}")
-        edge_id = _string(raw["id"], f"{where}.id")
-        if edge_id in ids:
-            raise GraphConfigError(f"{where}: duplicate edge id {edge_id!r}")
-        ids.add(edge_id)
-        edges.append(EdgeSpec(id=edge_id, **{
+        edges.append(EdgeSpec(**{
             key: parse(raw[key], f"{where}.{key}")
-            for key, parse in _EDGE_SCHEMA.items()
-            if key != "id" and key in raw
+            for key, parse in _EDGE_SCHEMA.items() if key in raw
         }))
     return MetricGraph(edges=tuple(edges))
 

@@ -322,3 +322,41 @@ def test_criterion_11_each_side_converges_to_its_own_chain():
     assert cross > 0.1
     print(f"criterion 11: PASS (per-decade ratios {min(ratios):.4f} to "
           f"{max(ratios):.4f}, cross distance >= {cross:.3f})")
+
+
+def test_criterion_12_slow_spectrum_is_the_chain():
+    # the collapse as a spectrum: the n_edges slowest eigenvalues of the
+    # adjoint FV generator tend to eig(Q_dual) like 1/kappa, the next one
+    # escapes like -pi^2 sigma_min kappa / L^2, and 0 stays at round-off
+    star = load_graph(Path(__file__).resolve().parents[1] / "configs" / "star.json")
+    n, hs, kappas = star.n_edges, (0.05, 0.025, 0.0125), (1e2, 1e3, 1e4)
+    mu = np.sort(np.linalg.eigvals(chain_form(star, adjoint=True).matrix.toarray()).real)[::-1]
+    assert_allclose(mu, [0.0, -1.2973, -1.7427], atol=1e-4)
+    gap = -np.pi**2 * star.sigmas.min() / star.lengths.max()**2
+
+    def spectrum(h, kappa, order):
+        a = gd.dual_generator(star, make_grid(star, h), kappa, trace_order=order).matrix.toarray()
+        lam = np.linalg.eigvals(a)
+        lam = lam[np.argsort(-lam.real)]
+        return lam, float(np.abs(lam[:n] - mu).max()), np.abs(a).sum(axis=0).max()
+
+    ratios, constants = [], {}
+    for h in hs:
+        devs = []
+        for kappa in kappas:
+            lam, dev, norm1 = spectrum(h, kappa, 1)
+            devs.append(dev)
+            assert abs(lam[0]) <= 10 * np.finfo(float).eps * norm1
+            if h == hs[-1]:
+                assert abs(lam[n].real / kappa - gap) <= 0.01 * abs(gap)
+        ratios += [fine / coarse for coarse, fine in zip(devs, devs[1:])]
+        constants[1, h] = kappas[1] * devs[1]
+        constants[2, h] = kappas[1] * spectrum(h, kappas[1], 2)[1]
+    assert all(0.09 <= r <= 0.11 for r in ratios)
+    shrink = {}
+    for order in (1, 2):
+        diffs = np.diff([constants[order, h] for h in hs])
+        shrink[order] = diffs[1] / diffs[0]
+    assert 0.4 <= shrink[1] <= 0.6 and 0.15 <= shrink[2] <= 0.35
+    print(f"criterion 12: PASS (per-decade ratios {min(ratios):.4f} to {max(ratios):.4f}, "
+          f"h-shrink {shrink[1]:.3f} / {shrink[2]:.3f} at trace order 1 / 2)")

@@ -143,6 +143,21 @@ def test_limit_q_rejects_invalid(broken_path, capsys):
         assert err[0].startswith("problem: edge 'E1': sum of r_to")
 
 
+def test_duplicate_edge_id_is_a_validation_problem(tmp_path, capsys):
+    # parsing checks structure and types only: a repeated edge id parses,
+    # and every command reports it as the admissibility fault it is
+    cfg = json.loads(json.dumps(STAR))
+    cfg["edges"].append(dict(cfg["edges"][0]))
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", "--graph", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "problem: duplicate edge id 'E1'\nconservative: false\n")
+    for command in ("sweep", "limit-q"):
+        assert main([command, "--graph", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == "problem: duplicate edge id 'E1'\n"
+
+
 def test_sweep_happy_path(star_path, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main([
@@ -400,6 +415,24 @@ def test_sweep_csv_ignores_the_order_of_the_times(star_path, tmp_path, disc):
                      "--kappa", "1,10,100", "--t", ts, "--out", str(out)])
         assert code == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("phi0", ["indicator:E2", "uniform"])
+@pytest.mark.parametrize("disc", ["fv", "fem"])
+def test_sweep_ignores_the_order_of_the_edges(tmp_path, disc, phi0):
+    # reversing or rotating the star's edges moves no column of the table
+    # by more than round-off; indicator:E2 is resolved by id, not position
+    edges = STAR["edges"]
+    tables = []
+    for name, listing in [("given", edges), ("reversed", edges[::-1]),
+                          ("rotated", edges[1:] + edges[:1])]:
+        config, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        config.write_text(json.dumps({"edges": listing}))
+        assert main(["sweep", "--graph", str(config), "--disc", disc,
+                     "--phi0", phi0, "--out", str(out)]) == 0
+        tables.append(np.loadtxt(out, delimiter=",", skiprows=1))
+    for table in tables[1:]:
+        np.testing.assert_allclose(table, tables[0], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("disc", ["fv", "fem"])

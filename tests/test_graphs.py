@@ -290,7 +290,6 @@ def test_parse_defaults_optional_fields():
     lambda c: c["edges"][0].update(bogus=1),
     lambda c: c["edges"][0].update(l_to=["E2"]),
     lambda c: c["edges"][0].update(id=7),
-    lambda c: c["edges"].append(dict(c["edges"][0])),
 ])
 def test_parse_rejects_malformed(mangle):
     cfg = _minimal_config()
