@@ -32,22 +32,7 @@ _SOLVER_NAMES = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DUAL",
-    "FEM",
-    "FV",
-    "averaging_limit_check",
-    "chain_generator",
-    "dual_generator",
-    "duality_defect",
-    "kappa_sweep",
-    "load_graph",
-    "make_grid",
-    "resolvent_apply",
-    "validate",
-    "with_dual_conditions",
-    "with_primal_conditions",
-]
+__all__ = sorted(["FEM", "FV", "load_graph", "make_grid", "validate", *_SOLVER_NAMES])
 
 
 def __getattr__(name):

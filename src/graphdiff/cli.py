@@ -30,13 +30,13 @@ summary lines go through the same ``_fmt`` and are printed by
 ``_summary``: on stdout, or on stderr when the CSV takes stdout, so that
 stdout is then CSV only.
 
-Each command imports the modules it computes with (``resolvent`` and
-``numpy.polynomial`` for ``resolvent-check`` only, ``galerkin`` for a fem
-sweep only); every operator is a numpy ``_banded.Banded`` record.  Scipy
-is loaded only at a sweep's two fallbacks: a shifted matrix that needs
-SuperLU (more than ``_stepping.WOODBURY_MAX_ROWS`` rows outside the band,
-or pivoting) loads ``scipy.sparse`` and ``scipy.sparse.linalg``, and a
-near-defective Arnoldi matrix (``_stepping._small_exp_e1``) ``scipy.linalg``.
+Each command imports only the modules it computes with, as the import
+census of ``tests/test_imports.py`` pins; every operator is a numpy
+``_banded.Banded`` record.  Scipy is loaded only at a sweep's two
+fallbacks: a shifted matrix that needs SuperLU (more than
+``_stepping.WOODBURY_MAX_ROWS`` rows outside the band, or pivoting)
+loads ``scipy.sparse`` and ``scipy.sparse.linalg``, and a near-defective
+Arnoldi matrix (``_stepping._small_exp_e1``) ``scipy.linalg``.
 """
 
 from __future__ import annotations

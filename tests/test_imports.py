@@ -1,14 +1,14 @@
-"""What each command loads: every operator is a numpy ``Banded`` record,
-so no command on the shipped graphs loads any ``scipy`` module, ``sweep``
-at both trace orders included.  Only a sweep whose shifted matrix needs
-SuperLU loads scipy, and then the solver stack (``scipy.sparse``,
-``scipy.sparse.linalg``).  Loading, validating and gridding a graph loads
-no ``graphdiff`` module that assembles or propagates, and each command
-loads exactly the ``graphdiff`` modules it computes with: only
-``resolvent-check`` loads ``graphdiff.resolvent`` and
-``numpy.polynomial``.  Every check runs in a fresh interpreter and reads
-``sys.modules``; this one has long since imported everything."""
+"""What each command loads.  The census,
+``test_each_command_loads_exactly_its_modules``, runs each command on
+the shipped configs, and ``resolvent-check``, once, and pins the rule:
+each command loads exactly the ``graphdiff`` modules it computes with,
+``numpy.polynomial`` for ``resolvent-check`` only, and no ``numpy.ma``
+or scipy module.  Only a sweep whose shifted matrix needs SuperLU loads
+scipy, and then the solver stack.  Every check runs in a fresh
+interpreter and reads ``sys.modules``; this one has long since imported
+everything."""
 
+import functools
 import json
 import os
 import subprocess
@@ -49,7 +49,8 @@ import contextlib, io, json, os, runpy, sys
 probe = runpy.run_path(sys.argv[1])
 with contextlib.redirect_stdout(io.StringIO()):
     code = probe["main"](sys.argv[2:])
-print(json.dumps([code, [m for m in sys.modules if m.split(".")[0] == os.environ["PACKAGE"]]]))
+print(json.dumps([code, [m for m in sys.modules
+                         if m.split(".")[0] in os.environ["PACKAGE"].split(",")]]))
 """
 
 
@@ -66,6 +67,22 @@ def _fresh(script, *args, package="scipy"):
     return first, set(modules)
 
 
+@pytest.fixture(scope="module")
+def run_once(tmp_path_factory):
+    """``_fresh``, with one interpreter per distinct script and argv in
+    this module, so tests that read the same command share its run; a CLI
+    command that writes a table gets an ``--out`` file."""
+    out = ["--out", str(tmp_path_factory.mktemp("census") / "out.csv")]
+    run = functools.cache(lambda script, *args: _fresh(
+        script, *args, *(out if script is _RUN_CLI and args[0] != "validate" else []),
+        package="graphdiff,numpy,scipy"))
+
+    def read(script, *args, package="scipy"):
+        code, modules = run(script, *args)
+        return code, {m for m in modules if m.split(".")[0] in package.split(",")}
+    return read
+
+
 @pytest.fixture
 def invalid_path(tmp_path):
     cfg = json.loads(Path(STAR).read_text())
@@ -80,10 +97,8 @@ def invalid_path(tmp_path):
     ["duality-check", "--graph", STAR, "--levels", "2"],
     ["resolvent-check"],
 ])
-def test_benchmark_setup_probe_loads_no_scipy(argv):
-    code, modules = _fresh(_RUN_PROBE, PROBE, *argv)
-    assert code == 0
-    assert modules == set()
+def test_benchmark_setup_probe_loads_no_scipy(argv, run_once):
+    assert run_once(_RUN_PROBE, PROBE, *argv) == (0, set())
 
 
 @pytest.mark.parametrize("script, argv", [
@@ -92,10 +107,10 @@ def test_benchmark_setup_probe_loads_no_scipy(argv):
     (_RUN_PROBE, [PROBE, "sweep", "--graph", STAR]),
     (_RUN_PROBE, [PROBE, "duality-check", "--graph", STAR, "--levels", "2"]),
 ], ids=["validate", "probe-resolvent-check", "probe-sweep", "probe-duality-check"])
-def test_setup_loads_only_the_setup_modules(script, argv):
+def test_setup_loads_only_the_setup_modules(script, argv, run_once):
     # the limit chain is assembled by finite_volume, so a chain import in
     # the set-up path would put assembly into what the probe times
-    code, modules = _fresh(script, *argv, package="graphdiff")
+    code, modules = run_once(script, *argv, package="graphdiff")
     assert code == 0
     assert modules <= SETUP
 
@@ -103,34 +118,82 @@ def test_setup_loads_only_the_setup_modules(script, argv):
 # the graphdiff modules beyond SETUP that assemble, and that propagate
 ASSEMBLY = {"graphdiff._banded", "graphdiff.finite_volume"}
 PROPAGATION = ASSEMBLY | {"graphdiff._stepping", "graphdiff.evolution"}
+LONG = ["--t", "0,0.1,0.25,0.5,1,2,10"]
+LARGE_KAPPA = ["--kappa", "1e4,1e5,1e6,1e7,1e8,1e9", "--t", "1"]
+
+# id, command and flags, and the graphdiff modules beyond SETUP, of each
+# command run on a shipped config
+_GRAPH_COMMANDS = [
+    ("validate", ["validate"], set()),
+    ("limit-q", ["limit-q"], ASSEMBLY | {"graphdiff.chain"}),
+    *((f"sweep-{disc}{suffix}", ["sweep", "--disc", disc, *flags], loaded)
+      for disc, loaded in (("fv", PROPAGATION), ("fem", PROPAGATION | {"graphdiff.galerkin"}))
+      for suffix, flags in (("", []), ("-long", LONG), ("-large-kappa", LARGE_KAPPA))),
+    ("sweep-order2", ["sweep", "--trace-order", "2"], PROPAGATION),
+    ("sweep-order2-long", ["sweep", "--trace-order", "2", *LONG], PROPAGATION),
+    ("duality-check", ["duality-check", "--trace-order", "1"], ASSEMBLY),
+    ("duality-check-order2", ["duality-check", "--trace-order", "2"], ASSEMBLY),
+]
+# the star's rows carry the bare id, the chain's a -chain suffix
+CENSUS = [
+    *(pytest.param([command, "--graph", graph, *flags], loaded, id=name + suffix)
+      for graph, suffix in ((STAR, ""), (CHAIN, "-chain"))
+      for name, (command, *flags), loaded in _GRAPH_COMMANDS),
+    pytest.param(["resolvent-check", "--lambdas", "1e-1,1e-2"], {"graphdiff.resolvent"},
+                 id="resolvent-check"),
+]
 
 
-@pytest.mark.parametrize("argv, loaded, polynomial", [
-    (["validate", "--graph", STAR], set(), False),
-    (["limit-q", "--graph", STAR], ASSEMBLY | {"graphdiff.chain"}, False),
-    (["sweep", "--graph", STAR, "--disc", "fv"], PROPAGATION, False),
-    (["sweep", "--graph", STAR, "--disc", "fem"], PROPAGATION | {"graphdiff.galerkin"}, False),
-    (["sweep", "--graph", STAR, "--trace-order", "2"], PROPAGATION, False),
-    (["duality-check", "--graph", STAR, "--levels", "2"], ASSEMBLY, False),
-    (["duality-check", "--graph", STAR, "--levels", "2", "--trace-order", "2"], ASSEMBLY, False),
-    (["resolvent-check", "--lambdas", "1e-1,1e-2"], {"graphdiff.resolvent"}, True),
-], ids=["validate", "limit-q", "sweep-fv", "sweep-fem", "sweep-order2", "duality-check",
-        "duality-check-order2", "resolvent-check"])
-def test_each_command_loads_exactly_its_modules(argv, loaded, polynomial, tmp_path):
+@pytest.mark.parametrize("argv, loaded", CENSUS)
+def test_each_command_loads_exactly_its_modules(argv, loaded, run_once):
     # the duality cubics are sampled by finite_volume's own Horner pass
-    out = [] if argv[0] == "validate" else ["--out", str(tmp_path / "out.csv")]
-    code, modules = _fresh(_RUN_CLI, *argv, *out, package="graphdiff,numpy")
+    code, modules = run_once(_RUN_CLI, *argv, package="graphdiff,numpy,scipy")
     assert code == 0
     assert {m for m in modules if m.split(".")[0] == "graphdiff"} == SETUP | loaded
-    assert ("numpy.polynomial" in modules) == polynomial
+    assert ("numpy.polynomial" in modules) == (argv[0] == "resolvent-check")
+    assert "numpy.ma" not in modules
+    assert "scipy" not in modules  # a scipy module loads its package first
 
 
+# single facts of census rows, each read from the census's own run
 @pytest.mark.parametrize("argv, exit_code", [
     (["validate", "--graph", STAR], 0),
     (["resolvent-check", "--lambdas", "1e-1,1e-2"], 0),
 ])
-def test_commands_without_sparse_matrices_load_no_scipy(argv, exit_code):
-    assert _fresh(_RUN_CLI, *argv) == (exit_code, set())
+def test_commands_without_sparse_matrices_load_no_scipy(argv, exit_code, run_once):
+    assert run_once(_RUN_CLI, *argv) == (exit_code, set())
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit-q", "--graph", STAR],
+    ["duality-check", "--graph", STAR, "--trace-order", "1"],
+])
+def test_sparse_commands_load_no_solver(argv, run_once):
+    # the limit chain and the duality pairing are Banded records too
+    assert run_once(_RUN_CLI, *argv) == (0, set())
+
+
+@pytest.mark.parametrize("graph", [STAR, CHAIN], ids=["star", "chain"])
+@pytest.mark.parametrize("disc", ["fv", "fem"])
+def test_sweep_loads_no_solver(graph, disc, run_once):
+    # a default sweep assembles and factors its shifted matrices in numpy
+    assert run_once(_RUN_CLI, "sweep", "--graph", graph, "--disc", disc) == (0, set())
+
+
+@pytest.mark.parametrize("graph", [STAR, CHAIN], ids=["star", "chain"])
+def test_second_order_sweep_loads_no_scipy(graph, run_once):
+    # second-order traces rest on the probe solve, not on pivoting
+    assert run_once(_RUN_CLI, "sweep", "--graph", graph, "--trace-order", "2") == (0, set())
+
+
+@pytest.mark.parametrize("graph", [STAR, CHAIN], ids=["star", "chain"])
+@pytest.mark.parametrize("flags", [["--disc", "fv"], ["--disc", "fem"], ["--trace-order", "2"]],
+                         ids=["fv", "fem", "order2"])
+def test_sweep_loads_no_masked_arrays(graph, flags, run_once):
+    # np.unique without an index asks numpy.ma whether its input is masked
+    code, modules = run_once(_RUN_CLI, "sweep", "--graph", graph, *flags, package="numpy")
+    assert code == 0
+    assert "numpy.ma" not in modules
 
 
 @pytest.mark.parametrize("command", ["validate", "limit-q", "sweep", "duality-check"])
@@ -142,58 +205,20 @@ def test_bad_flag_exits_before_scipy():
     assert _fresh(_RUN_CLI, "sweep", "--graph", STAR, "--disc", "fd") == (2, set())
 
 
-@pytest.mark.parametrize("argv", [
-    ["limit-q", "--graph", STAR],
-    ["duality-check", "--graph", STAR, "--levels", "2"],
-])
-def test_sparse_commands_load_no_solver(argv, tmp_path):
-    # the limit chain and the duality pairing are Banded records too
-    assert _fresh(_RUN_CLI, *argv, "--out", str(tmp_path / "out.csv")) == (0, set())
-
-
-@pytest.mark.parametrize("graph", [STAR, CHAIN], ids=["star", "chain"])
-@pytest.mark.parametrize("disc", ["fv", "fem"])
-def test_sweep_loads_no_solver(graph, disc, tmp_path):
-    # a default sweep assembles and factors its shifted matrices in numpy
-    assert _fresh(
-        _RUN_CLI, "sweep", "--graph", graph, "--disc", disc,
-        "--out", str(tmp_path / "out.csv"),
-    ) == (0, set())
-
-
-@pytest.mark.parametrize("graph", [STAR, CHAIN], ids=["star", "chain"])
-def test_second_order_sweep_loads_no_scipy(graph, tmp_path):
-    # second-order traces rest on the probe solve, not on pivoting
-    assert _fresh(
-        _RUN_CLI, "sweep", "--graph", graph, "--trace-order", "2",
-        "--out", str(tmp_path / "out.csv"),
-    ) == (0, set())
-
-
-@pytest.mark.parametrize("graph", [STAR, CHAIN], ids=["star", "chain"])
-@pytest.mark.parametrize("flags", [["--disc", "fv"], ["--disc", "fem"], ["--trace-order", "2"]],
-                         ids=["fv", "fem", "order2"])
-def test_sweep_loads_no_masked_arrays(graph, flags, tmp_path):
-    # np.unique without an index asks numpy.ma whether its input is masked
-    code, modules = _fresh(
-        _RUN_CLI, "sweep", "--graph", graph, *flags, "--out", str(tmp_path / "out.csv"),
-        package="numpy",
-    )
-    assert code == 0
-    assert "numpy.ma" not in modules
-
-
-def test_sweep_loads_the_solver_for_superlu(tmp_path):
-    # a 40-edge path at trace order 2 has 78 rows outside the band, more
-    # than the numpy factorization takes; the checks above would pass on
-    # a sweep that never ran
+@pytest.mark.parametrize("order, superlu", [("1", False), ("2", True)],
+                         ids=["order1", "order2"])
+def test_sweep_loads_the_solver_past_the_woodbury_cap(order, superlu, tmp_path):
+    # on a 40-edge path the order-2 traces reach into the next edge, 78
+    # rows outside the band, more than the numpy factorization takes; at
+    # order 1 every coupling lies in the band, and the same sweep stays
+    # in numpy
     graph = write_config(make_path(40), tmp_path / "path.json")
     code, modules = _fresh(
-        _RUN_CLI, "sweep", "--graph", graph, "--trace-order", "2", "--h", "0.1",
+        _RUN_CLI, "sweep", "--graph", graph, "--trace-order", order, "--h", "0.1",
         "--kappa", "1,10", "--t", "1", "--out", str(tmp_path / "out.csv"),
     )
     assert code == 0
-    assert SOLVER <= modules
+    assert SOLVER <= modules if superlu else not modules
 
 
 def test_stepping_loads_no_discretization():
