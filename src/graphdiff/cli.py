@@ -16,9 +16,12 @@ singular shifted matrix, could not resolve the mass, had no finite pole
 for extreme times, or, on a conservative graph, gave a row whose mass
 drift is at least half its err_l1 (the message carries kappa, t, both
 numbers and the share; star, t = 1: from kappa = 1e10 on, fv and fem),
-5 out of memory (the problem is too large for this machine, or its grid
-too large to index).  Non-finite numbers in flags, and a ``--levels``
-below 1, are parse failures.
+5 out of memory: numpy refused one allocation outright (``MemoryError``),
+or the grid has more points than one float array can index.  A larger
+run may instead be killed by the operating system: under Linux
+overcommit a working set that outgrows physical memory ends in SIGKILL,
+with no message and no exit code of this program.  Non-finite numbers
+in flags, and a ``--levels`` below 1, are parse failures.
 
 This module alone formats output.  Every CSV goes through ``_write_csv``
 and is deterministic: a header row, fixed column order, ``\n`` line ends,

@@ -9,15 +9,20 @@ from numpy.polynomial.polynomial import polyder, polyval
 from graphdiff.graphs import EdgeSpec, MetricGraph
 
 
-@pytest.fixture
-def chain_graph():
-    """Two edges in a line, fully permeable at the shared vertex."""
+def make_chain(sigma1=1.0):
+    """Two edges in a line, fully permeable at the shared vertex; E1 has
+    length 1 and diffusion coefficient ``sigma1``, E2 length 2 and 1."""
     return MetricGraph((
-        EdgeSpec(id="E1", length=1.0, sigma=1.0, left_vertex="a", right_vertex="b",
+        EdgeSpec(id="E1", length=1.0, sigma=sigma1, left_vertex="a", right_vertex="b",
                  r=1.0, r_to={"E2": 1.0}),
         EdgeSpec(id="E2", length=2.0, sigma=1.0, left_vertex="b", right_vertex="c",
                  l=1.0, l_to={"E1": 1.0}),
     ))
+
+
+@pytest.fixture
+def chain_graph():
+    return make_chain()
 
 
 def make_star(conservative=True):

@@ -17,7 +17,7 @@ from graphdiff.cli import main
 from graphdiff.graphs import EdgeSpec, InvalidGraphError, MetricGraph, load_graph
 from graphdiff.grids import CELLS, NODES, EdgeGrid
 
-from conftest import make_path, traced_peak, write_config
+from conftest import make_chain, make_path, traced_peak, write_config
 from reference import convert
 
 
@@ -31,26 +31,17 @@ def expm_taylor(m, terms=50):
     return out
 
 
-def _chain(sigma1=1.0):
-    return MetricGraph((
-        EdgeSpec(id="E1", length=1.0, sigma=sigma1, left_vertex="a", right_vertex="b",
-                 r=1.0, r_to={"E2": 1.0}),
-        EdgeSpec(id="E2", length=2.0, sigma=1.0, left_vertex="b", right_vertex="c",
-                 l=1.0, l_to={"E1": 1.0}),
-    ))
-
-
 def test_two_edge_generator_frozen_values():
-    q = chain_generator(_chain(), DUAL)
+    q = chain_generator(make_chain(), DUAL)
     assert_allclose(q.toarray(), [[-1.0, 1.0], [0.5, -0.5]])
     # equal sigma: the two variants coincide
-    qp = chain_generator(_chain(), PRIMAL)
+    qp = chain_generator(make_chain(), PRIMAL)
     assert_allclose(qp.toarray(), q.toarray())
 
 
 def test_two_edge_generator_sigma_weighting():
-    qd = chain_generator(_chain(sigma1=2.0), DUAL)
-    qp = chain_generator(_chain(sigma1=2.0), PRIMAL)
+    qd = chain_generator(make_chain(sigma1=2.0), DUAL)
+    qp = chain_generator(make_chain(sigma1=2.0), PRIMAL)
     assert_allclose(qd.toarray(), [[-2.0, 1.0], [1.0, -0.5]])
     assert_allclose(qp.toarray(), [[-2.0, 2.0], [0.5, -0.5]])
 
@@ -193,12 +184,7 @@ def test_csv_round_trip(chain_graph, tmp_path):
     assert lines[1] == "dual,E1,-1,1"
     assert lines[-1].startswith("mass_rate")
     assert (convert(dual) != convert(primal)).nnz == 0
-    sig_chain = MetricGraph((
-        EdgeSpec(id="E1", length=1.0, sigma=2.0, left_vertex="a", right_vertex="b",
-                 r=1.0, r_to={"E2": 1.0}),
-        EdgeSpec(id="E2", length=2.0, sigma=1.0, left_vertex="b", right_vertex="c",
-                 l=1.0, l_to={"E1": 1.0}),
-    ))
+    sig_chain = make_chain(sigma1=2.0)
     dual = chain_generator(sig_chain, DUAL)
     primal = chain_generator(sig_chain, PRIMAL)
     # the off-diagonal pair differs once sigma does

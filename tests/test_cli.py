@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,31 +19,20 @@ from graphdiff.cli import main
 from conftest import make_path, traced_peak, write_config
 from reference import convert
 
-STAR = {
-    "edges": [
-        {"id": "E1", "length": 1.0, "sigma": 1.0, "left_vertex": "a",
-         "right_vertex": "hub", "l": 0.0, "r": 1.0,
-         "l_to": {}, "r_to": {"E2": 0.6, "E3": 0.4}},
-        {"id": "E2", "length": 1.0, "sigma": 0.8, "left_vertex": "hub",
-         "right_vertex": "b", "l": 0.9, "r": 0.0,
-         "l_to": {"E1": 0.5, "E3": 0.4}, "r_to": {}},
-        {"id": "E3", "length": 1.0, "sigma": 1.2, "left_vertex": "hub",
-         "right_vertex": "c", "l": 1.1, "r": 0.0,
-         "l_to": {"E1": 0.7, "E2": 0.4}, "r_to": {}},
-    ]
-}
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+STAR = CONFIGS / "star.json"
 
 
 @pytest.fixture
 def star_path(tmp_path):
     p = tmp_path / "star.json"
-    p.write_text(json.dumps(STAR))
+    shutil.copyfile(STAR, p)
     return str(p)
 
 
 @pytest.fixture
 def broken_path(tmp_path):
-    cfg = json.loads(json.dumps(STAR))
+    cfg = json.loads(STAR.read_text())
     cfg["edges"][0]["r_to"] = {"E2": 0.6, "E3": 9.4}   # oversubscribed
     p = tmp_path / "broken.json"
     p.write_text(json.dumps(cfg))
@@ -146,7 +136,7 @@ def test_limit_q_rejects_invalid(broken_path, capsys):
 def test_duplicate_edge_id_is_a_validation_problem(tmp_path, capsys):
     # parsing checks structure and types only: a repeated edge id parses,
     # and every command reports it as the admissibility fault it is
-    cfg = json.loads(json.dumps(STAR))
+    cfg = json.loads(STAR.read_text())
     cfg["edges"].append(dict(cfg["edges"][0]))
     path = tmp_path / "dup.json"
     path.write_text(json.dumps(cfg))
@@ -345,7 +335,7 @@ def test_out_of_memory_has_its_own_exit_code(star_path, tmp_path, monkeypatch, c
 ])
 def test_grid_too_large_to_index_exits_out_of_memory(
         tmp_path, capsys, command, h, length, count):
-    cfg = json.loads(json.dumps(STAR))
+    cfg = json.loads(STAR.read_text())
     cfg["edges"][0]["length"] = length
     path = tmp_path / "star.json"
     path.write_text(json.dumps(cfg))
@@ -422,7 +412,7 @@ def test_sweep_csv_ignores_the_order_of_the_times(star_path, tmp_path, disc):
 def test_sweep_ignores_the_order_of_the_edges(tmp_path, disc, phi0):
     # reversing or rotating the star's edges moves no column of the table
     # by more than round-off; indicator:E2 is resolved by id, not position
-    edges = STAR["edges"]
+    edges = json.loads(STAR.read_text())["edges"]
     tables = []
     for name, listing in [("given", edges), ("reversed", edges[::-1]),
                           ("rotated", edges[1:] + edges[:1])]:
@@ -524,7 +514,6 @@ def test_sweep_assembles_once(star_path, tmp_path, monkeypatch, disc, module, as
 
 
 LONG_TIMES = "0,0.1,0.25,0.5,1,2,10"
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.mark.parametrize("h", ["0.005", "0.0005"])
@@ -775,6 +764,22 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def test_module_entry_point_runs_a_command(tmp_path):
+    # ``python -m graphdiff.cli`` reaches the same main as the console script
+    out = tmp_path / "r.csv"
+    src = str(Path(graphdiff.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "graphdiff.cli", "resolvent-check",
+         "--lambdas", "1e-1,1e-2", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    header, *rows = out.read_text().splitlines()
+    assert header == "lambda,l1_distance"
+    assert len(rows) == 2
+
+
 # Runs each command in one child interpreter under the policy that ships:
 # numpy's default errstate ("warn") and Python's warning filters.  Each
 # command gets a fresh warnings registry, as a fresh process would.
@@ -800,7 +805,7 @@ def test_extreme_flags_print_one_stderr_line_under_the_shipped_warning_policy(
         star_path, tmp_path):
     # the suite's own errstate raises on overflow, so only a child with
     # the shipped settings can show a raw RuntimeWarning on stderr
-    cfg = json.loads(json.dumps(STAR))
+    cfg = json.loads(STAR.read_text())
     cfg["edges"][0]["length"] = 1e308
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps(cfg))

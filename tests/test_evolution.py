@@ -609,11 +609,16 @@ def test_nonincreasing_detects_regression():
 
 
 def test_sweep_limit_solution_is_the_projection(star_graph):
-    # at kappa -> infinity the finite-kappa solution collapses onto the
-    # lifted chain solution; check the distance through the chain instead
-    # of the PDE for one direct fixed point: starting from edgewise
-    # constants the projection commutes with the limit propagator
+    # the sweep's limit side is the chain started from the projection P phi0:
+    # at t = 0 it is P phi0 lifted back, so an edgewise-constant start has
+    # no error, no projected error and no drift on either discretization
     grid = make_grid(star_graph, 0.1)
+    columns = [CSV_COLUMNS.index(c) for c in ("err_l1", "err_l2", "err_projected", "mass_drift")]
+    for disc in (FV, FEM):
+        res = kappa_sweep(star_graph, grid, [1.0, 10.0, 100.0], [0.0, 1.0], edge_indicator(0),
+                          discretization=disc)
+        assert np.abs(res.table[:, 0, columns]).max() <= 1e-15
+    # and the chain it starts is a semigroup: two steps are one
     q = chain_generator(star_graph, DUAL)
     start = np.array([1.0, 0.0, 0.0])
     direct = propagator(q, 1.0) @ start

@@ -17,6 +17,7 @@ from graphdiff.graphs import (
     validate,
 )
 
+from conftest import make_chain
 from reference import convert
 
 
@@ -190,17 +191,8 @@ def test_zero_permeability_edge_is_valid(sealed_edge):
 # value-on-E2 minus value-on-E1; doubling sigma on E1 halves the borrowed
 # term in the adjoint table but leaves the forward table untouched.
 
-def _two_edge(sigma1):
-    return MetricGraph((
-        EdgeSpec(id="E1", length=1.0, sigma=sigma1, left_vertex="a", right_vertex="b",
-                 r=1.0, r_to={"E2": 1.0}),
-        EdgeSpec(id="E2", length=2.0, sigma=1.0, left_vertex="b", right_vertex="c",
-                 l=1.0, l_to={"E1": 1.0}),
-    ))
-
-
 def test_adjoint_trace_functional_equal_sigma():
-    tab = trace_functionals(_two_edge(1.0))
+    tab = trace_functionals(make_chain(1.0))
     co = tab[0, Side.RIGHT.value]
     expected = np.zeros((2, 2))
     expected[0, 1] = -1.0   # minus the trace on E1's own right end
@@ -211,7 +203,7 @@ def test_adjoint_trace_functional_equal_sigma():
 
 
 def test_adjoint_trace_functional_weighted_sigma():
-    tab = trace_functionals(_two_edge(2.0))
+    tab = trace_functionals(make_chain(2.0))
     co = tab[0, Side.RIGHT.value]
     assert co[0, 1] == -1.0
     assert co[1, 0] == pytest.approx(0.5)   # sigma_2 / sigma_1
@@ -219,7 +211,7 @@ def test_adjoint_trace_functional_weighted_sigma():
 
 def test_forward_table_ignores_sigma():
     for s in (1.0, 2.0):
-        tab = primal_condition_table(_two_edge(s))
+        tab = primal_condition_table(make_chain(s))
         co = tab[0, Side.RIGHT.value]
         assert co[0, 1] == -1.0
         assert co[1, 0] == 1.0
