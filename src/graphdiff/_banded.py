@@ -18,8 +18,8 @@ import numpy as np
 class Banded:
     """The n x n matrix with the diagonals ``lower`` (A[i+1, i]), ``diag``
     and ``upper`` (A[i, i+1]) plus ``vals`` at (``rows``, ``cols``),
-    |row - col| > 1.  A repeated pair sums; ``from_triplets``, ``+`` and
-    ``.T`` store each pair once."""
+    |row - col| > 1, in no order.  A repeated pair sums wherever the
+    record is applied; ``triplets`` lists each pair once."""
 
     lower: np.ndarray
     diag: np.ndarray
@@ -32,18 +32,15 @@ class Banded:
 
     @classmethod
     def from_triplets(cls, n: int, rows, cols, vals) -> Banded:
-        """The entries vals at (rows, cols), duplicates summed: those with
-        |row - col| <= 1 binned into the diagonals (``astype``: bincount of
-        nothing gives ints), the others row-major, zero sums dropped."""
+        """The entries vals at (rows, cols): those with |row - col| <= 1
+        summed into the diagonals (``astype``: bincount of nothing gives
+        ints), the other nonzero ones kept as given."""
         rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
         vals, offset = np.asarray(vals, dtype=float), cols - rows
         band = [np.bincount(np.minimum(rows, cols)[offset == k], vals[offset == k],
                             n - abs(k)).astype(float, copy=False) for k in (-1, 0, 1)]
-        far = np.abs(offset) > 1
-        keys, where = np.unique(rows[far] * n + cols[far], return_inverse=True)
-        sums = np.bincount(where.ravel(), vals[far], keys.size).astype(float, copy=False)
-        keys = keys[sums != 0]
-        return cls(*band, keys // n, keys % n, sums[sums != 0])
+        far = (np.abs(offset) > 1) & (vals != 0)
+        return cls(*band, rows[far], cols[far], vals[far])
 
     @property
     def n(self) -> int:
@@ -55,7 +52,7 @@ class Banded:
 
     @property
     def nnz(self) -> int:
-        return sum(map(np.count_nonzero, (self.lower, self.diag, self.upper, self.vals)))
+        return self.triplets()[0].size
 
     @property
     def T(self) -> Banded:
@@ -75,14 +72,13 @@ class Banded:
     __rmul__ = __mul__
 
     def __abs__(self) -> Banded:
-        return Banded(abs(self.lower), abs(self.diag), abs(self.upper),
-                      self.rows, self.cols, abs(self.vals))
+        rows, cols, vals = self.triplets()
+        return Banded.from_triplets(self.n, rows, cols, abs(vals))
 
     def __add__(self, other: Banded) -> Banded:
-        far = Banded.from_triplets(self.n, *map(np.concatenate, zip(
-            (self.rows, self.cols, self.vals), (other.rows, other.cols, other.vals))))
         return Banded(self.lower + other.lower, self.diag + other.diag,
-                      self.upper + other.upper, far.rows, far.cols, far.vals)
+                      self.upper + other.upper, *map(np.concatenate, zip(
+                          (self.rows, self.cols, self.vals), (other.rows, other.cols, other.vals))))
 
     def __matmul__(self, x) -> np.ndarray:
         """A x for x of shape (n,) or (n, r): three shifted products, and one
@@ -91,9 +87,7 @@ class Banded:
         y = self.diag * xt
         y[..., 1:] += self.lower * xt[..., :-1]
         y[..., :-1] += self.upper * xt[..., 1:]
-        if self.rows.size and y.ndim == 1:
-            y += np.bincount(self.rows, self.vals * xt[self.cols], self.n)
-        elif self.rows.size:
+        if self.rows.size:
             bins = np.arange(0, y.size, self.n)[:, None] + self.rows
             y += np.bincount(bins.ravel(), (self.vals * xt[..., self.cols]).ravel(),
                              y.size).reshape(y.shape)
@@ -102,20 +96,24 @@ class Banded:
     def __rmatmul__(self, x) -> np.ndarray:
         return (self.T @ np.asarray(x, dtype=float).T).T
 
-    def triplets(self) -> tuple:
-        """(rows, cols, vals) of the nonzero stored entries, row-major."""
+    def entries(self) -> tuple:
+        """(rows, cols, vals) of the nonzero stored entries, as stored."""
         i = np.arange(self.n)
-        rows = np.concatenate([i[1:], i, i[:-1], self.rows])
-        cols = np.concatenate([i[:-1], i, i[1:], self.cols])
+        rows, cols = np.hstack([(i[1:], i[:-1]), (i, i), (i[:-1], i[1:]), (self.rows, self.cols)])
         vals = np.concatenate([self.lower, self.diag, self.upper, self.vals])
-        order = np.lexsort((cols, rows))
-        order = order[vals[order] != 0]
-        return rows[order], cols[order], vals[order]
+        return rows[vals != 0], cols[vals != 0], vals[vals != 0]
+
+    def triplets(self) -> tuple:
+        """``entries`` row-major, each pair once: summed, zero sums dropped."""
+        rows, cols, vals = self.entries()
+        keys, where = np.unique(rows * self.n + cols, return_inverse=True)
+        sums = np.bincount(where.ravel(), vals, keys.size).astype(float, copy=False)
+        return keys[sums != 0] // self.n, keys[sums != 0] % self.n, sums[sums != 0]
 
     def toarray(self) -> np.ndarray:
         rows, cols, vals = self.triplets()
         out = np.zeros(self.shape)
-        np.add.at(out, (rows, cols), vals)
+        out[rows, cols] = vals
         return out
 
     def tocsc(self):

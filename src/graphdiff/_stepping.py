@@ -14,10 +14,8 @@ with ``gamma = SHIFT_T / sqrt(t_min t_max)`` and grows one Arnoldi basis
 on ``S = (M + K/gamma)^-1 M`` in the M inner product, which gives
 ``S V_m = V_m H_m + ...``.  ``row_scaled`` factors every mass as
 ``D^-1 (M + K/gamma)``, D = diag(M): the same S, ``I + W^-1 K/gamma``
-for a diagonal M = W, and a P1 drift of 1.5e-11 where the unscaled
-matrix drifted 6.5e-6 (star, t = 1, kappa = 1e9).  Since
-``-M^-1 K = gamma (I - S^-1)``, the solution at each time t
-of the window is ``beta V_m f(H_m) e1`` with
+for a diagonal M = W.  Since ``-M^-1 K = gamma (I - S^-1)``, the
+solution at each time t of the window is ``beta V_m f(H_m) e1`` with
 ``f(theta) = exp(t gamma (1 - 1/theta))``, from one eigendecomposition
 of the m x m ``H_m`` per step (Higham, *Functions of Matrices*, 2008;
 ``expm`` only for a near-defective ``H_m``).  The rational basis
@@ -26,10 +24,9 @@ quadrature it needs no enclosure of the spectrum, so non-normal
 membrane couplings with complex eigenvalues are handled the same way.
 One pole serves a bounded range of times only (van den Eshof &
 Hochbruck, SIAM J. Sci. Comput. 27, 2006; Moret & Novati, BIT 44,
-2004): over t in {0.1, 10} a single pole stops at an answer 6e-2 off on
-a 20-edge directed cycle, hence the windows.  The basis grows until,
-for every time of the window, iterates m - 4 and m agree to KRYLOV_RTOL,
-and every time is then read off that last basis.
+2004), hence the windows.  The basis grows until, for every time of the
+window, iterates m - 4 and m agree to KRYLOV_RTOL, and every time is
+then read off that last basis.
 
 The factorization is numpy wherever it can be (``factor_shifted``).
 M + K/gamma is a tridiagonal band T plus the membrane couplings outside
@@ -93,8 +90,8 @@ WOODBURY_MAX_ROWS = KRYLOV_MAX_DIM
 # the largest normwise backward error, in units of eps, that an unpivoted
 # factorization may show on its probe solve
 PROBE_MAX_ETA = 100.0
-# cyclic reduction stops at this many unknowns (2^6 - 1) and inverts the
-# rest densely: the last levels would cost a call each for a few numbers
+# cyclic reduction stops at 2^6 - 1 unknowns or fewer and inverts them
+# densely: the last levels would cost a call each for a few numbers
 REDUCED_SIZE = 63
 
 
@@ -253,12 +250,13 @@ def factor_shifted(matrix):
     probe solve's backward error is at most PROBE_MAX_ETA eps; else, or
     for more rows, SuperLU, which raises RuntimeError if A is singular."""
     n = matrix.n
-    rows, where = np.unique(matrix.rows, return_inverse=True)
+    coupled = np.bincount(matrix.rows, minlength=n) > 0
+    rows = np.flatnonzero(coupled)
     if rows.size <= WOODBURY_MAX_ROWS:
         unit = np.zeros((n, rows.size))  # P
         unit[rows, np.arange(rows.size)] = 1.0
         outside = np.zeros((rows.size, n))  # R
-        np.add.at(outside, (where, matrix.cols), matrix.vals)
+        np.add.at(outside, (np.cumsum(coupled)[matrix.rows] - 1, matrix.cols), matrix.vals)
         try:
             band = _band_solver(matrix.lower, matrix.diag, matrix.upper)
             spread = band(unit)  # T^-1 P, no larger than the Arnoldi basis
@@ -270,7 +268,10 @@ def factor_shifted(matrix):
 
             probe = np.cos(np.arange(n))  # a right-hand side with no structure
             x = solve(probe)
-            size = (abs(matrix) @ np.ones(n)).max() * np.abs(x).max() + np.abs(probe).max()
+            # the row sums of |A|, each entry of R summed before its modulus
+            bound = (np.abs(matrix.diag) + np.r_[0.0, np.abs(matrix.lower)]
+                     + np.r_[np.abs(matrix.upper), 0.0] + unit @ np.abs(outside).sum(axis=1))
+            size = bound.max() * np.abs(x).max() + np.abs(probe).max()
             eta = np.abs(probe - matrix @ x).max() / size / np.finfo(float).eps
             if eta <= PROBE_MAX_ETA:  # also false for NaN
                 return solve
@@ -283,12 +284,13 @@ def factor_shifted(matrix):
 
 def _band_solver(lower, diag, upper):
     """A solver ``d -> T^-1 d`` for the tridiagonal T with these three
-    diagonals, by odd-even cyclic reduction: padded with identity rows
-    to 2^L - 1 unknowns, each level eliminates the even-numbered ones
-    and keeps the odd ones, down to REDUCED_SIZE unknowns, whose
-    tridiagonal matrix is inverted densely."""
-    n = diag.size
-    size = 2 ** n.bit_length() - 1
+    diagonals, by odd-even cyclic reduction: padded with identity rows to
+    the least q 2^L - 1 >= n unknowns with q - 1 <= REDUCED_SIZE (fewer
+    than n/32 rows), each of the L levels eliminates the even-numbered
+    unknowns of an odd count and keeps the odd ones, and the q - 1 left
+    are inverted densely."""
+    n, step = diag.size, 2 ** (diag.size // (REDUCED_SIZE + 1)).bit_length()  # 2^L
+    size = (n // step + 1) * step - 1
     a, b, c = np.zeros(size), np.ones(size), np.zeros(size)
     a[1:n], b[:n], c[: n - 1] = lower, diag, upper
     levels = []

@@ -165,7 +165,7 @@ def kappa_sweep(
     limits = _stepping.krylov_apply(limit.mass, limit.terms, grid.averaging(layout, start), ts)
     lifted = np.repeat(limits, np.diff(grid.offsets(layout)), axis=1)
 
-    order = np.argsort(ts)
+    order = sorted(range(len(ts)), key=ts.__getitem__)
     table = np.empty((len(kappas), len(ts), len(CSV_COLUMNS)))
     for k, kappa in enumerate(kappas):
         sols = _stepping.krylov_apply(gen.mass, replace(gen, kappa=kappa).terms, start, ts)

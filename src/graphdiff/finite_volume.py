@@ -148,7 +148,7 @@ def _assemble(
     # the extrapolation 1.5 v0 - 0.5 v1 from the second unknown in
     trace = [(ends, 1.0)] if trace_order == 1 else [
         (ends, 1.5), (ends + np.tile([1, -1], grid.n_edges), -0.5)]
-    rows, cols, vals = exchange.triplets()
+    rows, cols, vals = exchange.entries()
     diagonal = np.arange(n)
     return DiscreteGenerator(
         mass=Banded.from_triplets(n, diagonal, diagonal, grid.weights(layout))

@@ -256,7 +256,7 @@ def endpoint_conditions(graph: MetricGraph, flow: Banded) -> Banded:
     (c * sign) / sigma_i."""
     from ._banded import Banded
 
-    rows, cols, vals = flow.triplets()
+    rows, cols, vals = flow.entries()
     signs = np.where(rows % 2, 1.0, -1.0)
     return Banded.from_triplets(flow.n, rows, cols, vals * signs / graph.sigmas[rows // 2])
 

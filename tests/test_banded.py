@@ -7,6 +7,7 @@ matrix bit for bit, cancellations to zero included.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,9 +60,9 @@ def test_record_matches_dense(data, n, scalar, seed):
     assert np.array_equal((record * np.float64(scalar)).toarray(), dense * scalar)
     scale = np.arange(1.0, n + 1)
     assert np.array_equal(record.scale_rows(scale).toarray(), scale[:, None] * dense)
-    # each pair outside the band stored once, row-major, with a nonzero sum
-    assert np.all(np.abs(record.rows - record.cols) > 1)
-    assert np.all(np.diff(record.rows * n + record.cols) > 0) and np.all(record.vals != 0)
+    # the couplings stored outside the band as given, explicit zeros
+    # dropped; the listing has each pair once, row-major, with a nonzero sum
+    assert np.all(np.abs(record.rows - record.cols) > 1) and np.all(record.vals != 0)
     rows, cols, vals = record.triplets()
     assert np.all(np.diff(rows * n + cols) > 0) and np.all(vals != 0)
     assert np.array_equal(_dense(n, rows, cols, vals), dense)
@@ -126,3 +127,34 @@ def test_factor_shifted_sums_repeated_couplings(superlu_refused, n, seed, pairs)
     x = _stepping.factor_shifted(record)(b)
     size = np.abs(dense).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
     assert np.abs(b - dense @ x).max() / size / EPS <= _stepping.PROBE_MAX_ETA
+
+
+# every size to 130, and 2^k - 1, 2^k and 2^k + 1 up to 4097: the sizes
+# at which the padding to q 2^L - 1 and the number of levels change
+SOLVER_SIZES = sorted({*range(1, 131), *(2**k + j for k in range(1, 13) for j in (-1, 0, 1))})
+
+
+def test_band_solver_at_every_padding():
+    rng = np.random.default_rng(7)
+    for n in SOLVER_SIZES:
+        lower, upper = rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-1.0, 1.0, n - 1)
+        diag = rng.uniform(2.5, 3.0, n) * rng.choice([-1.0, 1.0], n)
+        matrix = sp.diags([lower, diag, upper], [-1, 0, 1], format="csr")
+        norm = abs(matrix).sum(axis=1).max()
+        solve = _stepping._band_solver(lower, diag, upper)
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            x = solve(b)
+            assert x.shape == b.shape
+            size = norm * np.abs(x).max() + np.abs(b).max()
+            assert np.abs(b - matrix @ x).max() / size / EPS <= _stepping.PROBE_MAX_ETA
+
+
+def test_band_solver_refuses_a_zero_pivot_deep_down():
+    # unknown 7 uncoupled, with a zero diagonal: its pivot is met only at
+    # the fourth level of 1000 unknowns, where 125 remain
+    rng = np.random.default_rng(8)
+    lower, upper = rng.uniform(-1.0, 1.0, 999), rng.uniform(-1.0, 1.0, 999)
+    diag = rng.uniform(2.5, 3.0, 1000)
+    lower[6:8] = upper[6:8] = diag[7] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        _stepping._band_solver(lower, diag, upper)

@@ -153,8 +153,8 @@ def _directed_cycle(n, p):
     ))
 
 
-# two Krylov windows: {0.1, 0.25} and {2, 10}; one pole over all four
-# times stops 6e-2 off on the 20-edge cycle at kappa = 1e3
+# two Krylov windows, {0.1, 0.25} and {2, 10}: one pole serves a bounded
+# range of times only (test_krylov_factors_once_per_window)
 WIDE_TIMES = (0.1, 0.25, 2.0, 10.0)
 
 
@@ -633,6 +633,21 @@ def test_sweep_never_forms_the_dense_chain_propagator(star_graph, monkeypatch):
     expected = _run_small_sweep(star_graph)
     monkeypatch.setattr(chain, "propagator", refuse)
     assert np.array_equal(_run_small_sweep(star_graph).table, expected.table)
+
+
+@pytest.mark.parametrize("config", ["star", "chain"])
+def test_sweeps_call_no_numpy_sort(config, monkeypatch, tmp_path):
+    # the record keeps its couplings as given and every consumer on the
+    # sweep path sums a repeated pair where it applies it, so no sweep
+    # orders an array: the canonical listing is for limit-q and checks
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep called a numpy sort")
+
+    for name in ("sort", "argsort", "lexsort", "unique"):
+        monkeypatch.setattr(np, name, refuse)
+    graph = str(Path(__file__).resolve().parents[1] / "configs" / f"{config}.json")
+    for flags in (["--disc", "fv"], ["--disc", "fem"], ["--trace-order", "2"]):
+        assert main(["sweep", "--graph", graph, *flags, "--out", str(tmp_path / "s.csv")]) == 0
 
 
 @pytest.mark.parametrize("graph", ["star", "leaky_star", "chain_config"])

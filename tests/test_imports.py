@@ -190,7 +190,8 @@ def test_second_order_sweep_loads_no_scipy(graph, run_once):
 @pytest.mark.parametrize("flags", [["--disc", "fv"], ["--disc", "fem"], ["--trace-order", "2"]],
                          ids=["fv", "fem", "order2"])
 def test_sweep_loads_no_masked_arrays(graph, flags, run_once):
-    # np.unique without an index asks numpy.ma whether its input is masked
+    # np.unique without an index asks numpy.ma whether its input is masked;
+    # a sweep calls no np.unique at all (test_sweeps_call_no_numpy_sort)
     code, modules = run_once(_RUN_CLI, "sweep", "--graph", graph, *flags, package="numpy")
     assert code == 0
     assert "numpy.ma" not in modules

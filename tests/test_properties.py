@@ -665,6 +665,13 @@ def test_unstable_band_goes_to_superlu(monkeypatch):
 
     assert eta(_stepping.factor_shifted(convert(matrix))(b)) <= 4.0
     assert len(superlu) == 1
+    # the corner coupling 0.5 stored as the parts 1e12 + 0.5 and -1e12: the
+    # probe bounds |A| by the summed entry, not by its parts, and still
+    # hands the matrix to SuperLU
+    parts = dataclasses.replace(convert(matrix), rows=np.array([0, 0]), cols=np.array([199, 199]),
+                                vals=np.array([1e12 + 0.5, -1e12]))
+    assert eta(_stepping.factor_shifted(parts)(b)) <= 4.0
+    assert len(superlu) == 2
     monkeypatch.setattr(_stepping, "PROBE_MAX_ETA", np.inf)
     assert eta(_stepping.factor_shifted(convert(matrix))(b)) > 1e6
-    assert len(superlu) == 1
+    assert len(superlu) == 2
