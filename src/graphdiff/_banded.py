@@ -33,13 +33,14 @@ class Banded:
     @classmethod
     def from_triplets(cls, n: int, rows, cols, vals) -> Banded:
         """The entries vals at (rows, cols): those with |row - col| <= 1
-        summed into the diagonals (``astype``: bincount of nothing gives
-        ints), the other nonzero ones kept as given."""
+        summed into the diagonals (the lower by column; ``astype``: bincount
+        of nothing gives ints), the other nonzero ones kept as given."""
         rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
         vals, offset = np.asarray(vals, dtype=float), cols - rows
-        band = [np.bincount(np.minimum(rows, cols)[offset == k], vals[offset == k],
-                            n - abs(k)).astype(float, copy=False) for k in (-1, 0, 1)]
-        far = (np.abs(offset) > 1) & (vals != 0)
+        lower, diag, upper = offset == -1, offset == 0, offset == 1
+        band = [np.bincount(at[k], vals[k], size).astype(float, copy=False)
+                for at, k, size in ((cols, lower, n - 1), (rows, diag, n), (rows, upper, n - 1))]
+        far = ~(lower | diag | upper) & (vals != 0)
         return cls(*band, rows[far], cols[far], vals[far])
 
     @property
@@ -70,10 +71,6 @@ class Banded:
         return self.scale_rows(np.full(self.n, float(scalar)))
 
     __rmul__ = __mul__
-
-    def __abs__(self) -> Banded:
-        rows, cols, vals = self.triplets()
-        return Banded.from_triplets(self.n, rows, cols, abs(vals))
 
     def __add__(self, other: Banded) -> Banded:
         return Banded(self.lower + other.lower, self.diag + other.diag,

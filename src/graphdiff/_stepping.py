@@ -24,9 +24,9 @@ quadrature it needs no enclosure of the spectrum, so non-normal
 membrane couplings with complex eigenvalues are handled the same way.
 One pole serves a bounded range of times only (van den Eshof &
 Hochbruck, SIAM J. Sci. Comput. 27, 2006; Moret & Novati, BIT 44,
-2004), hence the windows.  The basis grows until, for every time of the
-window, iterates m - 4 and m agree to KRYLOV_RTOL, and every time is
-then read off that last basis.
+2004), hence the windows.  A window holds its basis, H_m and, for the
+stopping rule of ``krylov_apply``, the KRYLOV_LAG + 1 latest iterates
+of each time: O(m n + m^2) memory for m = KRYLOV_MAX_DIM vectors.
 
 The factorization is numpy wherever it can be (``factor_shifted``).
 M + K/gamma is a tridiagonal band T plus the membrane couplings outside
@@ -45,7 +45,8 @@ Schur complement that the reduction forms, so every pivot is positive.
 The P1 M + K/gamma is strictly diagonally dominant by columns, which
 elimination in any symmetric order keeps.  Second-order FV traces and
 other graphs have no such argument, so each numpy factorization must
-pass a probe solve with a backward error of at most PROBE_MAX_ETA eps.
+pass a probe solve, right-hand side frac(k phi) - 1/2 at unknown k with
+phi the golden ratio, of backward error at most PROBE_MAX_ETA eps.
 More rows outside the band (a large tree, or a path of more than 33
 edges at trace order 2), a zero pivot, a singular capacitance or a
 failed probe hand the matrix to SuperLU, which pivots, and only then is
@@ -181,8 +182,8 @@ def _krylov_window(mass, left, terms, u0, beta, window) -> np.ndarray:
     basis = np.empty((KRYLOV_MAX_DIM + 1, u0.size))
     hess = np.zeros((KRYLOV_MAX_DIM + 1, KRYLOV_MAX_DIM))
     basis[0] = u0 / beta
-    # coefs[m, i]: time i's iterate on the first m vectors, zero-padded
-    coefs = np.zeros((KRYLOV_MAX_DIM + 1, len(window), KRYLOV_MAX_DIM))
+    # coefs[m % (KRYLOV_LAG + 1), i]: time i's iterate on m vectors (zero-padded; zero for m = 0)
+    coefs = np.zeros((KRYLOV_LAG + 1, len(window), KRYLOV_MAX_DIM))
     met = np.zeros(len(window), dtype=bool)
     for j in range(KRYLOV_MAX_DIM):
         w = solve(left @ basis[j])
@@ -193,13 +194,14 @@ def _krylov_window(mass, left, terms, u0, beta, window) -> np.ndarray:
             hess[: j + 1, j] += h
         m = j + 1
         hess[m, j] = np.sqrt(max(float(w @ (mass @ w)), 0.0))
-        coefs[m, :, :m] = beta * _small_exp_e1(hess[:m, :m], gamma * np.array(window))
-        estimate = np.linalg.norm(coefs[m] - coefs[max(m - KRYLOV_LAG, 0)], axis=1)
+        now, lagged = coefs[m % (KRYLOV_LAG + 1)], coefs[(m + 1) % (KRYLOV_LAG + 1)]
+        now[:, :m] = beta * _small_exp_e1(hess[:m, :m], gamma * np.array(window))
+        estimate = np.linalg.norm(now - lagged, axis=1)
         if m > KRYLOV_LAG:
-            met |= estimate <= KRYLOV_RTOL * np.maximum(np.linalg.norm(coefs[m], axis=1), beta)
+            met |= estimate <= KRYLOV_RTOL * np.maximum(np.linalg.norm(now, axis=1), beta)
         # an invariant subspace makes the current iterates exact
         if met.all() or hess[m, j] <= 1e-14 * np.abs(hess[:m, j]).max():
-            return coefs[m, :, :m] @ basis[:m]
+            return now[:, :m] @ basis[:m]
         basis[m] = w / hess[m, j]
     unconverged = ", ".join(
         f"t={t:g} (last estimate {e:.3g})" for t, e, ok in zip(window, estimate, met) if not ok
@@ -245,18 +247,20 @@ def shifted_solver(left, terms, gamma):
 def factor_shifted(matrix):
     """A solver ``b -> A^-1 b``, b (n,) or (n, r), for the ``Banded`` A =
     T + P R: its band T by cyclic reduction (``_band_solver``) and its
-    k <= WOODBURY_MAX_ROWS coupling rows R (a repeated pair summed) by
-    the Woodbury identity with the capacitance I + R T^-1 P, kept if a
-    probe solve's backward error is at most PROBE_MAX_ETA eps; else, or
-    for more rows, SuperLU, which raises RuntimeError if A is singular."""
+    k <= WOODBURY_MAX_ROWS coupling rows R by the Woodbury identity with
+    the capacitance I + R T^-1 P, kept if a probe solve's backward error
+    is at most PROBE_MAX_ETA eps; else, or for more rows, SuperLU, which
+    raises RuntimeError if A is singular.  R is one bincount over the bins
+    ``slot[row] n + col``, so a repeated pair sums in input order."""
     n = matrix.n
-    coupled = np.bincount(matrix.rows, minlength=n) > 0
-    rows = np.flatnonzero(coupled)
+    rows = np.flatnonzero(np.bincount(matrix.rows, minlength=n))
     if rows.size <= WOODBURY_MAX_ROWS:
+        slot = np.zeros(n, dtype=np.intp)  # each coupled row's place in R
+        slot[rows] = np.arange(rows.size)
         unit = np.zeros((n, rows.size))  # P
-        unit[rows, np.arange(rows.size)] = 1.0
-        outside = np.zeros((rows.size, n))  # R
-        np.add.at(outside, (np.cumsum(coupled)[matrix.rows] - 1, matrix.cols), matrix.vals)
+        unit[rows, slot[rows]] = 1.0
+        outside = np.bincount(slot[matrix.rows] * n + matrix.cols, matrix.vals,
+                              rows.size * n).reshape(rows.size, n)  # R
         try:
             band = _band_solver(matrix.lower, matrix.diag, matrix.upper)
             spread = band(unit)  # T^-1 P, no larger than the Arnoldi basis
@@ -266,7 +270,8 @@ def factor_shifted(matrix):
                 y = band(b)
                 return y - spread @ (outside @ y)
 
-            probe = np.cos(np.arange(n))  # a right-hand side with no structure
+            probe = np.arange(n) * 0.6180339887498949  # frac(k phi) - 1/2
+            probe -= np.floor(probe) + 0.5
             x = solve(probe)
             # the row sums of |A|, each entry of R summed before its modulus
             bound = (np.abs(matrix.diag) + np.r_[0.0, np.abs(matrix.lower)]

@@ -97,10 +97,8 @@ class DiscreteGenerator:
         """A = -W^{-1} K with u' = A u, formed on first read, for a
         diagonal mass W only: the consistent P1 mass raises ValueError, as
         its A would be dense."""
-        if self.mass.nnz != np.count_nonzero(self.mass.diagonal()):
-            raise ValueError(
-                "the generator matrix -M^-1 K is formed for a diagonal mass only"
-            )
+        if self.mass.lower.any() or self.mass.upper.any() or self.mass.vals.any():
+            raise ValueError("the generator matrix -M^-1 K is formed for a diagonal mass only")
         return self.flux.scale_rows(-1.0 / self.mass.diagonal())
 
 
@@ -131,8 +129,8 @@ def _assemble(
     extrapolation 1.5 v0 - 0.5 v1 for order 2; M = diag(w) unless a
     consistent ``mass`` is given."""
     exchange = graph.exchange.T if adjoint else graph.exchange
-    if grid.n_edges != graph.n_edges or not np.allclose(
-        grid.lengths, graph.lengths, rtol=1e-12, atol=0
+    if grid.n_edges != graph.n_edges or not np.all(
+        np.abs(grid.lengths - graph.lengths) <= 1e-12 * np.abs(graph.lengths)
     ):
         raise ValueError("grid does not match the graph's edges")
     if not 0 < kappa < np.inf:

@@ -55,7 +55,6 @@ def test_record_matches_dense(data, n, scalar, seed):
     assert record.nnz == np.count_nonzero(dense)
     assert np.array_equal(record.diagonal(), np.diag(dense))
     assert np.array_equal(record.T.toarray(), dense.T)
-    assert np.array_equal(abs(record).toarray(), np.abs(dense))
     assert np.array_equal((scalar * record).toarray(), scalar * dense)
     assert np.array_equal((record * np.float64(scalar)).toarray(), dense * scalar)
     scale = np.arange(1.0, n + 1)

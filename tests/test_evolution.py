@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -635,19 +636,68 @@ def test_sweep_never_forms_the_dense_chain_propagator(star_graph, monkeypatch):
     assert np.array_equal(_run_small_sweep(star_graph).table, expected.table)
 
 
+SHIPPED_SWEEPS = (["sweep", "--disc", "fv"], ["sweep", "--disc", "fem"],
+                  ["sweep", "--trace-order", "2"])
+
+
+class _Refused:
+    """A numpy function that raises when called; a ufunc's methods still
+    serve (``np.min`` is ``np.minimum.reduce``)."""
+
+    def __init__(self, real):
+        self.real = real
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError(f"a command called numpy's {self.real.__name__}")
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+
+def _run_refusing(config, monkeypatch, tmp_path, names, commands):
+    """Each command on the shipped ``config``, exit 0, with the numpy
+    functions ``names`` refused."""
+    for name in names:
+        monkeypatch.setattr(np, name, _Refused(getattr(np, name)))
+    graph = str(Path(__file__).resolve().parents[1] / "configs" / f"{config}.json")
+    for command, *flags in commands:
+        assert main([command, "--graph", graph, *flags, "--out", str(tmp_path / "s.csv")]) == 0
+
+
 @pytest.mark.parametrize("config", ["star", "chain"])
 def test_sweeps_call_no_numpy_sort(config, monkeypatch, tmp_path):
     # the record keeps its couplings as given and every consumer on the
     # sweep path sums a repeated pair where it applies it, so no sweep
-    # orders an array: the canonical listing is for limit-q and checks
-    def refuse(*args, **kwargs):
-        raise AssertionError("a sweep called a numpy sort")
+    # orders an array: the canonical listing is for limit-q and checks;
+    # duality-check finds a diagonal mass from its stored parts
+    _run_refusing(config, monkeypatch, tmp_path, ("sort", "argsort", "lexsort", "unique"),
+                  (*SHIPPED_SWEEPS, ["duality-check"]))
 
-    for name in ("sort", "argsort", "lexsort", "unique"):
-        monkeypatch.setattr(np, name, refuse)
-    graph = str(Path(__file__).resolve().parents[1] / "configs" / f"{config}.json")
-    for flags in (["--disc", "fv"], ["--disc", "fem"], ["--trace-order", "2"]):
-        assert main(["sweep", "--graph", graph, *flags, "--out", str(tmp_path / "s.csv")]) == 0
+
+@pytest.mark.parametrize("config", ["star", "chain"])
+def test_sweeps_call_no_one_off_kernel(config, monkeypatch, tmp_path):
+    # the grid check, the band binning and the probe use only kernels that
+    # the rest of the path pages in anyway (np.cumsum stays legal: the
+    # EdgeGrid offsets take it)
+    _run_refusing(config, monkeypatch, tmp_path, ("allclose", "minimum", "cos"), SHIPPED_SWEEPS)
+
+
+def test_krylov_window_keeps_no_iterate_history(monkeypatch):
+    # at KRYLOV_MAX_DIM = 512 the window allocates the basis, the Arnoldi
+    # matrix and a few small arrays; a zeroed history of every iterate
+    # would add (513 x 4 x 512) doubles, 8.4 MB
+    run = _star_window(FV, 1e4)
+    expected = run()
+    n = expected.shape[1]
+    monkeypatch.setattr(_stepping, "KRYLOV_MAX_DIM", 512)
+    tracemalloc.start()
+    try:
+        got = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (513 * n + 513 * 512) * 8 + 2**20
+    assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("graph", ["star", "leaky_star", "chain_config"])
