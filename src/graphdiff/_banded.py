@@ -9,26 +9,21 @@ discretization and the chain's Q.  Only ``tocsc`` (SuperLU) loads scipy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True, eq=False)
 class Banded:
     """The n x n matrix with the diagonals ``lower`` (A[i+1, i]), ``diag``
     and ``upper`` (A[i, i+1]) plus ``vals`` at (``rows``, ``cols``),
     |row - col| > 1, in no order.  A repeated pair sums wherever the
     record is applied; ``triplets`` lists each pair once."""
 
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-
+    __slots__ = ("lower", "diag", "upper", "rows", "cols", "vals")
     __array_ufunc__ = None  # numpy defers x @ A and s * A to the methods below
+
+    def __init__(self, lower, diag, upper, rows, cols, vals):
+        self.lower, self.diag, self.upper = lower, diag, upper
+        self.rows, self.cols, self.vals = rows, cols, vals
 
     @classmethod
     def from_triplets(cls, n: int, rows, cols, vals) -> Banded:

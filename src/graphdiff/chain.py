@@ -30,8 +30,6 @@ n_edges x n_edges view is formed only by the ``expm`` reference
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._banded import Banded
@@ -44,20 +42,15 @@ PRIMAL = "primal"
 _VARIANTS = (DUAL, PRIMAL)
 
 
-@dataclass(frozen=True)
 class PiecewiseConstant:
     """One value per edge, normed with the edge lengths as weights."""
 
-    values: np.ndarray
-    lengths: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        lengths = np.asarray(self.lengths, dtype=float)
+    def __init__(self, values, lengths):
+        values = np.asarray(values, dtype=float)
+        lengths = np.asarray(lengths, dtype=float)
         if values.shape != lengths.shape or values.ndim != 1:
             raise ValueError("values and lengths must be 1-d arrays of equal size")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "lengths", lengths)
+        self.values, self.lengths = values, lengths
 
     def lift(self, grid: EdgeGrid, layout: str) -> np.ndarray:
         """Embed back as an edge-wise constant packed grid function."""

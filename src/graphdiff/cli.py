@@ -1,4 +1,4 @@
-"""Command-line front end.
+r"""Command-line front end.
 
 Subcommands:
 
@@ -26,12 +26,14 @@ in flags, and a ``--levels`` below 1, are parse failures.
 This module alone formats output.  Every CSV goes through ``_write_csv``
 and is deterministic: a header row, fixed column order, ``\n`` line ends,
 numbers printed by ``_fmt`` with 17 significant digits (they round-trip
-exactly).  The sweep CSV is its result's kappa-by-t table row by row,
-ordered by (kappa, t) whatever the order of ``--t``.  Each producer
-formats its own cells, so the writer takes str cells only.  A command's
-summary lines go through the same ``_fmt`` and are printed by
-``_summary``: on stdout, or on stderr when the CSV takes stdout, so that
-stdout is then CSV only.
+exactly), and only a cell that holds ``,``, ``"``, ``\n`` or ``\r``
+quoted, its quotes doubled.  The writer is this module's own, so the
+bytes do not depend on the interpreter's ``csv`` module.  The sweep CSV
+is its result's kappa-by-t table row by row, ordered by (kappa, t)
+whatever the order of ``--t``.  Each producer formats its own cells, so
+the writer takes str cells only.  A command's summary lines go through
+the same ``_fmt`` and are printed by ``_summary``: on stdout, or on
+stderr when the CSV takes stdout, so that stdout is then CSV only.
 
 Each command imports only the modules it computes with, as the import
 census of ``tests/test_imports.py`` pins; every operator is a numpy
@@ -45,9 +47,9 @@ Arnoldi matrix (``_stepping._small_exp_e1``) ``scipy.linalg``.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import math
+import re
 import sys
 
 import numpy as np
@@ -103,15 +105,30 @@ def _summary(path):
     return functools.partial(print, file=stream)
 
 
+# what makes a cell quoted: the separator, the quote, either line break
+_QUOTED = re.compile('[,"\n\r]')
+
+
+def _csv_line(cells) -> str:
+    """The str ``cells`` joined by commas.  One scan of their joined text
+    decides whether any needs quoting; only then is each that does
+    wrapped in quotes, its own quotes doubled."""
+    if _QUOTED.search("".join(cells)) is None:
+        return ",".join(cells)
+    return ",".join('"' + cell.replace('"', '""') + '"' if _QUOTED.search(cell) else cell
+                    for cell in cells)
+
+
 def _write_csv(path, header, rows) -> None:
-    """Write ``header`` and then ``rows`` of str cells (numbers already
-    through ``_fmt``) to the ``--out`` stream (stdout for None or '-').
-    ``rows`` may be a generator; it is written as it comes."""
+    """Write ``header`` and then ``rows``, sequences of str cells (numbers
+    already through ``_fmt``), to the ``--out`` stream (stdout for None or
+    '-'), one ``_csv_line`` and one ``write`` each.  ``rows`` may be a
+    generator; it is written as it comes."""
     fh, close = _open_out(path)
     try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_csv_line(header) + "\n")
+        for row in rows:
+            fh.write(_csv_line(row) + "\n")
     finally:
         if close:
             fh.close()
@@ -263,7 +280,7 @@ def cmd_sweep(args) -> int:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
         return UNCONVERGED
     rows = result.table.reshape(-1, len(evolution.CSV_COLUMNS)).tolist()
-    _write_csv(args.out, evolution.CSV_COLUMNS, (map(_fmt, row) for row in rows))
+    _write_csv(args.out, evolution.CSV_COLUMNS, (list(map(_fmt, row)) for row in rows))
     say = _summary(args.out)
     verdicts = result.nonincreasing()
     for t, ok in zip(result.times(), verdicts):
@@ -295,7 +312,7 @@ def cmd_resolvent_check(args) -> int:
     # extreme flags overflow; a non-finite distance is reported below
     with np.errstate(over="ignore", invalid="ignore"):
         table = resolvent.averaging_limit_check(args.a, args.b, phi, args.lambdas)
-    _write_csv(args.out, ["lambda", "l1_distance"], (map(_fmt, row) for row in table.rows))
+    _write_csv(args.out, ["lambda", "l1_distance"], (list(map(_fmt, row)) for row in table.rows))
     bad = [(lam, dist) for lam, dist in table.rows if not math.isfinite(dist)]
     if bad:
         lam, dist = bad[0]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +69,7 @@ def propagate(gen: DiscreteGenerator, phi0, t: float) -> np.ndarray:
 CSV_COLUMNS = ("kappa", "t", "err_l1", "err_l2", "err_projected", "mass_drift", "min_value")
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """The sweep as one read-only (n_kappa, n_t, len(CSV_COLUMNS)) array:
     kappas increasing, times ascending, columns as in ``CSV_COLUMNS``."""
 
@@ -118,7 +117,7 @@ def kappa_sweep(
     2 applies to fv only.
     An invalid graph raises InvalidGraphError first.  The generator is
     assembled once, at the first kappa; every other kappa only rescales
-    its diffusion form S, in ``replace(gen, kappa=kappa).terms``, and
+    its diffusion form S, in ``gen.at(kappa).terms``, and
     each kappa is propagated to all times in one call, which factors once
     per window of times and measured in one array pass.  The limit chain
     c' = Q c is propagated the same way, in one call for all times.  On a
@@ -168,7 +167,7 @@ def kappa_sweep(
     order = sorted(range(len(ts)), key=ts.__getitem__)
     table = np.empty((len(kappas), len(ts), len(CSV_COLUMNS)))
     for k, kappa in enumerate(kappas):
-        sols = _stepping.krylov_apply(gen.mass, replace(gen, kappa=kappa).terms, start, ts)
+        sols = _stepping.krylov_apply(gen.mass, gen.at(kappa).terms, start, ts)
         state, err = norms(sols, weights), norms(sols - lifted, weights)
         # the gap between the two chain states, normed like the edges
         perr = norms(grid.averaging(layout, sols) - limits, grid.lengths)

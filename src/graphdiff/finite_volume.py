@@ -48,7 +48,6 @@ per edge for the limit chain (``chain_form``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -58,25 +57,26 @@ from .graphs import MetricGraph, endpoint_conditions, require_valid
 from .grids import CELLS, NODES, EdgeGrid
 
 
-@dataclass(frozen=True)
 class DiscreteGenerator:
     """A generator in mass form  M u' = -(kappa S + C) u.
 
     Only the diffusion form S depends on the speed parameter, so
-    ``dataclasses.replace(gen, kappa=k)`` is the same discretization at
-    kappa = k.  Finite volumes and finite differences have the diagonal
-    mass diag(w), w the layout's quadrature weights (``EdgeGrid.weights``,
-    which make <w, u> the discrete integral over the graph); P1 Galerkin
-    has the consistent, tridiagonal mass matrix.  All three are
+    ``gen.at(k)`` is the same discretization at kappa = k.  Finite
+    volumes and finite differences have the diagonal mass diag(w), w the
+    layout's quadrature weights (``EdgeGrid.weights``, which make <w, u>
+    the discrete integral over the graph); P1 Galerkin has the
+    consistent, tridiagonal mass matrix.  All three are
     ``_banded.Banded`` records; ``_stepping.krylov_apply`` takes ``mass``
     and ``terms`` for either and row-scales both by diag(M)
     (``_stepping.row_scaled``).
     """
 
-    mass: Banded
-    diffusion: Banded
-    coupling: Banded
-    kappa: float
+    def __init__(self, mass: Banded, diffusion: Banded, coupling: Banded, kappa: float):
+        self.mass, self.diffusion, self.coupling, self.kappa = mass, diffusion, coupling, kappa
+
+    def at(self, kappa: float) -> DiscreteGenerator:
+        """This discretization at another kappa: the same M, S and C."""
+        return DiscreteGenerator(self.mass, self.diffusion, self.coupling, kappa)
 
     @property
     def n(self) -> int:

@@ -38,10 +38,9 @@ the tests read; the program itself never forms a dense table.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -67,13 +66,13 @@ class Side(Enum):
     RIGHT = 1
 
 
-@dataclass(frozen=True)
-class EdgeSpec:
+class EdgeSpec(NamedTuple):
     """A single edge.
 
     ``l_to`` / ``r_to`` map *target edge ids* to the nonnegative
     pass-through coefficient from this edge's left / right membrane into
-    that target.  Missing keys mean zero.
+    that target.  Missing keys mean zero; an edge given none shares one
+    empty default dict, which no code modifies.
     """
 
     id: str
@@ -83,8 +82,8 @@ class EdgeSpec:
     right_vertex: str
     l: float = 0.0
     r: float = 0.0
-    l_to: dict = field(default_factory=dict)
-    r_to: dict = field(default_factory=dict)
+    l_to: dict = {}
+    r_to: dict = {}
 
     def total(self, side: Side) -> float:
         return self.l if side is Side.LEFT else self.r
@@ -96,14 +95,17 @@ class EdgeSpec:
         return self.left_vertex if side is Side.LEFT else self.right_vertex
 
 
-@dataclass(frozen=True)
 class MetricGraph:
-    """Immutable container of edges; derived lookup tables are cached."""
+    """Container of edges, equal to a graph of equal edges; derived lookup
+    tables are cached, so ``edges`` is not reassigned."""
 
-    edges: tuple
+    def __init__(self, edges):
+        self.edges = tuple(edges)
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
+    def __eq__(self, other):
+        if not isinstance(other, MetricGraph):
+            return NotImplemented
+        return self.edges == other.edges
 
     @property
     def n_edges(self) -> int:
@@ -151,11 +153,10 @@ class MetricGraph:
         return Banded.from_triplets(2 * self.n_edges, *require_valid(self).entries)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     problems: tuple
     conservative: bool
-    entries: tuple = field(repr=False, compare=False)
+    entries: tuple
 
     @property
     def ok(self) -> bool:
@@ -326,8 +327,7 @@ _EDGE_SCHEMA = {
     "left_vertex": _string, "right_vertex": _string,
     "l": _number, "r": _number, "l_to": _coupling, "r_to": _coupling,
 }
-_REQUIRED_KEYS = {f.name for f in fields(EdgeSpec)
-                  if f.default is MISSING and f.default_factory is MISSING}
+_REQUIRED_KEYS = set(EdgeSpec._fields) - EdgeSpec._field_defaults.keys()
 
 
 def parse_graph(data) -> MetricGraph:

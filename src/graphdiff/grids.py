@@ -16,7 +16,6 @@ wrapper type carries the grid along.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,25 +30,20 @@ FEM = "fem"
 _MAX_POINTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
-@dataclass(frozen=True)
 class EdgeGrid:
     """Uniform grid per edge: edge i gets cells[i] >= 1 cells of width
     lengths[i] / cells[i]; one per edge is the limit chain's grid."""
 
-    lengths: np.ndarray
-    cells: np.ndarray
-
-    def __post_init__(self):
-        lengths = np.asarray(self.lengths, dtype=float)
-        cells = np.asarray(self.cells, dtype=int)
+    def __init__(self, lengths, cells):
+        lengths = np.asarray(lengths, dtype=float)
+        cells = np.asarray(cells, dtype=int)
         if lengths.ndim != 1 or lengths.shape != cells.shape:
             raise ValueError("lengths and cells must be 1-d arrays of equal size")
         if not np.all(np.isfinite(lengths)) or np.any(lengths <= 0):
             raise ValueError(f"edge lengths must be positive and finite, got {lengths}")
         if np.any(cells < 1):
             raise ValueError("need at least 1 cell per edge")
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "cells", cells)
+        self.lengths, self.cells = lengths, cells
 
     @property
     def n_edges(self) -> int:

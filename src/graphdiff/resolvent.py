@@ -32,7 +32,7 @@ evaluates it to near full precision for every mu > 0, however small (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -132,8 +132,7 @@ def resolvent_apply(a, b, lam, phi, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # small-lam averaging
 
-@dataclass(frozen=True)
-class AveragingTable:
+class AveragingTable(NamedTuple):
     """L1 distances of lam * psi_lam from the flat average of the source."""
 
     rows: tuple           # ((lam, distance), ...) in the given lam order

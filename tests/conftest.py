@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import tracemalloc
 
@@ -61,7 +60,7 @@ def make_path(n_edges, seed=0):
 def write_config(graph, path):
     """Write ``graph`` as a JSON graph config at ``path``; returns the
     path as a string, ready for ``--graph``."""
-    path.write_text(json.dumps({"edges": [dataclasses.asdict(e) for e in graph.edges]}))
+    path.write_text(json.dumps({"edges": [e._asdict() for e in graph.edges]}))
     return str(path)
 
 

@@ -1,9 +1,10 @@
+import contextlib
 import csv
-import dataclasses
 import io
 import json
 import os
 import shutil
+import string
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphdiff
 from graphdiff import _stepping, chain, cli, evolution, finite_volume, galerkin, graphs
@@ -79,7 +82,7 @@ def test_limit_q_reads_the_sparse_generators_only(tmp_path, capsys):
     # sparse difference and the CSV one row at a time
     graph = make_path(400, seed=3)
     path = tmp_path / "path.json"
-    edges = [dataclasses.asdict(e) for e in graph.edges]
+    edges = [e._asdict() for e in graph.edges]
     path.write_text(json.dumps({"edges": edges}))
     out = tmp_path / "q.csv"
     peak = traced_peak(lambda: main(["limit-q", "--graph", str(path), "--out", str(out)]))
@@ -122,6 +125,40 @@ def test_limit_q_formats_only_the_stored_entries(tmp_path, monkeypatch):
     dual, primal = (chain.chain_generator(graph, v) for v in (chain.DUAL, chain.PRIMAL))
     assert calls["csv"] <= dual.nnz + primal.nnz + graph.n_edges
     assert calls["all"] == calls["csv"] + 2 * (convert(dual) != convert(primal)).nnz
+
+
+def test_limit_q_quotes_the_ids_that_need_it(tmp_path):
+    # an id that holds a comma, a quote or either line break is quoted,
+    # its quotes doubled, so that a csv reader gets every id back whole
+    ids = ["A\r1", "B,2", 'C"3', "D\n4"]
+    graph = make_path(len(ids))
+    new = dict(zip(graph.edge_ids, ids))
+    edges = [e._replace(id=new[e.id], l_to={new[k]: c for k, c in e.l_to.items()},
+                        r_to={new[k]: c for k, c in e.r_to.items()}) for e in graph.edges]
+    config = write_config(graphs.MetricGraph(edges), tmp_path / "ids.json")
+    out = tmp_path / "q.csv"
+    assert main(["limit-q", "--graph", config, "--out", str(out)]) == 0
+    with out.open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["variant", "edge", *ids]
+    assert [row[1] for row in rows] == [*ids, *ids, ""]
+    assert all(len(row) == len(header) for row in rows)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.lists(st.text(',"\n ' + string.ascii_letters, max_size=4), min_size=2,
+                         max_size=5), min_size=1, max_size=4))
+def test_csv_writer_writes_what_python_csv_writes(table):
+    # rows of at least two cells without a "\r", on which every Python's
+    # csv module quotes the same cells
+    header, *rows = table
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    with contextlib.redirect_stdout(io.StringIO()) as got:
+        cli._write_csv(None, header, rows)
+    assert got.getvalue() == want.getvalue()
 
 
 def test_limit_q_rejects_invalid(broken_path, capsys):

@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -157,7 +156,7 @@ def test_kappa_enters_affinely(star_graph):
     )
     for gen in gens:
         for kappa in (2.0, 9.0, 1e4):
-            scaled = replace(gen, kappa=kappa)
+            scaled = gen.at(kappa)
             diffusion, coupling = scaled.terms
             assert np.array_equal(diffusion.toarray(), (kappa * gen.diffusion).toarray())
             assert np.array_equal(coupling.toarray(), gen.coupling.toarray())
@@ -384,7 +383,7 @@ def test_replaced_kappa_is_a_fresh_assembly(config, h):
     }
     for name, build in builders.items():
         for base, kappa in ((1.0, 10.0), (1.0, 1e4), (3.0, 1e3)):
-            moved = replace(build(base), kappa=kappa).flux
+            moved = build(base).at(kappa).flux
             fresh = build(kappa).flux
             for part in ("lower", "diag", "upper", "rows", "cols", "vals"):
                 assert getattr(moved, part).tobytes() == getattr(fresh, part).tobytes(), (

@@ -2,8 +2,9 @@
 ``test_each_command_loads_exactly_its_modules``, runs each command on
 the shipped configs, and ``resolvent-check``, once, and pins the rule:
 each command loads exactly the ``graphdiff`` modules it computes with,
-``numpy.polynomial`` for ``resolvent-check`` only, and no ``numpy.ma``
-or scipy module.  Only a sweep whose shifted matrix needs SuperLU loads
+``numpy.polynomial`` for ``resolvent-check`` only, and no ``numpy.ma``,
+scipy, ``dataclasses`` or ``csv`` module; the benchmark's set-up probe
+loads neither of the last two either.  Only a sweep whose shifted matrix needs SuperLU loads
 scipy, and then the solver stack.  Every check runs in a fresh
 interpreter and reads ``sys.modules``; this one has long since imported
 everything."""
@@ -28,6 +29,9 @@ SOLVER = {"scipy.sparse.linalg", "scipy.linalg"}
 # what loading, validating and gridding a graph needs: the set-up that
 # the benchmark's probe times, before any assembly
 SETUP = {"graphdiff"} | {f"graphdiff.{name}" for name in ("cli", "graphs", "grids")}
+# stdlib modules that no command and no probe loads: the records are
+# plain classes and NamedTuples, and the CLI quotes its own CSV cells
+UNLOADED = {"dataclasses", "csv"}
 
 # runs one CLI command, then prints its exit code and the modules loaded
 # from the top-level packages named in $PACKAGE (comma-separated)
@@ -75,7 +79,7 @@ def run_once(tmp_path_factory):
     out = ["--out", str(tmp_path_factory.mktemp("census") / "out.csv")]
     run = functools.cache(lambda script, *args: _fresh(
         script, *args, *(out if script is _RUN_CLI and args[0] != "validate" else []),
-        package="graphdiff,numpy,scipy"))
+        package="graphdiff,numpy,scipy,dataclasses,csv"))
 
     def read(script, *args, package="scipy"):
         code, modules = run(script, *args)
@@ -110,8 +114,9 @@ def test_benchmark_setup_probe_loads_no_scipy(argv, run_once):
 def test_setup_loads_only_the_setup_modules(script, argv, run_once):
     # the limit chain is assembled by finite_volume, so a chain import in
     # the set-up path would put assembly into what the probe times
-    code, modules = run_once(script, *argv, package="graphdiff")
+    code, modules = run_once(script, *argv, package="graphdiff,dataclasses,csv")
     assert code == 0
+    assert not modules & UNLOADED
     assert modules <= SETUP
 
 
@@ -147,8 +152,9 @@ CENSUS = [
 @pytest.mark.parametrize("argv, loaded", CENSUS)
 def test_each_command_loads_exactly_its_modules(argv, loaded, run_once):
     # the duality cubics are sampled by finite_volume's own Horner pass
-    code, modules = run_once(_RUN_CLI, *argv, package="graphdiff,numpy,scipy")
+    code, modules = run_once(_RUN_CLI, *argv, package="graphdiff,numpy,scipy,dataclasses,csv")
     assert code == 0
+    assert not modules & UNLOADED
     assert {m for m in modules if m.split(".")[0] == "graphdiff"} == SETUP | loaded
     assert ("numpy.polynomial" in modules) == (argv[0] == "resolvent-check")
     assert "numpy.ma" not in modules

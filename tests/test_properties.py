@@ -10,7 +10,6 @@ each membrane total is the sum of its coefficients, plus a positive
 leak at one drawn endpoint when the graph is meant to lose mass.
 """
 
-import dataclasses
 import glob
 import json
 import os
@@ -151,7 +150,7 @@ def faulty_graphs(draw):
         total = running / 2
         problem = f"{tag}: sum of {name}_to coefficients"
     side_fields = ("l", "l_to") if side is Side.LEFT else ("r", "r_to")
-    edges[i] = dataclasses.replace(e, **dict(zip(side_fields, (total, to))))
+    edges[i] = e._replace(**dict(zip(side_fields, (total, to))))
     return MetricGraph(tuple(edges)), problem
 
 
@@ -337,9 +336,7 @@ def _row_at_a_time_sweep(graph, grid, kappas, ts, disc):
     lifted = np.repeat(limits, np.diff(grid.offsets(layout)), axis=1)
     rows = []
     for kappa in kappas:
-        sols = _stepping.krylov_apply(
-            gen.mass, dataclasses.replace(gen, kappa=kappa).terms, start, ts
-        )
+        sols = _stepping.krylov_apply(gen.mass, gen.at(kappa).terms, start, ts)
         gaps = grid.averaging(layout, sols) - limits
         for t, sol, lift, gap in zip(ts, sols, lifted, gaps):
             err = norms(sol - lift, weights)
@@ -364,7 +361,7 @@ def test_sweep_table_is_the_row_at_a_time_loop(graph, disc):
 @FEW
 @given(valid_graphs())
 def test_parse_graph_round_trips_edge_specs(graph):
-    text = json.dumps({"edges": [dataclasses.asdict(e) for e in graph.edges]})
+    text = json.dumps({"edges": [e._asdict() for e in graph.edges]})
     assert parse_graph(json.loads(text)) == graph
 
 
@@ -668,8 +665,9 @@ def test_unstable_band_goes_to_superlu(monkeypatch):
     # the corner coupling 0.5 stored as the parts 1e12 + 0.5 and -1e12: the
     # probe bounds |A| by the summed entry, not by its parts, and still
     # hands the matrix to SuperLU
-    parts = dataclasses.replace(convert(matrix), rows=np.array([0, 0]), cols=np.array([199, 199]),
-                                vals=np.array([1e12 + 0.5, -1e12]))
+    band = convert(matrix)
+    parts = Banded(band.lower, band.diag, band.upper, np.array([0, 0]), np.array([199, 199]),
+                   np.array([1e12 + 0.5, -1e12]))
     assert eta(_stepping.factor_shifted(parts)(b)) <= 4.0
     assert len(superlu) == 2
     monkeypatch.setattr(_stepping, "PROBE_MAX_ETA", np.inf)
