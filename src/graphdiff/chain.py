@@ -1,31 +1,15 @@
-"""The Markov-chain limit on the edge set.
+"""The Markov-chain limit on the edge set, under the names its readers use.
 
 In the fast-diffusion limit a solution flattens on each edge, so the
-state space collapses to one number per edge: the vertices of the line
-graph.  This module builds the projection onto edge-wise averages and the
-limit generator matrix, in its two variants: finite volumes with one
-cell per edge (``finite_volume.chain_form``), whose only term is the
-endpoint coupling by the exchange matrix X (``MetricGraph.exchange``),
-
-* ``"dual"``   -- Q = D^-1 R X^T R^T, the flux (adjoint) dynamics; the
-  off-diagonal rate into edge i from edge j is sigma_j * (l_ji + r_ji) / d_i,
-* ``"primal"`` -- Q = D^-1 R X R^T, the forward dynamics; the rate is
-  sigma_i * (l_ij + r_ij) / d_i,
-
-with R summing each edge's two endpoints and D = diag(lengths).  Both
-share the diagonal -sigma_i * (l_i + r_i) / d_i.  The dual variant
-satisfies the weighted column identity
-
-    sum_i d_i q_ij = sigma_j * (sum_{i != j} (l_ji + r_ji) - l_j - r_j),
-
-which is <= 0 and vanishes exactly for conservative graphs; lengths act
-as the stationary reference weights.
-
-``chain_generator`` returns Q itself, a ``_banded.Banded`` record, kept
-sparse like X: an edge only exchanges with the edges it meets at a
-vertex.  Its rows and columns follow ``graph.edge_ids``.  The dense
-n_edges x n_edges view is formed only by the ``expm`` reference
-``propagator``.
+state space collapses to one number per edge.  ``finite_volume.chain_form``
+builds the limit generator Q, and its docstring states both variants'
+rates and the weighted column identity.  No command imports this module:
+``limit-q`` lists ``chain_form`` itself.  Its names are read by
+``graphdiff``'s lazy name table (``DUAL``, ``chain_generator``), the
+tests and the layer tracer ``bench/traced.py``: ``chain_generator``
+names ``chain_form``'s ``adjoint`` flag ``"dual"`` or ``"primal"``,
+``propagator`` is the dense ``expm`` reference, and ``PiecewiseConstant``
+and ``project_averages`` lift edge values and take edge averages.
 """
 
 from __future__ import annotations
@@ -84,11 +68,3 @@ def propagator(q: Banded, t: float) -> np.ndarray:
 
     return scipy.linalg.expm(t * q.toarray())
 
-
-def mass_rate(graph: MetricGraph) -> np.ndarray:
-    """Weighted column sums d^T Q of the dual generator: rate of
-    total-mass change per unit of density sitting on each edge.  Zero iff
-    the graph is conservative."""
-    rows, cols, vals = chain_generator(graph, DUAL).triplets()
-    # row-major: each column is summed down its rows, as in dense d^T Q
-    return np.bincount(cols, graph.lengths[rows] * vals, graph.n_edges)

@@ -3,7 +3,8 @@ r"""Command-line front end.
 Subcommands:
 
 * ``validate``        -- admissibility report for a graph config
-* ``limit-q``         -- both limit-chain generator variants as CSV
+* ``limit-q``         -- both variants of the limit-chain generator Q
+  (``finite_volume.chain_form``) and Q dual's mass rates as CSV
 * ``sweep``           -- kappa/t sweep against the limit chain
 * ``resolvent-check`` -- small-lam averaging of the interval resolvent
 * ``duality-check``   -- forward/adjoint pairing defect under refinement
@@ -230,15 +231,18 @@ def _limit_q_rows(graph, entries, mass_rate):
 
 def cmd_limit_q(args) -> int:
     graph = _load_valid(args.graph)
-    from . import chain
+    from . import finite_volume
 
     entries = {}
-    for variant in (chain.DUAL, chain.PRIMAL):
-        rows, cols, vals = chain.chain_generator(graph, variant).triplets()
+    for variant, adjoint in (("dual", True), ("primal", False)):
+        rows, cols, vals = finite_volume.chain_form(graph, adjoint).matrix.triplets()
         entries[variant] = dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist()))
+        if adjoint:
+            # d^T Q, each column summed down its rows of the row-major listing
+            mass_rate = np.bincount(cols, graph.lengths[rows] * vals, graph.n_edges)
     ids = graph.edge_ids
     _write_csv(args.out, ["variant", "edge"] + list(ids),
-               _limit_q_rows(graph, entries, chain.mass_rate(graph)))
+               _limit_q_rows(graph, entries, mass_rate))
     say = _summary(args.out)
     dual, primal = entries.values()
     # row-major, as the listing has always been

@@ -179,7 +179,22 @@ def primal_generator(graph: MetricGraph, grid: EdgeGrid, kappa: float) -> Discre
 
 def chain_form(graph: MetricGraph, adjoint: bool = True) -> DiscreteGenerator:
     """The chain c' = Q c as finite volumes with one cell per edge: S empty,
-    M = D, K = C = -R Y R^T, with Y = X^T (``adjoint``: Q dual) or X."""
+    M = D = diag(lengths), K = C = -R Y R^T, R summing each edge's two
+    endpoints.  ``.matrix`` is Q = D^-1 R Y R^T, sparse like X, its rows
+    and columns in ``graph.edge_ids`` order:
+
+    * Y = X^T (``adjoint``): Q dual, the flux dynamics; the rate into
+      edge i from edge j is sigma_j (l_ji + r_ji) / d_i,
+    * Y = X: Q primal, the forward dynamics; the rate is
+      sigma_i (l_ij + r_ij) / d_i,
+
+    both with the diagonal -sigma_i (l_i + r_i) / d_i.  Q dual's weighted
+    columns are the mass rates
+
+        sum_i d_i q_ij = sigma_j (sum_{i != j} (l_ji + r_ji) - l_j - r_j),
+
+    <= 0 and exactly 0 on conservative graphs: the lengths are the
+    stationary reference weights."""
     require_valid(graph)
     grid = EdgeGrid(graph.lengths, np.ones(graph.n_edges, dtype=int))
     return _assemble(graph, grid, 1.0, CELLS, adjoint)

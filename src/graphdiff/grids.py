@@ -119,7 +119,7 @@ def make_grid(graph, target_width: float) -> EdgeGrid:
     MemoryError if a packed grid function would not fit in one float
     array."""
     if not target_width > 0:
-        raise ValueError("target_width must be positive")
+        raise ValueError(f"target_width must be positive, got {target_width:g}")
     cells, nodes = [], 0
     for edge_id, d in zip(graph.edge_ids, graph.lengths.tolist()):
         # the -1e-9 guard keeps e.g. ceil(1.0 / 0.005) from rounding to 201

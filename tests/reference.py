@@ -24,6 +24,9 @@ code:
 * ``l2_norm`` and ``interpolate_to_cells``: the M norm (for P1, the
   exact L2 norm of the function with nodal values u) and the
   cell-midpoint values of a P1 function;
+* ``mass_rate``: the weighted column sums d^T Q of the dual limit
+  generator from its sparse listing, the arithmetic of ``limit-q``'s
+  ``mass_rate`` row;
 * ``convert``: the one conversion between the package's ``Banded``
   operators and scipy's sparse matrices, in either direction;
 * ``resolvent_image_series``: the reflecting-interval resolvent of
@@ -51,6 +54,7 @@ from scipy.sparse.linalg import splu
 
 from graphdiff._banded import Banded
 from graphdiff._stepping import StepControlError
+from graphdiff.finite_volume import chain_form
 from graphdiff.grids import NODES
 from graphdiff.resolvent import _check_interval, _kernel, as_source
 
@@ -67,6 +71,15 @@ def convert(matrix):
 def dense_generator(gen) -> np.ndarray:
     """A = -M^-1 K of a ``DiscreteGenerator``, dense."""
     return -scipy.linalg.solve(gen.mass.toarray(), gen.flux.toarray(), assume_a="pos")
+
+
+def mass_rate(graph) -> np.ndarray:
+    """Weighted column sums d^T Q of the dual generator: rate of
+    total-mass change per unit of density sitting on each edge.  Zero iff
+    the graph is conservative."""
+    rows, cols, vals = chain_form(graph).matrix.triplets()
+    # row-major: each column is summed down its rows, as in dense d^T Q
+    return np.bincount(cols, graph.lengths[rows] * vals, graph.n_edges)
 
 
 def _cn_run(mass, stiff, u0, t, n_steps):

@@ -9,7 +9,6 @@ from graphdiff.chain import (
     PRIMAL,
     PiecewiseConstant,
     chain_generator,
-    mass_rate,
     project_averages,
     propagator,
 )
@@ -18,7 +17,7 @@ from graphdiff.graphs import EdgeSpec, InvalidGraphError, MetricGraph, load_grap
 from graphdiff.grids import CELLS, NODES, EdgeGrid
 
 from conftest import make_chain, make_path, traced_peak, write_config
-from reference import convert
+from reference import convert, mass_rate
 
 
 def expm_taylor(m, terms=50):
@@ -103,16 +102,27 @@ def test_chain_generator_stays_sparse_on_a_long_path():
     assert_allclose(mass_rate(graph), 0.0, atol=1e-14)
 
 
-def test_mass_rate_matches_the_dense_column_sums():
-    # d^T Q from the sparse Q: bit for bit on the shipped configs, and
-    # within an ulp of the dense sums on a long conservative path
+def _limit_q_mass_rate(config, tmp_path):
+    out = tmp_path / "q.csv"
+    assert main(["limit-q", "--graph", str(config), "--out", str(out)]) == 0
+    label, edge, *cells = out.read_text().splitlines()[-1].split(",")
+    assert (label, edge) == ("mass_rate", "")
+    return np.array(cells, dtype=float)   # 17 digits round-trip exactly
+
+
+def test_mass_rate_matches_the_dense_column_sums(tmp_path):
+    # limit-q's d^T Q from the sparse Q: bit for bit on the shipped
+    # configs, and within an ulp of the dense sums on a long conservative
+    # path
     configs = Path(__file__).resolve().parents[1] / "configs"
     for name in ("star.json", "chain.json"):
         g = load_graph(configs / name)
-        assert np.array_equal(mass_rate(g), g.lengths @ chain_generator(g, DUAL).toarray())
-    g = make_path(1000, seed=3)
+        assert np.array_equal(_limit_q_mass_rate(configs / name, tmp_path),
+                              g.lengths @ chain_generator(g, DUAL).toarray())
+    config = write_config(make_path(1000, seed=3), tmp_path / "path.json")
+    g = load_graph(config)
     dense = g.lengths @ chain_generator(g, DUAL).toarray()
-    assert np.abs(mass_rate(g) - dense).max() <= 4.5e-16
+    assert np.abs(_limit_q_mass_rate(config, tmp_path) - dense).max() <= 4.5e-16
 
 
 class TestPropagator:

@@ -412,6 +412,32 @@ def test_non_finite_numbers_are_parse_errors(star_path, argv, capsys):
     assert "finite" in errors[0] and repr(argv[-1]) in errors[0]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--h", "0"], "target_width must be positive, got 0"),
+    (["sweep", "--h=-0.1"], "target_width must be positive, got -0.1"),
+    (["duality-check", "--h", "0"], "target_width must be positive, got 0"),
+    (["resolvent-check", "--lambdas", ""], "need at least one lam value"),
+], ids=["sweep-zero", "sweep-negative", "duality-check-zero", "no-lambdas"])
+def test_nonpositive_width_and_empty_lambda_list_are_usage_errors(star_path, argv, message,
+                                                                   capsys):
+    if argv[0] != "resolvent-check":
+        argv = argv[:1] + ["--graph", star_path] + argv[1:]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("config, message", [
+    ([], "top level must be an object"),
+    ({**json.loads(STAR.read_text()), "extra": 1}, "unknown top-level keys: ['extra']"),
+    ({"edges": ["E1"]}, "edges[0]: expected an object"),
+], ids=["not-an-object", "unknown-key", "edge-not-an-object"])
+def test_malformed_config_structure_is_a_usage_error(tmp_path, config, message, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert main(["validate", "--graph", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_non_finite_polynomial_source_is_usage_error(capsys):
     assert main(["resolvent-check", "--phi", "poly:0,nan"]) == 2
     assert capsys.readouterr().err.count("\n") == 1
@@ -650,6 +676,23 @@ def test_limit_q_validates_once(star_path, tmp_path, monkeypatch):
     assert counts == {"validate": 1}
 
 
+def test_limit_q_assembles_each_variant_once(star_path, tmp_path, monkeypatch):
+    # the dual listing also gives the mass_rate row: no third assembly.
+    # graphdiff.chain binds chain_form at import, so a listing through it
+    # is counted too
+    calls = []
+    real = finite_volume.chain_form
+
+    def counting(graph, adjoint=True):
+        calls.append(adjoint)
+        return real(graph, adjoint)
+
+    for module in (finite_volume, chain):
+        monkeypatch.setattr(module, "chain_form", counting)
+    assert main(["limit-q", "--graph", star_path, "--out", str(tmp_path / "q.csv")]) == 0
+    assert calls == [True, False]
+
+
 def test_fem_sweep_rejects_second_order_traces(star_path, tmp_path, capsys):
     # trace order is a finite-volume option; P1 has no traces to extrapolate
     code = main([
@@ -775,6 +818,31 @@ def test_duality_check_zero_defects_print_nan_ratios(sealed_edge, tmp_path, caps
         "h,defect,ratio", "0.040000000000000001,0,", "0.02,0,nan",
     ]
     assert capsys.readouterr() == ("h=0.02: defect 0 (ratio nan)\n", "")
+
+
+@pytest.mark.parametrize("defects, code, summary", [
+    pytest.param([1.0, 0.8, 0.1], 3, [
+        "h=0.050000000000000003: defect 0.80000000000000004 (ratio 0.80000000000000004)",
+        "h=0.025000000000000001: defect 0.10000000000000001 (ratio 0.125)",
+    ], id="slow"),
+    pytest.param([1.0, 0.75, 0.5], 0, [
+        "h=0.050000000000000003: defect 0.75 (ratio 0.75)",
+        "h=0.025000000000000001: defect 0.5 (ratio 0.66666666666666663)",
+    ], id="bound-is-strict"),
+    pytest.param([1.0, 1e-13, 1e-13], 0, [
+        "h=0.050000000000000003: defect 1e-13 (ratio 1e-13)",
+        "h=0.025000000000000001: defect 1e-13 (ratio 1)",
+    ], id="below-floor"),
+])
+def test_duality_check_refinement_rule(star_path, tmp_path, monkeypatch, capsys,
+                                       defects, code, summary):
+    # a finite defect fails when it is above 1e-12 max(1, d0) and above
+    # 0.75 times its predecessor
+    values = iter(defects)
+    monkeypatch.setattr(finite_volume, "duality_defect", lambda *a, **k: next(values))
+    assert main(["duality-check", "--graph", star_path, "--h", "0.1",
+                 "--out", str(tmp_path / "d.csv")]) == code
+    assert capsys.readouterr() == ("\n".join(summary) + "\n", "")
 
 
 @pytest.mark.parametrize("levels", ["0", "-2", "two"])

@@ -257,6 +257,16 @@ def test_krylov_row_scales_every_mass(star_graph, monkeypatch, build):
     assert np.array_equal(seen[0].toarray(), want.toarray())
 
 
+def test_krylov_zero_start_factors_nothing(star_graph, monkeypatch):
+    # ||u0||_M = 0: every row is 0, and no shifted matrix is factored
+    grid = make_grid(star_graph, 0.1)
+    gen = dual_generator(star_graph, grid, kappa=10.0)
+    calls = _counting_factors(monkeypatch)
+    got = _krylov_rows(gen, np.zeros(gen.n), [1.0, 0.0, 0.25])
+    assert calls == []
+    assert np.array_equal(got, np.zeros((3, gen.n)))
+
+
 def test_sweep_factors_once_per_kappa(star_graph, monkeypatch):
     # the CLI's default times span a ratio of 8: one window, so one PDE
     # factorization per kappa and one of the limit chain's I - Q/gamma
@@ -543,6 +553,16 @@ def test_sweep_sealed_edge_errors_track_flattening(sealed_edge):
     e = res.errors(0.5)
     assert e[0] > e[-1]
     assert res.nonincreasing().all()
+
+
+@pytest.mark.parametrize("disc", [FV, FEM])
+def test_sweep_from_zero_is_zero(star_graph, disc):
+    # the discrete and the chain state both stay 0: every error, the
+    # drift and the minimum read 0
+    grid = make_grid(star_graph, 0.1)
+    res = kappa_sweep(star_graph, grid, [1.0, 10.0, 100.0], [0.5, 1.0],
+                      lambda i, x: np.zeros_like(x), discretization=disc)
+    assert np.array_equal(res.table[..., CSV_COLUMNS.index("err_l1"):], np.zeros((3, 2, 5)))
 
 
 def test_sweep_conserves_mass_when_conservative(star_graph):

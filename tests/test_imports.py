@@ -130,7 +130,7 @@ LARGE_KAPPA = ["--kappa", "1e4,1e5,1e6,1e7,1e8,1e9", "--t", "1"]
 # command run on a shipped config
 _GRAPH_COMMANDS = [
     ("validate", ["validate"], set()),
-    ("limit-q", ["limit-q"], ASSEMBLY | {"graphdiff.chain"}),
+    ("limit-q", ["limit-q"], ASSEMBLY),
     *((f"sweep-{disc}{suffix}", ["sweep", "--disc", disc, *flags], loaded)
       for disc, loaded in (("fv", PROPAGATION), ("fem", PROPAGATION | {"graphdiff.galerkin"}))
       for suffix, flags in (("", []), ("-long", LONG), ("-large-kappa", LARGE_KAPPA))),

@@ -25,10 +25,10 @@ from hypothesis.extra.numpy import arrays
 from numpy.polynomial.polynomial import polyval
 
 from conftest import end_values, make_path, make_star, traced_peak
-from reference import convert, dense_generator
+from reference import convert, dense_generator, mass_rate
 from graphdiff import _stepping, finite_volume
 from graphdiff._banded import Banded
-from graphdiff.chain import DUAL, PRIMAL, chain_generator, mass_rate, propagator
+from graphdiff.chain import DUAL, PRIMAL, chain_generator, propagator
 from graphdiff.evolution import FEM, FV, OWN_NORM, kappa_sweep, norms
 from graphdiff.finite_volume import (
     chain_form,
